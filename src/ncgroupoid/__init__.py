@@ -57,6 +57,7 @@ from .diffspace import (
     Point,
     QuotientResult,
     build_space,
+    classes_are_fibers,
     consistent_family,
     hausdorff_relation,
     load_space,
@@ -131,6 +132,7 @@ __all__ = [
     "big_matrix",
     "build_groupoid",
     "build_space",
+    "classes_are_fibers",
     "commutant",
     "commutator_apply",
     "commutator_defect",

@@ -24,14 +24,12 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
-import sympy
 
 from ._expr import ValueGradFn, coordinate_symbols, format_expr, parse
 from .diffspace import DiffSpace
-from .groupoid import Groupoid
+from .groupoid import Arrow, BlockStack, Groupoid
 
 _FLOAT_FMT = ".17g"
 
@@ -91,14 +89,6 @@ class BaseFunction:
             return None
         return tuple(self.grads[self.space.index_of(pid)])
 
-    def block_values(self, g: Groupoid, b: int) -> np.ndarray:
-        idx = [self.space.index_of(x) for x in g.block_points(b)]
-        return self.values[idx]
-
-    def block_grads(self, g: Groupoid, b: int) -> np.ndarray:
-        idx = [self.space.index_of(x) for x in g.block_points(b)]
-        return self.grads[idx]
-
     def __mul__(self, other: "BaseFunction") -> "BaseFunction":
         """Pointwise product, gradients by the product rule."""
         if not isinstance(other, BaseFunction):
@@ -134,57 +124,41 @@ class AlgebraElement:
 
     def __init__(self, groupoid: Groupoid, values, d_src=None, d_dst=None, expr=None):
         self.groupoid = groupoid
-        n = groupoid.space.dimension
-        vals = []
-        for b, block in enumerate(groupoid.blocks):
-            m = len(block)
-            arr = np.asarray(values[b])
-            if arr.dtype != object:
-                arr = arr.astype(complex)
-            if arr.shape != (m, m):
-                raise ValueError(f"block {b}: value shape {arr.shape}, need ({m}, {m})")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            vals.append(arr)
-        self.values: tuple[np.ndarray, ...] = tuple(vals)
-
+        self.value_stack = BlockStack.of(groupoid, values, exact=True)
         if (d_src is None) != (d_dst is None):
             raise ValueError("d_src and d_dst must be given together")
+        self.d_src_stack = self.d_dst_stack = None
         if d_src is not None:
-            if any(v.dtype == object for v in self.values):
+            if any(v.dtype == object for v in self.value_stack.arrays):
                 raise ValueError("jets are not supported for object-dtype values")
-            ds, dd = [], []
-            for b, block in enumerate(groupoid.blocks):
-                m = len(block)
-                a_s = np.asarray(d_src[b], dtype=complex)
-                a_d = np.asarray(d_dst[b], dtype=complex)
-                if a_s.shape != (m, m, n) or a_d.shape != (m, m, n):
-                    raise ValueError(f"block {b}: jet shape must be ({m}, {m}, {n})")
-                a_s = a_s.copy()
-                a_d = a_d.copy()
-                a_s.flags.writeable = False
-                a_d.flags.writeable = False
-                ds.append(a_s)
-                dd.append(a_d)
-            self.d_src: tuple[np.ndarray, ...] | None = tuple(ds)
-            self.d_dst: tuple[np.ndarray, ...] | None = tuple(dd)
-        else:
-            self.d_src = None
-            self.d_dst = None
+            tail = (groupoid.space.dimension,)
+            self.d_src_stack = BlockStack.of(groupoid, d_src, tail, "jet")
+            self.d_dst_stack = BlockStack.of(groupoid, d_dst, tail, "jet")
         self.expr = expr
 
     @property
+    def values(self) -> tuple[np.ndarray, ...]:
+        return self.value_stack.blocks
+
+    @property
+    def d_src(self) -> tuple[np.ndarray, ...] | None:
+        return None if self.d_src_stack is None else self.d_src_stack.blocks
+
+    @property
+    def d_dst(self) -> tuple[np.ndarray, ...] | None:
+        return None if self.d_dst_stack is None else self.d_dst_stack.blocks
+
+    @property
     def has_jets(self) -> bool:
-        return self.d_src is not None
+        return self.d_src_stack is not None
 
     @classmethod
     def zeros(cls, g: Groupoid, jets: bool = False) -> "AlgebraElement":
-        n = g.space.dimension
-        values = [np.zeros((len(b), len(b)), dtype=complex) for b in g.blocks]
         if not jets:
-            return cls(g, values)
-        d = [np.zeros((len(b), len(b), n), dtype=complex) for b in g.blocks]
-        return cls(g, values, d_src=d, d_dst=[a.copy() for a in d])
+            return cls(g, BlockStack.zeros(g))
+        tail = (g.space.dimension,)
+        return cls(g, BlockStack.zeros(g), d_src=BlockStack.zeros(g, tail),
+                   d_dst=BlockStack.zeros(g, tail))
 
     def value_at(self, src: int, dst: int) -> complex:
         b, i = self.groupoid.position(src)
@@ -206,7 +180,7 @@ class AlgebraElement:
         )
 
     def max_abs(self) -> float:
-        return max(float(max(abs(v).flat, default=0.0)) for v in self.values)
+        return self.value_stack.max_abs()
 
     def with_jets(self) -> "AlgebraElement":
         """This element with jets available.
@@ -222,23 +196,21 @@ class AlgebraElement:
             return from_expression(self.groupoid, self.expr)
         raise ValueError("element carries no jets and no defining expression")
 
-    def _binary(self, other, op):
+    def _elementwise(self, other, op):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        if not self.groupoid.same_structure(other.groupoid):
-            raise ValueError("elements live on different groupoids")
-        values = [op(a, b) for a, b in zip(self.values, other.values)]
-        d_src = d_dst = None
-        if self.has_jets and other.has_jets:
-            d_src = [op(a, b) for a, b in zip(self.d_src, other.d_src)]
-            d_dst = [op(a, b) for a, b in zip(self.d_dst, other.d_dst)]
-        return AlgebraElement(self.groupoid, values, d_src=d_src, d_dst=d_dst)
+        jets = self.has_jets and other.has_jets
+        return AlgebraElement(
+            self.groupoid, op(self.value_stack, other.value_stack),
+            d_src=op(self.d_src_stack, other.d_src_stack) if jets else None,
+            d_dst=op(self.d_dst_stack, other.d_dst_stack) if jets else None,
+        )
 
     def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
+        return self._elementwise(other, BlockStack.__add__)
 
     def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
+        return self._elementwise(other, BlockStack.__sub__)
 
     def __neg__(self):
         return self.__mul__(-1)
@@ -247,23 +219,17 @@ class AlgebraElement:
         if isinstance(scalar, AlgebraElement):
             raise TypeError("use convolve(a, b) for the algebra product")
         c = complex(scalar)
-        values = [v * c for v in self.values]
-        d_src = d_dst = None
-        if self.has_jets:
-            d_src = [d * c for d in self.d_src]
-            d_dst = [d * c for d in self.d_dst]
-        return AlgebraElement(self.groupoid, values, d_src=d_src, d_dst=d_dst)
+        return AlgebraElement(
+            self.groupoid, self.value_stack.scale(c),
+            d_src=self.d_src_stack.scale(c) if self.has_jets else None,
+            d_dst=self.d_dst_stack.scale(c) if self.has_jets else None,
+        )
 
     __rmul__ = __mul__
 
     def diagonal(self) -> dict[int, complex]:
         """Values on the unit arrows, keyed by point id."""
-        out = {}
-        for b, block in enumerate(self.groupoid.blocks):
-            for i, x in enumerate(block):
-                v = self.values[b][i, i]
-                out[x] = v if self.values[b].dtype == object else complex(v)
-        return out
+        return {x: self.value_at(x, x) for x in self.groupoid.space.ids}
 
     def to_records(self) -> list[tuple]:
         """Rows (src, dst, re, im, d_src..., d_dst...), sorted by (src, dst).
@@ -272,20 +238,12 @@ class AlgebraElement:
         when the element carries jets.
         """
         rows = []
-        for b, block in enumerate(self.groupoid.blocks):
-            for i, x in enumerate(block):
-                for j, y in enumerate(block):
-                    v = complex(self.values[b][i, j])
-                    row = [x, y, v.real, v.imag]
-                    if self.has_jets:
-                        for k in range(self.groupoid.space.dimension):
-                            d = complex(self.d_src[b][i, j, k])
-                            row += [d.real, d.imag]
-                        for k in range(self.groupoid.space.dimension):
-                            d = complex(self.d_dst[b][i, j, k])
-                            row += [d.real, d.imag]
-                    rows.append(tuple(row))
-        rows.sort(key=lambda r: (r[0], r[1]))
+        for x, y in sorted(self.groupoid.partition.pairs()):
+            entries = [self.value_at(x, y)]
+            if self.has_jets:
+                jet = self.jet_at(x, y)
+                entries += jet.d_src + jet.d_dst
+            rows.append((x, y) + tuple(t for v in map(complex, entries) for t in (v.real, v.imag)))
         return rows
 
     def to_csv(self, path) -> None:
@@ -314,44 +272,28 @@ class AlgebraElement:
             expected = 4 + (4 * n if with_jets else 0)
             if len(header) != expected:
                 raise ValueError(f"unexpected column count {len(header)}")
-            values = [np.zeros((len(b), len(b)), dtype=complex) for b in g.blocks]
-            d_src = d_dst = None
-            if with_jets:
-                d_src = [np.zeros((len(b), len(b), n), dtype=complex) for b in g.blocks]
-                d_dst = [np.zeros((len(b), len(b), n), dtype=complex) for b in g.blocks]
-            seen = 0
-            for row in reader:
-                src, dst = int(row[0]), int(row[1])
-                b, i = g.position(src)
-                b2, j = g.position(dst)
-                if b != b2:
-                    raise ValueError(f"({src}, {dst}) is not an arrow of the groupoid")
-                nums = [float(v) for v in row[2:]]
-                values[b][i, j] = complex(nums[0], nums[1])
-                if with_jets:
-                    for k in range(n):
-                        d_src[b][i, j, k] = complex(nums[2 + 2 * k], nums[3 + 2 * k])
-                        off = 2 + 2 * n
-                        d_dst[b][i, j, k] = complex(
-                            nums[off + 2 * k], nums[off + 2 * k + 1]
-                        )
-                seen += 1
-        if seen != g.arrow_count:
-            raise ValueError(f"file has {seen} arrows, groupoid has {g.arrow_count}")
-        return cls(g, values, d_src=d_src, d_dst=d_dst)
+            rows = list(reader)
+        # per arrow: value, then source and destination partials
+        table = {}
+        for row in rows:
+            src, dst = int(row[0]), int(row[1])
+            if not g.has_arrow(Arrow(src, dst)):
+                raise ValueError(f"({src}, {dst}) is not an arrow of the groupoid")
+            nums = [float(v) for v in row[2:]]
+            table[src, dst] = [complex(re, im) for re, im in zip(nums[::2], nums[1::2])]
+        if len(rows) != g.arrow_count or len(table) != len(rows):
+            raise ValueError(f"file has {len(rows)} arrows, groupoid has {g.arrow_count}")
+        cells = [np.array([[table[x, y] for y in block] for x in block]) for block in g.blocks]
+        return cls(
+            g, [c[..., 0] for c in cells],
+            d_src=[c[..., 1:n + 1] for c in cells] if with_jets else None,
+            d_dst=[c[..., n + 1:] for c in cells] if with_jets else None,
+        )
 
     def __repr__(self) -> str:
         sizes = [len(b) for b in self.groupoid.blocks]
         jets = "with jets" if self.has_jets else "no jets"
         return f"AlgebraElement(blocks {sizes}, {jets})"
-
-
-def _weight_column(g: Groupoid, b: int, like: np.ndarray) -> np.ndarray:
-    w = g.block_weights(b)
-    if like.dtype == object:
-        # keep object arithmetic exact instead of decaying to float
-        return np.array([Fraction(x) for x in w], dtype=object)
-    return w
 
 
 def from_expression(g: Groupoid, text) -> AlgebraElement:
@@ -364,24 +306,32 @@ def from_expression(g: Groupoid, text) -> AlgebraElement:
     syms = coordinate_symbols(n) + coordinate_symbols(n, prefix="y")
     expr = parse(text, syms)
     bundle = ValueGradFn(expr, syms)
-    values, d_src, d_dst = [], [], []
-    for block in g.blocks:
-        m = len(block)
-        vals = np.zeros((m, m), dtype=complex)
-        ds = np.zeros((m, m, n), dtype=complex)
-        dd = np.zeros((m, m, n), dtype=complex)
-        for i, x in enumerate(block):
-            cx = g.space.point(x).coords
-            for j, y in enumerate(block):
-                cy = g.space.point(y).coords
-                v, grad = bundle(cx + cy)
-                vals[i, j] = v
-                ds[i, j] = grad[:n]
-                dd[i, j] = grad[n:]
+    coords = [p.coords for p in g.space.points]
+    values, grads = [], []
+    for grp in g.groups:
+        vals = np.zeros((len(grp.blocks), grp.m, grp.m), dtype=complex)
+        grad = np.zeros(vals.shape + (2 * n,), dtype=complex)
+        for r, block in enumerate(grp.index.tolist()):
+            for i, x in enumerate(block):
+                for j, y in enumerate(block):
+                    vals[r, i, j], grad[r, i, j] = bundle(coords[x] + coords[y])
         values.append(vals)
-        d_src.append(ds)
-        d_dst.append(dd)
-    return AlgebraElement(g, values, d_src=d_src, d_dst=d_dst, expr=expr)
+        grads.append(grad)
+    return AlgebraElement(
+        g, BlockStack(g, values),
+        d_src=BlockStack(g, [d[..., :n] for d in grads]),
+        d_dst=BlockStack(g, [d[..., n:] for d in grads]),
+        expr=expr,
+    )
+
+
+def _per_coordinate(fn, jets: np.ndarray) -> np.ndarray:
+    """fn applied to (k, n, m, m) contiguous copies of (k, m, m, n) jets.
+
+    One m x m matrix per coordinate keeps the products on BLAS.
+    """
+    out = fn(np.ascontiguousarray(jets.transpose(0, 3, 1, 2)))
+    return np.ascontiguousarray(out.transpose(0, 2, 3, 1))
 
 
 def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -394,27 +344,23 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     if not a.groupoid.same_structure(b.groupoid):
         raise ValueError("elements live on different groupoids")
     g = a.groupoid
-    n = g.space.dimension
-    values, d_src, d_dst = [], [], []
-    jets = a.has_jets and b.has_jets
-    for blk in range(g.n_blocks):
-        A, B = a.values[blk], b.values[blk]
-        w = _weight_column(g, blk, A)
-        WB = B * w[:, None]
-        values.append(np.dot(A, WB))
-        if jets:
-            m = len(g.blocks[blk])
-            AW = A * w[None, :]
-            ds = np.zeros((m, m, n), dtype=complex)
-            dd = np.zeros((m, m, n), dtype=complex)
-            for k in range(n):
-                ds[:, :, k] = np.dot(a.d_src[blk][:, :, k], WB)
-                dd[:, :, k] = np.dot(AW, b.d_dst[blk][:, :, k])
-            d_src.append(ds)
-            d_dst.append(dd)
-    if not jets:
-        d_src = d_dst = None
-    return AlgebraElement(g, values, d_src=d_src, d_dst=d_dst)
+    A, B = a.value_stack.arrays, b.value_stack.arrays
+    w = a.value_stack.weights()
+    # weight the summed-over point z: rows of the right factor, columns of the left
+    WB = [Bs * ws[:, :, None] for Bs, ws in zip(B, w)]
+    values = BlockStack(g, [As @ WBs for As, WBs in zip(A, WB)])
+    if not (a.has_jets and b.has_jets):
+        return AlgebraElement(g, values)
+    d_src = [_per_coordinate(lambda D: D @ WBs[:, None], ds)
+             for WBs, ds in zip(WB, a.d_src_stack.arrays)]
+    d_dst = [_per_coordinate(lambda D: (As * ws[:, None, :])[:, None] @ D, dd)
+             for As, ws, dd in zip(A, w, b.d_dst_stack.arrays)]
+    return AlgebraElement(g, values, d_src=BlockStack(g, d_src), d_dst=BlockStack(g, d_dst))
+
+
+def _transpose(arr: np.ndarray) -> np.ndarray:
+    """Conjugate with the two arrow slots swapped."""
+    return np.conjugate(arr.swapaxes(1, 2))
 
 
 def involution(a: AlgebraElement) -> AlgebraElement:
@@ -423,11 +369,10 @@ def involution(a: AlgebraElement) -> AlgebraElement:
     Jets swap roles: the source partials of the result are the conjugated
     destination partials of the input, transposed, and vice versa.
     """
-    values = [np.conjugate(v.T) for v in a.values]
     d_src = d_dst = None
     if a.has_jets:
-        d_src = [np.conjugate(np.transpose(d, (1, 0, 2))) for d in a.d_dst]
-        d_dst = [np.conjugate(np.transpose(d, (1, 0, 2))) for d in a.d_src]
+        d_src = a.d_dst_stack.map(_transpose)
+        d_dst = a.d_src_stack.map(_transpose)
     expr = None
     if a.expr is not None:
         n = a.groupoid.space.dimension
@@ -436,7 +381,8 @@ def involution(a: AlgebraElement) -> AlgebraElement:
         swap = {**dict(zip(xs, ys)), **dict(zip(ys, xs))}
         # expressions are real-valued, so conjugation is a no-op here
         expr = a.expr.subs(swap, simultaneous=True)
-    return AlgebraElement(a.groupoid, values, d_src=d_src, d_dst=d_dst, expr=expr)
+    return AlgebraElement(a.groupoid, a.value_stack.map(_transpose),
+                          d_src=d_src, d_dst=d_dst, expr=expr)
 
 
 def unit(g: Groupoid) -> AlgebraElement:
@@ -447,10 +393,12 @@ def unit(g: Groupoid) -> AlgebraElement:
     coordinates.
     """
     values = []
-    for b, block in enumerate(g.blocks):
-        w = g.block_weights(b)
-        values.append(np.diag(1.0 / w).astype(complex))
-    return AlgebraElement(g, values)
+    for grp in g.groups:
+        e = np.zeros((len(grp.blocks), grp.m, grp.m), dtype=complex)
+        diag = np.arange(grp.m)
+        e[:, diag, diag] = 1.0 / grp.weights
+        values.append(e)
+    return AlgebraElement(g, BlockStack(g, values))
 
 
 def module_action(f: BaseFunction, a: AlgebraElement) -> AlgebraElement:
@@ -462,45 +410,35 @@ def module_action(f: BaseFunction, a: AlgebraElement) -> AlgebraElement:
     if f.space is not a.groupoid.space:
         raise ValueError("function and element live on different spaces")
     g = a.groupoid
-    n = g.space.dimension
-    values, d_src, d_dst = [], [], []
-    jets = a.has_jets and f.grads is not None
-    for b in range(g.n_blocks):
-        fv = f.block_values(g, b)
-        values.append(fv[:, None] * a.values[b])
-        if jets:
-            df = f.block_grads(g, b)
-            m = len(g.blocks[b])
-            ds = np.zeros((m, m, n), dtype=complex)
-            dd = np.zeros((m, m, n), dtype=complex)
-            for k in range(n):
-                ds[:, :, k] = (
-                    df[:, k][:, None] * a.values[b]
-                    + fv[:, None] * a.d_src[b][:, :, k]
-                )
-                dd[:, :, k] = fv[:, None] * a.d_dst[b][:, :, k]
-            d_src.append(ds)
-            d_dst.append(dd)
-    if not jets:
-        d_src = d_dst = None
+    # f at the source point of every arrow, (k, m, 1) per size group
+    F = [f.values[grp.index][:, :, None] for grp in g.groups]
+    values = BlockStack(g, [Fs * As for Fs, As in zip(F, a.value_stack.arrays)])
     expr = None
     if f.expr is not None and a.expr is not None:
         expr = f.expr * a.expr
-    return AlgebraElement(g, values, d_src=d_src, d_dst=d_dst, expr=expr)
+    if not (a.has_jets and f.grads is not None):
+        return AlgebraElement(g, values, expr=expr)
+    d_src = [
+        f.grads[grp.index][:, :, None, :] * As[..., None] + Fs[..., None] * ds
+        for grp, Fs, As, ds in zip(g.groups, F, a.value_stack.arrays, a.d_src_stack.arrays)
+    ]
+    d_dst = [Fs[..., None] * dd for Fs, dd in zip(F, a.d_dst_stack.arrays)]
+    return AlgebraElement(g, values, d_src=BlockStack(g, d_src), d_dst=BlockStack(g, d_dst),
+                          expr=expr)
 
 
 def arrow_basis(g: Groupoid) -> list[AlgebraElement]:
     """Delta elements, one per arrow, in the groupoid's arrow order."""
+    zeros = BlockStack.zeros(g).arrays
     out = []
-    for b, block in enumerate(g.blocks):
-        m = len(block)
+    for b, (s, r) in enumerate(g.slots.tolist()):
+        m = len(g.blocks[b])
         for i in range(m):
             for j in range(m):
-                values = [
-                    np.zeros((len(blk), len(blk)), dtype=complex) for blk in g.blocks
-                ]
-                values[b][i, j] = 1.0
-                out.append(AlgebraElement(g, values))
+                arrays = list(zeros)
+                arrays[s] = zeros[s].copy()
+                arrays[s][r, i, j] = 1.0
+                out.append(AlgebraElement(g, BlockStack(g, arrays)))
     return out
 
 
@@ -532,8 +470,4 @@ def max_diff(a: AlgebraElement, b: AlgebraElement) -> float:
     """Largest absolute difference of values over all arrows."""
     if not a.groupoid.same_structure(b.groupoid):
         raise ValueError("elements live on different groupoids")
-    out = 0.0
-    for va, vb in zip(a.values, b.values):
-        d = abs(va - vb)
-        out = max(out, float(max(d.flat, default=0.0)))
-    return out
+    return (a.value_stack - b.value_stack).max_abs()

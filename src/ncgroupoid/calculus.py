@@ -25,7 +25,7 @@ import sympy
 from ._expr import ValueGradFn, coordinate_symbols, parse
 from .algebra import AlgebraElement, BaseFunction, convolve, max_diff, module_action
 from .diffspace import DiffSpace
-from .groupoid import Groupoid
+from .groupoid import BlockStack
 
 
 class Derivation:
@@ -96,10 +96,6 @@ class Derivation:
         values = np.einsum("pk,pk->p", self.coeffs, f.grads)
         return BaseFunction(self.space, values)
 
-    def block_coeffs(self, g: Groupoid, b: int) -> np.ndarray:
-        idx = [self.space.index_of(x) for x in g.block_points(b)]
-        return self.coeffs[idx]
-
     def __repr__(self) -> str:
         if self.exprs is not None:
             return f"Derivation({[str(e) for e in self.exprs]})"
@@ -128,26 +124,24 @@ def _symbolic_lift(P: Derivation, a: AlgebraElement, slot: str):
     return sympy.Add(*[c * sympy.diff(a.expr, s) for c, s in zip(coeffs, wrt)])
 
 
-def lift_horizontal(P: Derivation, a: AlgebraElement) -> AlgebraElement:
-    """Differentiate through the source slot, coefficients at the source point."""
+def _lift(P: Derivation, a: AlgebraElement, slot: str) -> AlgebraElement:
+    """sum_k c_k d/d(slot)_k with the coefficients taken at the slot's point."""
     a = _check_pair(P, a)
     g = a.groupoid
-    values = []
-    for b in range(g.n_blocks):
-        C = P.block_coeffs(g, b)
-        values.append(np.einsum("ik,ijk->ij", C, a.d_src[b]))
-    return AlgebraElement(g, values, expr=_symbolic_lift(P, a, "src"))
+    jets = a.d_src_stack if slot == "src" else a.d_dst_stack
+    spec = "kil,kijl->kij" if slot == "src" else "kjl,kijl->kij"
+    values = [np.einsum(spec, P.coeffs[grp.index], d) for grp, d in zip(g.groups, jets.arrays)]
+    return AlgebraElement(g, BlockStack(g, values), expr=_symbolic_lift(P, a, slot))
+
+
+def lift_horizontal(P: Derivation, a: AlgebraElement) -> AlgebraElement:
+    """Differentiate through the source slot, coefficients at the source point."""
+    return _lift(P, a, "src")
 
 
 def lift_vertical(P: Derivation, a: AlgebraElement) -> AlgebraElement:
     """Differentiate through the destination slot, coefficients at the destination."""
-    a = _check_pair(P, a)
-    g = a.groupoid
-    values = []
-    for b in range(g.n_blocks):
-        C = P.block_coeffs(g, b)
-        values.append(np.einsum("jk,ijk->ij", C, a.d_dst[b]))
-    return AlgebraElement(g, values, expr=_symbolic_lift(P, a, "dst"))
+    return _lift(P, a, "dst")
 
 
 def lift_symmetrized(P: Derivation, a: AlgebraElement) -> AlgebraElement:
@@ -155,11 +149,10 @@ def lift_symmetrized(P: Derivation, a: AlgebraElement) -> AlgebraElement:
     a = _check_pair(P, a)
     hor = lift_horizontal(P, a)
     ver = lift_vertical(P, a)
-    values = [h + v for h, v in zip(hor.values, ver.values)]
     expr = None
     if hor.expr is not None and ver.expr is not None:
         expr = hor.expr + ver.expr
-    return AlgebraElement(a.groupoid, values, expr=expr)
+    return AlgebraElement(a.groupoid, hor.value_stack + ver.value_stack, expr=expr)
 
 
 def leibniz_defect(P: Derivation, a: AlgebraElement, b: AlgebraElement) -> float:

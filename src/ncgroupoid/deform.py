@@ -24,7 +24,13 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraElement, convolve, max_diff
-from .diffspace import DiffSpace, GeneratorFunction, Partition, hausdorff_relation
+from .diffspace import (
+    DiffSpace,
+    GeneratorFunction,
+    Partition,
+    classes_are_fibers,
+    hausdorff_relation,
+)
 from .groupoid import Groupoid, build_groupoid
 
 
@@ -75,10 +81,6 @@ class DeformationChain:
         return f"DeformationChain(levels=0..{self.top}, blocks={self.report.block_counts})"
 
 
-def _arrow_set(g: Groupoid) -> set[tuple[int, int]]:
-    return {(a.src, a.dst) for a in g.arrows()}
-
-
 def deformation_chain(space: DiffSpace) -> DeformationChain:
     """Build levels 0..n for a space of dimension n.  See the module docstring."""
     n = space.dimension
@@ -99,26 +101,18 @@ def deformation_chain(space: DiffSpace) -> DeformationChain:
         rho = hausdorff_relation(sk)
         levels.append(ChainLevel(k=k, space=sk, partition=rho, groupoid=build_groupoid(sk, rho)))
 
-    arrows = [_arrow_set(l.groupoid) for l in levels]
-    monotone = all(arrows[k + 1] <= arrows[k] for k in range(n))
     refine = all(
         levels[k + 1].partition.refines(levels[k].partition) for k in range(n)
     )
-    fibers_exact = True
-    for l in levels:
-        keys = l.space.generator_keys()
-        for block in l.partition.blocks:
-            if len({keys[x] for x in block}) != 1:
-                fibers_exact = False
-        if len({keys[b[0]] for b in l.partition.blocks}) != l.partition.n_blocks:
-            fibers_exact = False
     report = ChainReport(
         block_counts=tuple(l.partition.n_blocks for l in levels),
         arrow_counts=tuple(l.groupoid.arrow_count for l in levels),
-        arrows_monotone=monotone,
+        # arrows of a pair groupoid are the related pairs, so one arrow set
+        # contains the next exactly when the next partition refines this one
+        arrows_monotone=refine,
         partitions_refine=refine,
         top_is_diagonal=levels[-1].partition.is_identity,
-        fibers_exact=fibers_exact,
+        fibers_exact=all(classes_are_fibers(l.space, l.partition) for l in levels),
     )
     return DeformationChain(space, levels, report)
 
@@ -137,23 +131,13 @@ def restrict(a: AlgebraElement, chain: DeformationChain, k: int) -> AlgebraEleme
     dst_level = chain.level(k + 1)
     if not a.groupoid.same_structure(src_level.groupoid):
         raise ValueError(f"element does not live on level {k}")
-    g_old, g_new = src_level.groupoid, dst_level.groupoid
-    n = g_new.space.dimension
-    values, d_src, d_dst = [], [], []
-    for block in g_new.blocks:
-        pos = [g_old.position(x) for x in block]
-        b_old = pos[0][0]
-        if any(p[0] != b_old for p in pos):
-            raise ValueError("levels do not refine; cannot restrict")
-        idx = [p[1] for p in pos]
-        sel = np.ix_(idx, idx)
-        values.append(a.values[b_old][sel])
-        if a.has_jets:
-            d_src.append(a.d_src[b_old][np.ix_(idx, idx, range(n))])
-            d_dst.append(a.d_dst[b_old][np.ix_(idx, idx, range(n))])
-    if not a.has_jets:
-        d_src = d_dst = None
-    return AlgebraElement(g_new, values, d_src=d_src, d_dst=d_dst, expr=a.expr)
+    g = dst_level.groupoid
+    return AlgebraElement(
+        g, a.value_stack.restrict(g),
+        d_src=a.d_src_stack.restrict(g) if a.has_jets else None,
+        d_dst=a.d_dst_stack.restrict(g) if a.has_jets else None,
+        expr=a.expr,
+    )
 
 
 def homomorphism_defect_chain(
@@ -194,19 +178,15 @@ def step_n_pointwise_check(
     if not a.groupoid.same_structure(top.groupoid):
         raise ValueError("elements do not live on the top level")
     conv = convolve(a, b)
-    weighted = 0.0
-    plain = 0.0
+    weighted = plain = 0.0
     diag = top.partition.is_identity
     unit_w = all(top.space.weight(x) == 1.0 for x in top.space.ids)
-    for x in top.space.ids:
-        if top.partition.block_containing(x) != (x,):
-            continue
-        w = top.space.weight(x)
-        va = a.value_at(x, x)
-        vb = b.value_at(x, x)
-        vc = conv.value_at(x, x)
-        weighted = max(weighted, abs(vc - va * vb * w))
-        plain = max(plain, abs(vc - va * vb))
+    stacks = (a.value_stack.arrays, b.value_stack.arrays, conv.value_stack.arrays)
+    for grp, A, B, C in zip(a.groupoid.groups, *stacks):
+        if grp.m == 1:  # the singleton classes
+            ab = A[:, 0, 0] * B[:, 0, 0]
+            weighted = float(np.abs(C[:, 0, 0] - ab * grp.weights[:, 0]).max())
+            plain = float(np.abs(C[:, 0, 0] - ab).max())
     return StepNReport(
         top_is_diagonal=diag,
         unit_weights=unit_w,

@@ -232,7 +232,8 @@ class DiffSpace:
         """Hashable key implementing the configured comparison of values."""
         if self.compare_mode == "quantized":
             return int(round(float(v) / self.eps))
-        return struct.pack(">d", float(v))
+        # adding 0.0 turns -0.0 into 0.0, which compares equal to it
+        return struct.pack(">d", float(v) + 0.0)
 
     def generator_keys(self) -> dict[int, tuple]:
         """Per point, the tuple of comparison keys of all generator values."""
@@ -261,6 +262,22 @@ def hausdorff_relation(space: DiffSpace) -> Partition:
     for pid, key in space.generator_keys().items():
         groups.setdefault(key, []).append(pid)
     return Partition(groups.values())
+
+
+def classes_are_fibers(space: DiffSpace, rho: Partition) -> bool:
+    """True when the classes of ``rho`` are exactly the generator fibers.
+
+    Each class must carry a single tuple of comparison keys, and distinct
+    classes distinct tuples.
+    """
+    keys = space.generator_keys()
+    class_keys = set()
+    for block in rho.blocks:
+        found = {keys[x] for x in block}
+        if len(found) != 1:
+            return False
+        class_keys |= found
+    return len(class_keys) == rho.n_blocks
 
 
 @dataclass(frozen=True)

@@ -4,11 +4,18 @@ Arrows are the related ordered pairs (x, y).  Two arrows compose when the
 first ends where the second starts, (x, y) o (y, z) = (x, z); the inverse
 flips a pair and the units are the diagonal.  Everything is finite, so the
 arrow set is just the disjoint union of block x block squares.
+
+Array-valued layers (algebra elements, operator fields, densities) store
+one m x m matrix per block.  :class:`BlockStack` is the one place that
+knows how: blocks of equal size m are stacked into a (k, m, m[, n]) array
+per size group, so every blockwise operation is one array operation per
+distinct block size.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -21,12 +28,27 @@ class Arrow:
     dst: int
 
 
+@dataclass(frozen=True, eq=False)
+class SizeGroup:
+    """All blocks of one size m, in block order.
+
+    Row r of the group is block ``blocks[r]``; ``index[r, i]`` is the
+    position in ``space.points`` of that block's i-th point and
+    ``weights[r, i]`` its weight.
+    """
+
+    m: int
+    blocks: np.ndarray
+    index: np.ndarray
+    weights: np.ndarray
+
+
 class Groupoid:
     """Pair groupoid of a partition of a space's points.
 
-    Blocks and the positions of points inside them are fixed at build time;
-    all array-valued layers (convolution algebras, operators) index fibers
-    in this block order.
+    Blocks, the positions of points inside them and the size groups are
+    fixed at build time; all array-valued layers (convolution algebras,
+    operators, densities) index fibers in this block order.
     """
 
     def __init__(self, space: DiffSpace, partition: Partition):
@@ -41,6 +63,22 @@ class Groupoid:
             for b, block in enumerate(self.blocks)
             for i, x in enumerate(block)
         }
+        # the same (block, position) pairs as an array, by point index
+        self.point_pos = np.array([self._pos[x] for x in space.ids])
+        sizes = np.array([len(b) for b in self.blocks])
+        weights = np.array([p.weight for p in space.points])
+        groups = []
+        # (size group, row inside the group) of every block
+        self.slots = np.empty((len(sizes), 2), dtype=int)
+        for s, m in enumerate(np.unique(sizes)):
+            rows = np.flatnonzero(sizes == m)
+            index = np.array([[space.index_of(x) for x in self.blocks[b]] for b in rows])
+            groups.append(SizeGroup(int(m), rows, index, weights[index]))
+            self.slots[rows] = np.column_stack([np.full(len(rows), s), np.arange(len(rows))])
+        self.groups: tuple[SizeGroup, ...] = tuple(groups)
+        for arr in (self.point_pos, self.slots, *(a for grp in groups for a in
+                                                   (grp.blocks, grp.index, grp.weights))):
+            arr.flags.writeable = False
 
     @property
     def n_blocks(self) -> int:
@@ -132,3 +170,109 @@ def fibers(g: Groupoid, x: int) -> FiberReport:
 def is_transitive(g: Groupoid) -> bool:
     """True when the groupoid has a single orbit (the relation is total)."""
     return g.n_blocks == 1
+
+
+# exact weights for object-dtype (e.g. Fraction) stacks
+_FRACTION = np.frompyfunc(Fraction, 1, 1)
+
+
+class BlockStack:
+    """Per-block arrays of one groupoid, stacked by block size.
+
+    ``arrays[s]`` holds the blocks of size group ``groupoid.groups[s]`` as
+    one (k, m, m) + tail array, rows in the group's block order.  The
+    arrays are read-only; operations return new stacks.
+    """
+
+    __slots__ = ("groupoid", "arrays", "_blocks")
+
+    def __init__(self, groupoid: Groupoid, arrays):
+        self.groupoid = groupoid
+        self.arrays: tuple[np.ndarray, ...] = tuple(arrays)
+        for arr in self.arrays:
+            arr.flags.writeable = False
+        self._blocks = None
+
+    @classmethod
+    def of(cls, g: Groupoid, data, tail=(), what="value", exact=False) -> "BlockStack":
+        """A stack from one array per block (a stack passes through unchanged).
+
+        Shapes must be (m, m) + tail.  Entries become complex128, except that
+        with ``exact`` an object-dtype group (Fraction entries, say) stays
+        object.  The input is copied, never referenced.
+        """
+        if isinstance(data, BlockStack):
+            return data
+        if len(data) != g.n_blocks:
+            raise ValueError(f"need one {what} array per block: got {len(data)}, "
+                             f"the groupoid has {g.n_blocks}")
+        blocks = [np.asarray(x) for x in data]
+        for b, (arr, block) in enumerate(zip(blocks, g.blocks)):
+            need = (len(block), len(block)) + tuple(tail)
+            if arr.shape != need:
+                raise ValueError(f"block {b}: {what} shape {arr.shape}, need {need}")
+        arrays = []
+        for grp in g.groups:
+            arr = np.stack([blocks[b] for b in grp.blocks])
+            arrays.append(arr if exact and arr.dtype == object else arr.astype(complex))
+        return cls(g, arrays)
+
+    @classmethod
+    def zeros(cls, g: Groupoid, tail=()) -> "BlockStack":
+        return cls(g, [np.zeros((len(grp.blocks), grp.m, grp.m) + tuple(tail), dtype=complex)
+                       for grp in g.groups])
+
+    @property
+    def blocks(self) -> tuple[np.ndarray, ...]:
+        """One read-only view per block, in block order, made on first use."""
+        if self._blocks is None:
+            self._blocks = tuple(self.arrays[s][r] for s, r in self.groupoid.slots.tolist())
+        return self._blocks
+
+    def weights(self) -> list[np.ndarray]:
+        """Per group the (k, m) point weights, as Fractions for object-dtype groups."""
+        return [_FRACTION(grp.weights) if arr.dtype == object else grp.weights
+                for grp, arr in zip(self.groupoid.groups, self.arrays)]
+
+    def map(self, fn, *others: "BlockStack") -> "BlockStack":
+        """``fn`` applied group by group to this stack's arrays and the others'."""
+        for other in others:
+            if not self.groupoid.same_structure(other.groupoid):
+                raise ValueError("operands live on different groupoids")
+        rest = [other.arrays for other in others]
+        return BlockStack(self.groupoid, [fn(*arrs) for arrs in zip(self.arrays, *rest)])
+
+    def __add__(self, other: "BlockStack") -> "BlockStack":
+        return self.map(np.add, other)
+
+    def __sub__(self, other: "BlockStack") -> "BlockStack":
+        return self.map(np.subtract, other)
+
+    def scale(self, c) -> "BlockStack":
+        return self.map(lambda arr: arr * c)
+
+    def max_abs(self) -> float:
+        return max(float(np.abs(arr).max()) for arr in self.arrays)
+
+    def restrict(self, finer: Groupoid) -> "BlockStack":
+        """The sub-blocks over the blocks of a finer groupoid on the same points.
+
+        Every block of ``finer`` must sit inside one block of this stack's
+        groupoid; the entries between its points are copied.
+        """
+        pos = self.groupoid.point_pos
+        tail = self.arrays[0].shape[3:]
+        arrays = []
+        for grp in finer.groups:
+            old_block, at = pos[grp.index, 0], pos[grp.index, 1]
+            if np.any(old_block != old_block[:, :1]):
+                raise ValueError("levels do not refine; cannot restrict")
+            slot = self.groupoid.slots[old_block[:, 0]]
+            out = np.empty((len(grp.blocks), grp.m, grp.m) + tail,
+                           dtype=np.result_type(*self.arrays))
+            for s in np.unique(slot[:, 0]):
+                sel = slot[:, 0] == s
+                i = at[sel]
+                out[sel] = self.arrays[s][slot[sel, 1][:, None, None], i[:, :, None], i[:, None, :]]
+            arrays.append(out)
+        return BlockStack(finer, arrays)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .algebra import AlgebraElement, convolve, involution
-from .groupoid import Groupoid
+from .groupoid import BlockStack, Groupoid
 
 
 @dataclass(frozen=True)
@@ -57,24 +57,20 @@ class RandomOperator:
 
     def __init__(self, groupoid: Groupoid, class_matrices):
         self.groupoid = groupoid
-        mats = []
-        for b, block in enumerate(groupoid.blocks):
-            m = len(block)
-            arr = np.asarray(class_matrices[b], dtype=complex)
-            if arr.shape != (m, m):
-                raise ValueError(f"block {b}: matrix shape {arr.shape}, need ({m}, {m})")
-            arr = arr.copy()
-            arr.flags.writeable = False
-            mats.append(arr)
-        self.class_matrices: tuple[np.ndarray, ...] = tuple(mats)
+        self.stack = BlockStack.of(groupoid, class_matrices, what="matrix")
+
+    @property
+    def class_matrices(self) -> tuple[np.ndarray, ...]:
+        return self.stack.blocks
 
     @classmethod
     def identity(cls, g: Groupoid) -> "RandomOperator":
-        return cls(g, [np.eye(len(b), dtype=complex) for b in g.blocks])
+        return cls(g, BlockStack(g, [np.tile(np.eye(grp.m, dtype=complex), (len(grp.blocks), 1, 1))
+                                     for grp in g.groups]))
 
     @classmethod
     def zeros(cls, g: Groupoid) -> "RandomOperator":
-        return cls(g, [np.zeros((len(b), len(b)), dtype=complex) for b in g.blocks])
+        return cls(g, BlockStack.zeros(g))
 
     def fiber(self, x: int) -> np.ndarray:
         return self.class_matrices[self.groupoid.block_index(x)]
@@ -83,65 +79,58 @@ class RandomOperator:
     def fibers(self) -> dict[int, np.ndarray]:
         return {x: self.fiber(x) for x in self.groupoid.space.ids}
 
-    def _binary(self, other, op):
+    def __add__(self, other):
         if not isinstance(other, RandomOperator):
             return NotImplemented
-        if not self.groupoid.same_structure(other.groupoid):
-            raise ValueError("operators live on different groupoids")
-        return RandomOperator(
-            self.groupoid,
-            [op(a, b) for a, b in zip(self.class_matrices, other.class_matrices)],
-        )
-
-    def __add__(self, other):
-        return self._binary(other, lambda a, b: a + b)
+        return RandomOperator(self.groupoid, self.stack + other.stack)
 
     def __sub__(self, other):
-        return self._binary(other, lambda a, b: a - b)
+        if not isinstance(other, RandomOperator):
+            return NotImplemented
+        return RandomOperator(self.groupoid, self.stack - other.stack)
 
     def __matmul__(self, other):
-        return self._binary(other, lambda a, b: a @ b)
+        if not isinstance(other, RandomOperator):
+            return NotImplemented
+        return RandomOperator(self.groupoid, self.stack.map(np.matmul, other.stack))
 
     def __mul__(self, scalar):
-        c = complex(scalar)
-        return RandomOperator(self.groupoid, [m * c for m in self.class_matrices])
+        return RandomOperator(self.groupoid, self.stack.scale(complex(scalar)))
 
     __rmul__ = __mul__
 
     def adjoint(self) -> "RandomOperator":
         """Adjoint with respect to the weighted inner product: W^-1 A^H W."""
-        mats = []
-        for b, A in enumerate(self.class_matrices):
-            w = self.groupoid.block_weights(b)
-            mats.append(A.conj().T * w[None, :] / w[:, None])
-        return RandomOperator(self.groupoid, mats)
+        return RandomOperator(self.groupoid, BlockStack(self.groupoid, [
+            A.conj().swapaxes(1, 2) * grp.weights[:, None, :] / grp.weights[:, :, None]
+            for grp, A in zip(self.groupoid.groups, self.stack.arrays)
+        ]))
 
     def ess_sup(self) -> float:
         """Largest fiber operator norm; see the module docstring."""
-        return max(float(np.linalg.norm(m, 2)) for m in self.class_matrices)
+        return _max_norm(self.stack)
 
     def max_fiber_diff(self, other: "RandomOperator") -> float:
         """Largest operator-norm distance between corresponding fibers."""
-        if not self.groupoid.same_structure(other.groupoid):
-            raise ValueError("operators live on different groupoids")
-        return max(
-            float(np.linalg.norm(a - b, 2))
-            for a, b in zip(self.class_matrices, other.class_matrices)
-        )
+        return _max_norm(self.stack - other.stack)
 
     def __repr__(self) -> str:
-        dims = [m.shape[0] for m in self.class_matrices]
+        dims = [len(b) for b in self.groupoid.blocks]
         return f"RandomOperator(fiber dims {dims})"
+
+
+def _max_norm(stack: BlockStack) -> float:
+    """Largest spectral norm over all blocks of a stack."""
+    return max(float(np.linalg.norm(arr, 2, axis=(1, 2)).max()) for arr in stack.arrays)
 
 
 def represent(a: AlgebraElement) -> RandomOperator:
     """The regular representation M[i, j] = a(z_i, z_j) w(z_j), per class."""
     g = a.groupoid
-    mats = []
-    for b in range(g.n_blocks):
-        w = g.block_weights(b)
-        mats.append(np.asarray(a.values[b], dtype=complex) * w[None, :])
-    return RandomOperator(g, mats)
+    return RandomOperator(g, BlockStack(g, [
+        np.asarray(A, dtype=complex) * grp.weights[:, None, :]
+        for grp, A in zip(g.groups, a.value_stack.arrays)
+    ]))
 
 
 def homomorphism_defect(a: AlgebraElement, b: AlgebraElement) -> float:

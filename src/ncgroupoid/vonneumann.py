@@ -39,39 +39,68 @@ class DensityField:
     """One matrix per base point, sized by the point's fiber dimension.
 
     Unlike an operator field, the matrices may vary within a class; the
-    field lives over points, not classes.
+    field lives over points, not classes.  ``stacks[s]`` holds size group
+    s of the groupoid as one (k, c, m, m) array: with c = m one matrix per
+    point of each class, with c = 1 one matrix per class that all its
+    points share (the uniform density is stored that way).
     """
 
     def __init__(self, groupoid: Groupoid, matrices):
-        self.groupoid = groupoid
-        mats = []
-        for p, x in enumerate(groupoid.space.ids):
-            m = len(groupoid.block_points(groupoid.block_index(x)))
-            arr = np.asarray(matrices[p], dtype=complex)
-            if arr.shape != (m, m):
-                raise ValueError(
-                    f"point {x}: density shape {arr.shape}, fiber dim is {m}"
-                )
-            arr = arr.copy()
-            arr.flags.writeable = False
-            mats.append(arr)
-        self.matrices: tuple[np.ndarray, ...] = tuple(mats)
+        g = groupoid
+        mats = [np.asarray(mat, dtype=complex) for mat in matrices]
+        if len(mats) != len(g.space.points):
+            raise ValueError(f"need one density per point, got {len(mats)}")
+        for x, mat in zip(g.space.ids, mats):
+            m = len(g.blocks[g.block_index(x)])
+            if mat.shape != (m, m):
+                raise ValueError(f"point {x}: density shape {mat.shape}, fiber dim is {m}")
+        self._store(g, [
+            np.stack([mats[p] for p in grp.index.flat]).reshape(grp.index.shape + (grp.m, grp.m))
+            for grp in g.groups
+        ])
+
+    def _store(self, g: Groupoid, stacks) -> None:
+        self.groupoid = g
+        self.stacks: tuple[np.ndarray, ...] = tuple(stacks)
+        for stack in self.stacks:
+            stack.flags.writeable = False
+        self._matrices = None
 
     @classmethod
     def uniform(cls, g: Groupoid) -> "DensityField":
         """Identity on every fiber, scaled to total mass one."""
-        z = sum(
-            len(g.block_points(g.block_index(x))) * g.space.weight(x)
-            for x in g.space.ids
-        )
-        mats = [
-            np.eye(len(g.block_points(g.block_index(x))), dtype=complex) / z
-            for x in g.space.ids
-        ]
-        return cls(g, mats)
+        z = sum(grp.m * float(grp.weights.sum()) for grp in g.groups)
+        field = cls.__new__(cls)
+        field._store(g, [np.tile(np.eye(grp.m, dtype=complex) / z, (len(grp.blocks), 1, 1, 1))
+                         for grp in g.groups])
+        return field
+
+    @property
+    def matrices(self) -> tuple[np.ndarray, ...]:
+        """One read-only matrix per point, in point order, made on first use;
+        points that share a stored matrix get the same object."""
+        if self._matrices is None:
+            out = [None] * len(self.groupoid.space.points)
+            for grp, stack in zip(self.groupoid.groups, self.stacks):
+                k, c = stack.shape[:2]
+                views = list(stack.reshape(k * c, grp.m, grp.m))
+                for (r, i), p in np.ndenumerate(grp.index):
+                    out[p] = views[r * c + i % c]
+            self._matrices = tuple(out)
+        return self._matrices
 
     def matrix(self, x: int) -> np.ndarray:
         return self.matrices[self.groupoid.space.index_of(x)]
+
+    def masses(self) -> list[np.ndarray]:
+        """Per size group, the (k, c) summed weight of the points using each stored matrix."""
+        return [grp.weights.reshape(stack.shape[0], stack.shape[1], -1).sum(axis=2)
+                for grp, stack in zip(self.groupoid.groups, self.stacks)]
+
+    def class_sums(self) -> list[np.ndarray]:
+        """Per size group, the (k, m, m) class sums sum_{x in b} w(x) rho(x)."""
+        return [np.einsum("kc,kcij->kij", mass, stack)
+                for mass, stack in zip(self.masses(), self.stacks)]
 
 
 @dataclass(frozen=True)
@@ -112,7 +141,8 @@ def make_state(rho: DensityField, norm_tol: float = 1e-9) -> State:
     dimension, but infinities and NaNs are refused), Hermitian symmetry,
     positive semidefiniteness; and globally, finiteness of
     sum_x tr|rho(x)| w(x) and normalization sum_x tr(rho(x)) w(x) = 1
-    within ``norm_tol``.  Violations raise ValueError.
+    within ``norm_tol``.  Violations raise ValueError naming a point.
+    Each stored matrix is checked once, so a class-shared one only once.
 
     Faithfulness (all fibers strictly positive definite) is recorded as a
     flag, not enforced: a rank-deficient density is a legitimate state
@@ -123,24 +153,31 @@ def make_state(rho: DensityField, norm_tol: float = 1e-9) -> State:
     total = 0.0
     min_eig = np.inf
     faithful = True
-    for x, mat in zip(g.space.ids, rho.matrices):
-        w = g.space.weight(x)
-        if not np.all(np.isfinite(mat)):
-            raise ValueError(f"point {x}: density has non-finite entries")
-        scale = max(1.0, float(np.abs(mat).max()))
-        if not np.allclose(mat, mat.conj().T, atol=1e-12 * scale, rtol=0.0):
-            raise ValueError(f"point {x}: density is not Hermitian")
-        eigs = np.linalg.eigvalsh(mat)
-        tr = float(np.trace(mat).real)
-        if eigs[0] < -1e-12 * max(1.0, tr, float(eigs[-1])):
-            raise ValueError(
-                f"point {x}: density has negative eigenvalue {eigs[0]:.3e}"
-            )
-        min_eig = min(min_eig, float(eigs[0]))
-        if eigs[0] <= 1e-12 * max(tr, float(eigs[-1])):
+    for grp, stack, mass in zip(g.groups, rho.stacks, rho.masses()):
+        k, c, m = stack.shape[:3]
+        mats = stack.reshape(k * c, m, m)
+        finite = np.isfinite(mats).all(axis=(1, 2))
+        if not finite.all():  # zero them so the other checks still run
+            mats = np.where(finite[:, None, None], mats, 0)
+        scale = np.maximum(1.0, np.abs(mats).max(axis=(1, 2)))[:, None, None]
+        hermitian = (np.abs(mats - mats.conj().swapaxes(1, 2)) <= 1e-12 * scale).all(axis=(1, 2))
+        eigs = np.linalg.eigvalsh(mats)
+        tr = np.trace(mats, axis1=1, axis2=2).real
+        negative = eigs[:, 0] < -1e-12 * np.maximum(np.maximum(1.0, tr), eigs[:, -1])
+        failed = np.select([~finite, ~hermitian, negative], [1, 2, 3], 0)
+        if failed.any():
+            u = int(np.flatnonzero(failed)[0])
+            x = g.space.points[grp.index[u // c, u % c]].id
+            raise ValueError(f"point {x}: " + (
+                "density has non-finite entries",
+                "density is not Hermitian",
+                f"density has negative eigenvalue {eigs[u, 0]:.3e}",
+            )[failed[u] - 1])
+        min_eig = min(min_eig, float(eigs[:, 0].min()))
+        if np.any(eigs[:, 0] <= 1e-12 * np.maximum(tr, eigs[:, -1])):
             faithful = False
-        integral += float(np.abs(eigs).sum()) * w
-        total += tr * w
+        integral += float(mass.ravel() @ np.abs(eigs).sum(axis=1))
+        total += float(mass.ravel() @ tr)
     if not np.isfinite(integral):
         raise ValueError("density is not integrable against the weights")
     if abs(total - 1.0) > norm_tol:
@@ -153,18 +190,21 @@ def make_state(rho: DensityField, norm_tol: float = 1e-9) -> State:
         normalization=total,
         faithful=faithful,
     )
-    return State(DensityField(g, list(rho.matrices)), report)
+    return State(rho, report)
 
 
 def expect(state: State, R: RandomOperator) -> complex:
-    """Phi(R) = sum_x tr(rho(x) R(x)) w(x)."""
+    """Phi(R) = sum_x tr(rho(x) R(x)) w(x) = sum_b tr(rho_b R_b).
+
+    R is constant on each class b, so only the class sums
+    rho_b = sum_{x in b} w(x) rho(x) of the density enter.
+    """
     if not state.groupoid.same_structure(R.groupoid):
         raise ValueError("state and operator live on different groupoids")
-    g = state.groupoid
-    out = 0.0 + 0.0j
-    for x in g.space.ids:
-        out += g.space.weight(x) * np.trace(state.density.matrix(x) @ R.fiber(x))
-    return complex(out)
+    return complex(sum(
+        np.einsum("kij,kji->", rb, M)
+        for rb, M in zip(state.density.class_sums(), R.stack.arrays)
+    ))
 
 
 @dataclass(frozen=True)
@@ -190,8 +230,16 @@ def big_matrix(R: RandomOperator) -> np.ndarray:
     return scipy.linalg.block_diag(*blocks)
 
 
-def _ambient_dim(g: Groupoid) -> int:
-    return sum(len(g.block_points(g.block_index(x))) for x in g.space.ids)
+def ambient_dim(g: Groupoid) -> int:
+    """Sum of all fiber dimensions, sum_b m_b^2, refused past MAX_TOTAL_DIM.
+
+    Raises ValueError when the commutant machinery would not accept the
+    groupoid, before any generator is built.
+    """
+    D = sum(len(b) ** 2 for b in g.blocks)
+    if D > MAX_TOTAL_DIM:
+        raise ValueError(f"ambient dimension {D} exceeds MAX_TOTAL_DIM={MAX_TOTAL_DIM}")
+    return D
 
 
 class OperatorBasis:
@@ -228,11 +276,7 @@ def _gather(generators) -> tuple[Groupoid, list[np.ndarray], int]:
     for G in gens[1:]:
         if not G.groupoid.same_structure(g):
             raise ValueError("generators live on different groupoids")
-    D = _ambient_dim(g)
-    if D > MAX_TOTAL_DIM:
-        raise ValueError(
-            f"ambient dimension {D} exceeds MAX_TOTAL_DIM={MAX_TOTAL_DIM}"
-        )
+    D = ambient_dim(g)
     return g, [big_matrix(G) for G in gens], D
 
 

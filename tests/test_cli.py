@@ -3,10 +3,11 @@
 import json
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
-from ncgroupoid import gallery, gallery_config
+from ncgroupoid import build_space, gallery, gallery_config
 from ncgroupoid.cli import run
 
 
@@ -191,3 +192,26 @@ def test_console_script_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+# ----------------------------------------------------------------- README
+
+def test_readme_config_example_builds():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
+    example = readme.split("```json\n", 1)[1].split("```", 1)[0]
+    space = build_space(json.loads(example))
+    assert space.compare_mode == "exact"
+    assert [p.weight for p in space.points] == [1.0, 1.0]
+
+
+# ------------------------------------------------------------- check names
+
+def test_groupoid_build_checks_relation_against_generators(tmp_path, capsys):
+    code, _ = run_cli(tmp_path / "h", "groupoid", "build", "--space", "grid_2x2")
+    assert code == 0
+    assert "[PASS] relation_matches_generators" in capsys.readouterr().out
+    for relation in ("identity", "total"):
+        code, _ = run_cli(tmp_path / relation, "groupoid", "build",
+                          "--space", "grid_2x2", "--relation", relation)
+        assert code == 0
+        assert "[SKIP] relation_matches_generators" in capsys.readouterr().out

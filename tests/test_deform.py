@@ -1,11 +1,14 @@
 """Deformation chain: level structure, restrictions, and their defects."""
 
+import tracemalloc
+
 import numpy as np
 import pytest
 
 from ncgroupoid import (
     AlgebraElement,
     DiffSpace,
+    GeneratorFunction,
     Point,
     deformation_chain,
     from_expression,
@@ -172,3 +175,22 @@ def test_step_n_requires_top_level_elements():
     a = from_expression(chain.level(0).groupoid, "1")
     with pytest.raises(ValueError):
         step_n_pointwise_check(chain, a, a)
+
+
+def test_chain_memory_stays_linear_in_the_points():
+    # level 0 is one class of 2000 points, i.e. 4e6 arrows; the chain must
+    # not materialize them
+    n = 2000
+    space = DiffSpace(
+        [Point(id=i, coords=(float(i),), weight=1.0) for i in range(n)], 1,
+        [GeneratorFunction("x", "x1", 1)],
+    )
+    tracemalloc.start()
+    try:
+        chain = deformation_chain(space)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert chain.report.arrow_counts == (n * n, n)
+    assert chain.report.arrows_monotone and chain.report.fibers_exact
+    assert peak < 64 * 2**20

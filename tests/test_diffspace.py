@@ -13,6 +13,7 @@ from ncgroupoid import (
     Partition,
     Point,
     build_space,
+    classes_are_fibers,
     consistent_family,
     hausdorff_relation,
     load_space,
@@ -276,3 +277,45 @@ def test_quotient_weight_mass_is_preserved(rng):
         assert sum(p.weight for p in q.space.points) == pytest.approx(
             sum(p.weight for p in space.points), abs=0
         )
+
+
+# ------------------------------------------------------------ signed zero
+
+def _zero_space(coords, quantized):
+    gens = [GeneratorFunction("prod", "x1*x2", 2), GeneratorFunction("norm", "x1^2 + x2^2", 2)]
+    pts = [Point(id=i, coords=c, weight=1.0) for i, c in enumerate(coords)]
+    if quantized:
+        return DiffSpace(pts, 2, gens, compare_mode="quantized", eps=1e-9)
+    return DiffSpace(pts, 2, gens)
+
+
+@pytest.mark.parametrize("quantized", [False, True])
+def test_signed_zero_values_are_glued(quantized):
+    # x1*x2 is 0.0 at (0, 1) and -0.0 at (0, -1): mathematically equal
+    space = _zero_space([(0.0, 1.0), (0.0, -1.0)], quantized)
+    assert hausdorff_relation(space).is_total
+
+
+@settings(max_examples=60, deadline=None)
+@given(
+    coords=st.lists(
+        st.tuples(st.sampled_from([0.0, 1.0, -1.0, 2.0]), st.sampled_from([0.0, 1.0, -1.0])),
+        min_size=2, max_size=6,
+    ),
+    flips=st.lists(st.booleans(), min_size=12, max_size=12),
+    quantized=st.booleans(),
+)
+def test_sign_of_zero_coordinates_never_changes_gluing(coords, flips, quantized):
+    flipped = [
+        tuple(-v if v == 0.0 and flip else v for v, flip in zip(c, flips[2 * i:2 * i + 2]))
+        for i, c in enumerate(coords)
+    ]
+    assert (hausdorff_relation(_zero_space(coords, quantized))
+            == hausdorff_relation(_zero_space(flipped, quantized)))
+
+
+def test_classes_are_fibers_only_for_the_gluing_relation():
+    space = grid_space()  # glued into the columns x1 = 0 and x1 = 1
+    assert classes_are_fibers(space, hausdorff_relation(space))
+    assert not classes_are_fibers(space, Partition.total(space.ids))
+    assert not classes_are_fibers(space, Partition.identity(space.ids))
