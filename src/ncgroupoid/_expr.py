@@ -2,13 +2,14 @@
 
 The accepted grammar is small on purpose: ``+ - * / ^``, real literals,
 coordinate symbols, and the functions sin, cos, exp, log.  Parsing and
-differentiation are delegated to sympy; evaluation goes through a single
-lambdified bundle per expression so repeated evaluation is bit-for-bit
-deterministic.
+differentiation are delegated to sympy; evaluation goes through one
+numpy-lambdified bundle per expression, on arrays, so a value does not
+depend on which other points it was evaluated with.
 """
 
 from __future__ import annotations
 
+import numpy as np
 import sympy
 from sympy.core.function import AppliedUndef
 from sympy.parsing.sympy_parser import (
@@ -84,11 +85,13 @@ def parse(text: object, symbols: tuple[sympy.Symbol, ...]) -> sympy.Expr:
 
 
 class ValueGradFn:
-    """Callable bundle ``coords -> (value, gradient)`` for one expression.
+    """Array evaluation of one expression and its exact partials.
 
-    The gradient is taken with respect to ``symbols`` in order.  Everything
-    is evaluated in one generated function so the value and its partials
-    come from the same arithmetic.
+    ``expr`` and its partials with respect to ``symbols`` are lambdified
+    once, with numpy, and always evaluated on arrays: one point is an
+    array with an empty leading shape.  This is the only way expressions
+    are evaluated, so gluing, tabulation and derivation coefficients see
+    the same arithmetic.
     """
 
     __slots__ = ("expr", "symbols", "partials", "_fn")
@@ -97,19 +100,39 @@ class ValueGradFn:
         self.expr = expr
         self.symbols = tuple(symbols)
         self.partials = tuple(sympy.diff(expr, s) for s in self.symbols)
-        self._fn = sympy.lambdify(self.symbols, [expr, *self.partials], modules="math")
+        self._fn = sympy.lambdify(self.symbols, [expr, *self.partials], modules="numpy")
 
-    def __call__(self, coords) -> tuple[float, tuple[float, ...]]:
+    def __call__(self, *coords, out=None) -> tuple[np.ndarray, np.ndarray]:
+        """Values and partials at coordinate arrays of any leading shape.
+
+        Each array of ``coords`` has shape S_i + (n_i,); their last axes
+        supply the symbols in order, and their leading shapes broadcast to
+        S.  Returns the values, shape S, and the partials, shape
+        S + (len(symbols),), written into ``out`` when it is given (of any
+        dtype that holds floats).  A NaN or infinity in any value or
+        partial raises ExpressionError naming the first such point.
+        """
+        arrays = [np.asarray(c, dtype=float) for c in coords]
+        columns = [a[..., i] for a in arrays for i in range(a.shape[-1])]
+        shape = np.broadcast_shapes(*(a.shape[:-1] for a in arrays))
+        partials = np.empty(shape + (len(self.symbols),)) if out is None else out
         try:
-            out = self._fn(*coords)
+            with np.errstate(all="ignore"):
+                value, *grads = self._fn(*columns)
+                values = np.array(np.broadcast_to(value, shape), dtype=float)
+                for i, d in enumerate(grads):
+                    partials[..., i] = d
         except Exception as exc:
-            raise ExpressionError(
-                f"cannot evaluate {self.expr} at {tuple(coords)}: {exc}"
-            ) from None
-        return float(out[0]), tuple(float(v) for v in out[1:])
-
-    def value(self, coords) -> float:
-        return self(coords)[0]
+            raise ExpressionError(f"cannot evaluate {format_expr(self.expr)}: {exc}") from None
+        bad = ~np.isfinite(values) | ~np.isfinite(partials).all(axis=-1)
+        if bad.any():
+            at = np.unravel_index(int(np.argmax(bad)), shape)
+            point = ", ".join(f"{s}={float(np.broadcast_to(c, shape)[at])!r}"
+                              for s, c in zip(self.symbols, columns))
+            what = (f"is {float(values[at])!r}" if not np.isfinite(values[at])
+                    else "has a non-finite partial")
+            raise ExpressionError(f"{format_expr(self.expr)} {what} at ({point})")
+        return values, partials
 
 
 def format_expr(expr: sympy.Expr) -> str:

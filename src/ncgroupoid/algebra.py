@@ -72,14 +72,7 @@ class BaseFunction:
         """Tabulate an expression in x1..xn over the points, with gradients."""
         syms = coordinate_symbols(space.dimension)
         expr = parse(text, syms)
-        bundle = ValueGradFn(expr, syms)
-        values = np.zeros(len(space.points), dtype=complex)
-        grads = np.zeros((len(space.points), space.dimension), dtype=complex)
-        for i, p in enumerate(space.points):
-            v, g = bundle(p.coords)
-            values[i] = v
-            grads[i] = g
-        return cls(space, values, grads, expr=expr)
+        return cls(space, *ValueGradFn(expr, syms)(space.coords), expr=expr)
 
     def value_at(self, pid: int) -> complex:
         return complex(self.values[self.space.index_of(pid)])
@@ -300,22 +293,19 @@ def from_expression(g: Groupoid, text) -> AlgebraElement:
     """Tabulate an expression in x1..xn (source) and y1..yn (destination).
 
     Values and both jet families come from one symbolic bundle, so the jets
-    are the exact partials of the tabulated values.
+    are the exact partials of the tabulated values.  The bundle runs once
+    per size group, over all its arrows at once.
     """
     n = g.space.dimension
     syms = coordinate_symbols(n) + coordinate_symbols(n, prefix="y")
     expr = parse(text, syms)
     bundle = ValueGradFn(expr, syms)
-    coords = [p.coords for p in g.space.points]
     values, grads = [], []
     for grp in g.groups:
-        vals = np.zeros((len(grp.blocks), grp.m, grp.m), dtype=complex)
-        grad = np.zeros(vals.shape + (2 * n,), dtype=complex)
-        for r, block in enumerate(grp.index.tolist()):
-            for i, x in enumerate(block):
-                for j, y in enumerate(block):
-                    vals[r, i, j], grad[r, i, j] = bundle(coords[x] + coords[y])
-        values.append(vals)
+        coords = g.space.coords[grp.index]  # (k, m, n)
+        grad = np.empty((len(grp.blocks), grp.m, grp.m, 2 * n), dtype=complex)
+        vals, _ = bundle(coords[:, :, None], coords[:, None, :], out=grad)
+        values.append(vals.astype(complex))
         grads.append(grad)
     return AlgebraElement(
         g, BlockStack(g, values),

@@ -60,14 +60,10 @@ class Derivation:
             raise ValueError(f"need {n} coefficient expressions, got {len(texts)}")
         syms = coordinate_symbols(n)
         exprs = [parse(t, syms) for t in texts]
-        bundles = [ValueGradFn(e, syms) for e in exprs]
-        coeffs = np.zeros((len(space.points), n), dtype=complex)
-        grads = np.zeros((len(space.points), n, n), dtype=complex)
-        for p_i, p in enumerate(space.points):
-            for i, bundle in enumerate(bundles):
-                v, g = bundle(p.coords)
-                coeffs[p_i, i] = v
-                grads[p_i, i] = g
+        coeffs = np.empty((len(space.points), n), dtype=complex)
+        grads = np.empty((len(space.points), n, n), dtype=complex)
+        for i, e in enumerate(exprs):
+            coeffs[:, i], grads[:, i] = ValueGradFn(e, syms)(space.coords)
         return cls(space, coeffs, coeff_grads=grads, exprs=exprs)
 
     @classmethod

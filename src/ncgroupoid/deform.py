@@ -86,18 +86,9 @@ def deformation_chain(space: DiffSpace) -> DeformationChain:
     n = space.dimension
     levels = []
     for k in range(n + 1):
-        if k == 0:
-            sk = DiffSpace(
-                space.points, n, (),
-                compare_mode=space.compare_mode, eps=space.eps,
-                constants_only=True,
-            )
-        else:
-            gens = [GeneratorFunction(f"pi{i}", f"x{i}", n) for i in range(1, k + 1)]
-            sk = DiffSpace(
-                space.points, n, gens,
-                compare_mode=space.compare_mode, eps=space.eps,
-            )
+        gens = [GeneratorFunction(f"pi{i}", f"x{i}", n) for i in range(1, k + 1)]
+        sk = DiffSpace(space.points, n, gens, compare_mode=space.compare_mode,
+                       eps=space.eps, constants_only=k == 0)
         rho = hausdorff_relation(sk)
         levels.append(ChainLevel(k=k, space=sk, partition=rho, groupoid=build_groupoid(sk, rho)))
 

@@ -12,9 +12,9 @@ space itself is again a space of the same kind.
 from __future__ import annotations
 
 import json
-import struct
 from dataclasses import dataclass, field
 
+import numpy as np
 import sympy
 
 from ._expr import ExpressionError, ValueGradFn, coordinate_symbols, format_expr, parse
@@ -44,13 +44,10 @@ class GeneratorFunction:
         self._bundle = ValueGradFn(self.expr, self.symbols)
 
     def __call__(self, coords) -> float:
-        return self._bundle.value(coords)
+        return float(self._bundle(coords)[0])
 
     def gradient(self, coords) -> tuple[float, ...]:
-        return self._bundle(coords)[1]
-
-    def value_and_gradient(self, coords) -> tuple[float, tuple[float, ...]]:
-        return self._bundle(coords)
+        return tuple(self._bundle(coords)[1].tolist())
 
     @property
     def expr_text(self) -> str:
@@ -152,6 +149,12 @@ class DiffSpace:
     ``"quantized"`` rounds values to an ``eps`` grid first (still an
     equivalence, so transitivity survives).
 
+    The generators are evaluated once, at construction, into the read-only
+    ``generator_values`` table (a row per point, a column per generator).
+    ``generator_keys`` holds the comparison keys of its cells: v + 0.0 (so
+    -0.0 equals 0.0), or v / eps rounded half to even.  A value, partial or
+    key that is not finite is refused with a ValueError.
+
     An empty generator family is only meaningful for the constants-only
     structure; pass ``constants_only=True`` to get it, in which case a
     single constant generator named ``one`` is stored.
@@ -215,6 +218,27 @@ class DiffSpace:
         self.compare_mode = compare_mode
         self.eps = eps
 
+        self.coords = np.array([p.coords for p in self.points], dtype=float).reshape(
+            len(self.points), self.dimension)
+        values = np.empty((len(self.points), len(gens)))
+        for j, g in enumerate(gens):
+            try:
+                values[:, j] = g._bundle(self.coords)[0]
+            except ExpressionError as exc:
+                raise ExpressionError(f"generator {g.name!r}: {exc}") from None
+        with np.errstate(all="ignore"):
+            keys = (values if eps is None else np.rint(values / eps)) + 0.0
+        if not np.isfinite(keys).all():
+            i, j = np.argwhere(~np.isfinite(keys))[0]
+            raise ValueError(
+                f"generator {gens[j].name!r}: {float(values[i, j])!r} / eps {eps!r} is "
+                f"not finite at point {self.points[i].id}, coordinates {self.coords[i].tolist()}"
+            )
+        self.generator_values = values
+        self.generator_keys = keys
+        for arr in (self.coords, values, keys):
+            arr.flags.writeable = False
+
     @property
     def ids(self) -> tuple[int, ...]:
         return tuple(p.id for p in self.points)
@@ -227,20 +251,6 @@ class DiffSpace:
 
     def weight(self, pid: int) -> float:
         return self.point(pid).weight
-
-    def value_key(self, v: float):
-        """Hashable key implementing the configured comparison of values."""
-        if self.compare_mode == "quantized":
-            return int(round(float(v) / self.eps))
-        # adding 0.0 turns -0.0 into 0.0, which compares equal to it
-        return struct.pack(">d", float(v) + 0.0)
-
-    def generator_keys(self) -> dict[int, tuple]:
-        """Per point, the tuple of comparison keys of all generator values."""
-        table: dict[int, tuple] = {}
-        for p in self.points:
-            table[p.id] = tuple(self.value_key(g(p.coords)) for g in self.generators)
-        return table
 
     def __repr__(self) -> str:
         return (
@@ -258,10 +268,16 @@ def hausdorff_relation(space: DiffSpace) -> Partition:
     construction.  The space is Hausdorff precisely when the result is the
     identity partition.
     """
-    groups: dict[tuple, list[int]] = {}
-    for pid, key in space.generator_keys().items():
-        groups.setdefault(key, []).append(pid)
-    return Partition(groups.values())
+    labels = _fiber_labels(space)
+    order = np.argsort(labels, kind="stable")
+    bounds = np.flatnonzero(np.diff(labels[order])) + 1
+    return Partition(np.split(np.array(space.ids)[order], bounds))
+
+
+def _fiber_labels(space: DiffSpace) -> np.ndarray:
+    """Per point, the index of its row of comparison keys among the distinct rows."""
+    _, labels = np.unique(space.generator_keys, axis=0, return_inverse=True)
+    return labels.reshape(-1)
 
 
 def classes_are_fibers(space: DiffSpace, rho: Partition) -> bool:
@@ -270,14 +286,10 @@ def classes_are_fibers(space: DiffSpace, rho: Partition) -> bool:
     Each class must carry a single tuple of comparison keys, and distinct
     classes distinct tuples.
     """
-    keys = space.generator_keys()
-    class_keys = set()
-    for block in rho.blocks:
-        found = {keys[x] for x in block}
-        if len(found) != 1:
-            return False
-        class_keys |= found
-    return len(class_keys) == rho.n_blocks
+    labels = _fiber_labels(space)
+    blocks = [rho.block_of[x] for x in space.ids]
+    pairs = np.unique(np.column_stack([labels, blocks]), axis=0)
+    return len(pairs) == rho.n_blocks == labels.max() + 1
 
 
 @dataclass(frozen=True)
@@ -304,36 +316,33 @@ class ConsistencyReport:
         return tuple(r.name for r in self.results if not r.consistent)
 
 
-def _check_consistency(space: DiffSpace, rho: Partition) -> ConsistencyReport:
-    if set(rho.block_of) != set(space.ids):
-        raise ValueError("partition does not cover the space's point ids")
-    results = []
-    for g in space.generators:
-        consistent = True
-        spread = 0.0
-        witness = None
-        for block in rho.blocks:
-            vals = [g(space.point(x).coords) for x in block]
-            keys = [space.value_key(v) for v in vals]
-            spread = max(spread, max(vals) - min(vals))
-            if len(set(keys)) > 1:
-                consistent = False
-                if witness is None:
-                    base = keys[0]
-                    other = next(i for i, k in enumerate(keys) if k != base)
-                    witness = (block[0], block[other])
-        results.append(GeneratorConsistency(g.name, consistent, spread, witness))
-    return ConsistencyReport(tuple(results), all(r.consistent for r in results))
-
-
 def consistent_family(space: DiffSpace, rho: Partition) -> ConsistencyReport:
     """Report which generators are constant on the classes of ``rho``.
 
     Against the space's own gluing relation every generator is consistent;
     for coarser relations some may fail, and those cannot descend to the
-    quotient.
+    quotient.  The witness of an inconsistent generator is the first
+    member of its first split class together with the first member whose
+    key differs.
     """
-    return _check_consistency(space, rho)
+    if set(rho.block_of) != set(space.ids):
+        raise ValueError("partition does not cover the space's point ids")
+    # the table's rows in class order; classes start at ``starts``
+    order = [space.index_of(x) for block in rho.blocks for x in block]
+    starts = np.cumsum([0] + [len(b) for b in rho.blocks[:-1]])
+    vals, keys = space.generator_values[order], space.generator_keys[order]
+    spread = (np.maximum.reduceat(vals, starts) - np.minimum.reduceat(vals, starts)).max(axis=0)
+    split = np.maximum.reduceat(keys, starts) != np.minimum.reduceat(keys, starts)
+    results = []
+    for j, g in enumerate(space.generators):
+        witness = None
+        if split[:, j].any():
+            b = int(np.argmax(split[:, j]))
+            block = rho.blocks[b]
+            col = keys[starts[b]:starts[b] + len(block), j]
+            witness = (block[0], block[int(np.argmax(col != col[0]))])
+        results.append(GeneratorConsistency(g.name, witness is None, float(spread[j]), witness))
+    return ConsistencyReport(tuple(results), all(r.consistent for r in results))
 
 
 @dataclass(frozen=True)
@@ -361,31 +370,19 @@ def quotient(space: DiffSpace, rho: Partition) -> QuotientResult:
     original generator on the nose, which is the sense in which nothing is
     lost.
     """
-    report = _check_consistency(space, rho)
-    kept = [g for g, r in zip(space.generators, report.results) if r.consistent]
-    new_dim = len(kept)
+    report = consistent_family(space, rho)
+    kept = [j for j, r in enumerate(report.results) if r.consistent]
     projection = {pid: rho.block_of[pid] for pid in space.ids}
-    new_points = []
-    for b, block in enumerate(rho.blocks):
-        rep = space.point(block[0]).coords
-        coords = tuple(g(rep) for g in kept)
-        weight = sum(space.point(x).weight for x in block)
-        new_points.append(Point(id=b, coords=coords, weight=weight))
-    if kept:
-        new_gens = [
-            GeneratorFunction(g.name, f"x{i + 1}", new_dim)
-            for i, g in enumerate(kept)
-        ]
-        q = DiffSpace(
-            new_points, new_dim, new_gens,
-            compare_mode=space.compare_mode, eps=space.eps,
-        )
-    else:
-        q = DiffSpace(
-            new_points, 0, (),
-            compare_mode=space.compare_mode, eps=space.eps,
-            constants_only=True,
-        )
+    reps = [space.index_of(block[0]) for block in rho.blocks]
+    coords = space.generator_values[np.ix_(reps, kept)].tolist()
+    new_points = [
+        Point(id=b, coords=tuple(coords[b]), weight=sum(space.point(x).weight for x in block))
+        for b, block in enumerate(rho.blocks)
+    ]
+    new_gens = [GeneratorFunction(space.generators[j].name, f"x{i + 1}", len(kept))
+                for i, j in enumerate(kept)]
+    q = DiffSpace(new_points, len(kept), new_gens, compare_mode=space.compare_mode,
+                  eps=space.eps, constants_only=not kept)
     return QuotientResult(space=q, dropped=report.dropped_names, projection=projection)
 
 

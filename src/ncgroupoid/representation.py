@@ -179,10 +179,10 @@ def random_operator_report(R: RandomOperator) -> RandomOperatorReport:
         for block in g.blocks
         for x in block
     )
-    norms = {
-        x: float(np.linalg.norm(R.fiber(x), 2)) for x in g.space.ids
-    }
-    sup = R.ess_sup()
+    norms = np.empty(len(g.space.points))
+    for grp, arr in zip(g.groups, R.stack.arrays):
+        norms[grp.index] = np.linalg.norm(arr, 2, axis=(1, 2))[:, None]
+    sup = float(norms.max())
     note = (
         "fibers within each class are shared objects; on a finite atomic "
         "base every class-constant field is measurable"
@@ -194,5 +194,5 @@ def random_operator_report(R: RandomOperator) -> RandomOperatorReport:
         measurable_note=note,
         ess_sup=sup,
         bounded=bool(np.isfinite(sup)),
-        fiber_norms=norms,
+        fiber_norms=dict(zip(g.space.ids, norms.tolist())),
     )

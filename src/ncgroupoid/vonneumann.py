@@ -24,7 +24,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-import scipy.linalg
 
 from .groupoid import Groupoid
 from .representation import RandomOperator
@@ -227,7 +226,11 @@ def big_matrix(R: RandomOperator) -> np.ndarray:
     is the sum of all fiber dimensions.
     """
     blocks = [R.fiber(x) for x in R.groupoid.space.ids]
-    return scipy.linalg.block_diag(*blocks)
+    ends = np.cumsum([len(B) for B in blocks])
+    out = np.zeros((ends[-1], ends[-1]), dtype=complex)
+    for B, end in zip(blocks, ends):
+        out[end - len(B):end, end - len(B):end] = B
+    return out
 
 
 def ambient_dim(g: Groupoid) -> int:
@@ -285,8 +288,10 @@ def _commutant_basis(mats: list[np.ndarray], D: int, rcond: float) -> list[np.nd
     eye = np.eye(D)
     rows = [np.kron(G, eye) - np.kron(eye, G.T) for G in mats]
     K = np.vstack(rows)
-    N = scipy.linalg.null_space(K, rcond=rcond)
-    return [N[:, k].reshape(D, D) for k in range(N.shape[1])]
+    # K has at least as many rows as columns, so the thin SVD's right
+    # singular vectors span all of C^(D^2); those past the rank span the nullspace
+    _, s, vh = np.linalg.svd(K, full_matrices=False)
+    return [v.conj().reshape(D, D) for v in vh[s <= rcond * s.max()]]
 
 
 def commutant(generators, rcond: float = RANK_TOL) -> OperatorBasis:
@@ -324,11 +329,8 @@ def double_commutant(generators, rcond: float = RANK_TOL) -> BicommutantReport:
     """
     _, mats, D = _gather(generators)
     first = _commutant_basis(mats, D, rcond)
-    if first:
-        second = _commutant_basis(first, D, rcond)
-    else:
-        # empty commutant cannot happen (identity always commutes); guard anyway
-        second = _commutant_basis([np.zeros((D, D))], D, rcond)
+    # never empty: the identity commutes with every generator
+    second = _commutant_basis(first, D, rcond)
     stack = np.stack([G.reshape(-1) for G in mats])
     svals = np.linalg.svd(stack, compute_uv=False)
     span_dim = int(np.sum(svals > RANK_TOL * svals[0])) if svals.size else 0

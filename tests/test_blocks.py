@@ -23,6 +23,7 @@ from ncgroupoid import (
     involution,
     make_state,
     random_element,
+    random_operator_report,
     represent,
 )
 
@@ -209,3 +210,13 @@ def test_shape_errors_name_the_block_or_point(g):
     mats[3] = np.eye(2)
     with pytest.raises(ValueError, match=f"point {g.space.ids[3]}: density shape"):
         DensityField(g, mats)
+
+
+def test_operator_report_matches_per_point_reference(g, rng):
+    R = represent(random_element(g, rng))
+    report = random_operator_report(R)
+    assert list(report.fiber_norms) == list(g.space.ids)
+    for x in g.space.ids:
+        assert report.fiber_norms[x] == np.linalg.norm(R.fiber(x), 2)
+    assert report.ess_sup == R.ess_sup() == max(report.fiber_norms.values())
+    assert report.measurable and report.bounded

@@ -143,6 +143,20 @@ def test_bad_expression_exits_2(tmp_path, capsys):
     assert code == 2
 
 
+@pytest.mark.parametrize("mode", ["exact", {"quantized": 1e-9}])
+def test_non_finite_generator_value_exits_2(tmp_path, capsys, mode):
+    cfg = tmp_path / "huge.json"
+    cfg.write_text(json.dumps({
+        "dimension": 1,
+        "points": [{"id": 0, "coords": [1e308]}, {"id": 1, "coords": [1.0]}],
+        "generators": [{"name": "g1", "expr": "10*x1"}],
+        "compare_mode": mode,
+    }))
+    code, _ = run_cli(tmp_path, "space", "analyze", "--space", str(cfg))
+    assert code == 2
+    assert "error: generator 'g1': 10*x1 is inf at (x1=1e+308)" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------- custom config
 
 def test_user_config_roundtrip(tmp_path, capsys):

@@ -1,5 +1,10 @@
 """States, expectation functionals, commutants and bicommutants."""
 
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 import scipy.linalg
@@ -279,3 +284,21 @@ def test_dimension_guard():
     g = build_groupoid(space, hausdorff_relation(space))
     with pytest.raises(ValueError, match="dimension"):
         commutant([RandomOperator.identity(g)])
+
+
+def test_library_runs_without_scipy():
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "from ncgroupoid import *\n"
+        "space = build_space(gallery_config('grid_2x2'))\n"
+        "g = build_groupoid(space, hausdorff_relation(space))\n"
+        "report = double_commutant([represent(e) for e in arrow_basis(g)])\n"
+        "assert report.equals_span, report\n"
+        "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
