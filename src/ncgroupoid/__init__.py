@@ -23,7 +23,6 @@ from .algebra import (
     convolve,
     from_expression,
     involution,
-    max_abs,
     max_diff,
     module_action,
     random_element,
@@ -60,6 +59,7 @@ from .diffspace import (
     classes_are_fibers,
     consistent_family,
     hausdorff_relation,
+    load_config,
     load_space,
     quotient,
 )
@@ -157,9 +157,9 @@ __all__ = [
     "lift_horizontal",
     "lift_symmetrized",
     "lift_vertical",
+    "load_config",
     "load_space",
     "make_state",
-    "max_abs",
     "max_diff",
     "module_action",
     "quotient",

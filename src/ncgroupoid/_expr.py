@@ -37,7 +37,11 @@ _PARSE_GLOBALS = {
 _TRANSFORMATIONS = standard_transformations + (convert_xor,)
 
 
-class ExpressionError(ValueError):
+class ConfigError(ValueError):
+    """Input from outside the program is malformed and refused: the command line's exit 2."""
+
+
+class ExpressionError(ConfigError):
     """An expression does not fit the supported grammar, or failed to evaluate."""
 
 
@@ -73,6 +77,8 @@ def parse(text: object, symbols: tuple[sympy.Symbol, ...]) -> sympy.Expr:
             raise ExpressionError(f"cannot parse expression {text!r}: {exc}") from None
     if not isinstance(expr, sympy.Expr):
         raise ExpressionError(f"not an arithmetic expression: {text!r}")
+    if expr.has(sympy.zoo, sympy.nan, sympy.oo, -sympy.oo, sympy.I):
+        raise ExpressionError(f"not finite and real: {text!r} is {format_expr(expr)}")
     undefined = expr.atoms(AppliedUndef)
     if undefined:
         names = sorted(str(f.func) for f in undefined)

@@ -30,8 +30,7 @@ import numpy as np
 from ._expr import ValueGradFn, coordinate_symbols, format_expr, parse
 from .diffspace import DiffSpace
 from .groupoid import Arrow, BlockStack, Groupoid
-
-_FLOAT_FMT = ".17g"
+from .reporting import write_csv
 
 
 @dataclass(frozen=True)
@@ -220,10 +219,6 @@ class AlgebraElement:
 
     __rmul__ = __mul__
 
-    def diagonal(self) -> dict[int, complex]:
-        """Values on the unit arrows, keyed by point id."""
-        return {x: self.value_at(x, x) for x in self.groupoid.space.ids}
-
     def to_records(self) -> list[tuple]:
         """Rows (src, dst, re, im, d_src..., d_dst...), sorted by (src, dst).
 
@@ -247,13 +242,7 @@ class AlgebraElement:
                 header += [f"d_src{k + 1}_re", f"d_src{k + 1}_im"]
             for k in range(n):
                 header += [f"d_dst{k + 1}_re", f"d_dst{k + 1}_im"]
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(header)
-            for row in self.to_records():
-                writer.writerow(
-                    [row[0], row[1]] + [format(v, _FLOAT_FMT) for v in row[2:]]
-                )
+        write_csv(path, header, self.to_records())
 
     @classmethod
     def from_csv(cls, g: Groupoid, path) -> "AlgebraElement":
@@ -450,10 +439,6 @@ def random_element(
     d_src = [draw((len(b), len(b), n)) for b in g.blocks]
     d_dst = [draw((len(b), len(b), n)) for b in g.blocks]
     return AlgebraElement(g, values, d_src=d_src, d_dst=d_dst)
-
-
-def max_abs(a: AlgebraElement) -> float:
-    return a.max_abs()
 
 
 def max_diff(a: AlgebraElement, b: AlgebraElement) -> float:

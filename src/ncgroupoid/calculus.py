@@ -22,7 +22,7 @@ from __future__ import annotations
 import numpy as np
 import sympy
 
-from ._expr import ValueGradFn, coordinate_symbols, parse
+from ._expr import ExpressionError, ValueGradFn, coordinate_symbols, parse
 from .algebra import AlgebraElement, BaseFunction, convolve, max_diff, module_action
 from .diffspace import DiffSpace
 from .groupoid import BlockStack
@@ -57,7 +57,7 @@ class Derivation:
         n = space.dimension
         texts = list(texts)
         if len(texts) != n:
-            raise ValueError(f"need {n} coefficient expressions, got {len(texts)}")
+            raise ExpressionError(f"need {n} coefficient expressions, got {len(texts)}")
         syms = coordinate_symbols(n)
         exprs = [parse(t, syms) for t in texts]
         coeffs = np.empty((len(space.points), n), dtype=complex)

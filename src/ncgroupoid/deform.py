@@ -141,6 +141,8 @@ def homomorphism_defect_chain(
     smaller level-(k+1) class.  The defect is the measure of the dropped
     terms, and is typically nonzero.
     """
+    # values only: jets would be convolved and restricted and never read
+    a, b = AlgebraElement(a.groupoid, a.value_stack), AlgebraElement(b.groupoid, b.value_stack)
     lhs = restrict(convolve(a, b), chain, k)
     rhs = convolve(restrict(a, chain, k), restrict(b, chain, k))
     return max_diff(lhs, rhs)

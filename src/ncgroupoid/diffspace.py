@@ -12,16 +12,34 @@ space itself is again a space of the same kind.
 from __future__ import annotations
 
 import json
+import math
+import sys
 from dataclasses import dataclass, field
 
 import numpy as np
 import sympy
 
-from ._expr import ExpressionError, ValueGradFn, coordinate_symbols, format_expr, parse
+from ._expr import ConfigError, ExpressionError, ValueGradFn, coordinate_symbols, format_expr, parse
 
 
-class ConfigError(ValueError):
-    """A space description (dict or JSON file) is malformed."""
+def _whole(value, what: str, minimum: int | None = None) -> int:
+    """``value`` as an int when it is a whole number (2 or 2.0) of at least ``minimum``."""
+    if ((isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+            or isinstance(value, float) and value.is_integer())
+            and (minimum is None or value >= minimum)):
+        return int(value)
+    at_least = "" if minimum is None else f" of at least {minimum}"
+    raise ConfigError(f"{what} must be a whole number{at_least}, got {value!r}")
+
+
+def _is_number(value) -> bool:
+    """A finite int or float other than a bool, as a JSON number parses.
+
+    ``abs(value) <= max`` compares ints exactly, so ints past the float range
+    count as infinite instead of overflowing ``float``.
+    """
+    return isinstance(value, (int, float)) and not isinstance(value, bool) \
+        and abs(value) <= sys.float_info.max
 
 
 @dataclass(frozen=True)
@@ -38,7 +56,7 @@ class GeneratorFunction:
 
     def __init__(self, name: str, expr, dimension: int):
         self.name = str(name)
-        self.dimension = int(dimension)
+        self.dimension = _whole(dimension, "dimension", minimum=0)
         self.symbols = coordinate_symbols(self.dimension)
         self.expr = parse(expr, self.symbols)
         self._bundle = ValueGradFn(self.expr, self.symbols)
@@ -113,9 +131,6 @@ class Partition:
     def relates(self, x: int, y: int) -> bool:
         return self.block_of[x] == self.block_of[y]
 
-    def block_containing(self, x: int) -> tuple[int, ...]:
-        return self.blocks[self.block_of[x]]
-
     def pairs(self):
         """All related ordered pairs, diagonal included."""
         for block in self.blocks:
@@ -153,7 +168,7 @@ class DiffSpace:
     ``generator_values`` table (a row per point, a column per generator).
     ``generator_keys`` holds the comparison keys of its cells: v + 0.0 (so
     -0.0 equals 0.0), or v / eps rounded half to even.  A value, partial or
-    key that is not finite is refused with a ValueError.
+    key that is not finite is refused.  Every refusal is a ConfigError.
 
     An empty generator family is only meaningful for the constants-only
     structure; pass ``constants_only=True`` to get it, in which case a
@@ -169,29 +184,28 @@ class DiffSpace:
         eps: float | None = None,
         constants_only: bool = False,
     ):
-        self.dimension = int(dimension)
-        if self.dimension < 0:
-            raise ValueError("dimension must be nonnegative")
+        self.dimension = _whole(dimension, "dimension", minimum=0)
         self.points: tuple[Point, ...] = tuple(points)
         if not self.points:
-            raise ValueError("a space needs at least one point")
+            raise ConfigError("a space needs at least one point")
         self._index: dict[int, int] = {}
         for i, p in enumerate(self.points):
             if p.id in self._index:
-                raise ValueError(f"duplicate point id {p.id}")
+                raise ConfigError(f"duplicate point id {p.id}")
             if len(p.coords) != self.dimension:
-                raise ValueError(
+                raise ConfigError(
                     f"point {p.id}: got {len(p.coords)} coordinates, "
                     f"expected {self.dimension}"
                 )
-            if not (p.weight > 0):
-                raise ValueError(f"point {p.id}: weight must be positive")
+            if not 0 < p.weight < math.inf:
+                raise ConfigError(f"point {p.id}: weight must be positive and finite, "
+                                  f"got {p.weight!r}")
             self._index[p.id] = i
 
         gens = tuple(generators)
         if not gens:
             if not constants_only:
-                raise ValueError(
+                raise ConfigError(
                     "empty generator family (pass constants_only=True for the "
                     "trivial structure)"
                 )
@@ -199,19 +213,19 @@ class DiffSpace:
         self.constants_only = bool(constants_only)
         names = [g.name for g in gens]
         if len(set(names)) != len(names):
-            raise ValueError(f"duplicate generator names in {names}")
+            raise ConfigError(f"duplicate generator names in {names}")
         for g in gens:
             if g.dimension != self.dimension:
-                raise ValueError(
+                raise ConfigError(
                     f"generator {g.name}: dimension {g.dimension} != {self.dimension}"
                 )
         self.generators: tuple[GeneratorFunction, ...] = gens
 
         if compare_mode not in ("exact", "quantized"):
-            raise ValueError(f"unknown compare_mode {compare_mode!r}")
+            raise ConfigError(f"unknown compare_mode {compare_mode!r}")
         if compare_mode == "quantized":
-            if eps is None or not (float(eps) > 0):
-                raise ValueError("quantized comparison needs a positive eps")
+            if not (_is_number(eps) and eps > 0):
+                raise ConfigError(f"quantized eps must be a positive number, got {eps!r}")
             eps = float(eps)
         else:
             eps = None
@@ -230,7 +244,7 @@ class DiffSpace:
             keys = (values if eps is None else np.rint(values / eps)) + 0.0
         if not np.isfinite(keys).all():
             i, j = np.argwhere(~np.isfinite(keys))[0]
-            raise ValueError(
+            raise ConfigError(
                 f"generator {gens[j].name!r}: {float(values[i, j])!r} / eps {eps!r} is "
                 f"not finite at point {self.points[i].id}, coordinates {self.coords[i].tolist()}"
             )
@@ -306,10 +320,6 @@ class GeneratorConsistency:
 class ConsistencyReport:
     results: tuple[GeneratorConsistency, ...]
     all_consistent: bool
-
-    @property
-    def consistent_names(self) -> tuple[str, ...]:
-        return tuple(r.name for r in self.results if r.consistent)
 
     @property
     def dropped_names(self) -> tuple[str, ...]:
@@ -403,9 +413,11 @@ def build_space(config: dict) -> DiffSpace:
           "compare_mode": "exact"            # or {"quantized": 1e-9}
         }
 
-    ``weight`` defaults to 1.0 and ``compare_mode`` to ``"exact"``.  An
-    empty generator list declares the constants-only structure.  Malformed
-    input raises :class:`ConfigError`.
+    ``dimension`` and each ``id`` are whole numbers, ``coords`` a list of
+    finite numbers.  ``weight`` defaults to 1.0 and ``compare_mode`` to
+    ``"exact"``.  An empty generator list declares the constants-only
+    structure.  Malformed input raises :class:`ConfigError`, never a
+    reinterpretation.
     """
     if not isinstance(config, dict):
         raise ConfigError("space config must be a JSON object")
@@ -415,10 +427,7 @@ def build_space(config: dict) -> DiffSpace:
     for key in ("dimension", "points", "generators"):
         if key not in config:
             raise ConfigError(f"missing config key {key!r}")
-    try:
-        dimension = int(config["dimension"])
-    except (TypeError, ValueError):
-        raise ConfigError(f"dimension must be an integer, got {config['dimension']!r}")
+    dimension = config["dimension"]
 
     raw_points = config["points"]
     if not isinstance(raw_points, list) or not raw_points:
@@ -432,13 +441,14 @@ def build_space(config: dict) -> DiffSpace:
             raise ConfigError(f"unknown point key(s): {sorted(unknown)}")
         if "id" not in entry or "coords" not in entry:
             raise ConfigError(f"point entry needs id and coords: {entry!r}")
-        try:
-            pid = int(entry["id"])
-            coords = tuple(float(c) for c in entry["coords"])
-            weight = float(entry.get("weight", 1.0))
-        except (TypeError, ValueError):
-            raise ConfigError(f"malformed point entry: {entry!r}")
-        points.append(Point(id=pid, coords=coords, weight=weight))
+        pid = _whole(entry["id"], "point id")
+        coords, weight = entry["coords"], entry.get("weight", 1.0)
+        if not (isinstance(coords, list) and all(map(_is_number, coords))):
+            raise ConfigError(f"point {pid}: coords must be a list of finite numbers, "
+                              f"got {coords!r}")
+        if not _is_number(weight):
+            raise ConfigError(f"point {pid}: weight must be a finite number, got {weight!r}")
+        points.append(Point(id=pid, coords=tuple(map(float, coords)), weight=float(weight)))
 
     raw_gens = config["generators"]
     if not isinstance(raw_gens, list):
@@ -463,26 +473,25 @@ def build_space(config: dict) -> DiffSpace:
             raise ConfigError(f"malformed compare_mode: {mode!r}")
         eps = mode["quantized"]
         mode = "quantized"
-    if mode not in ("exact", "quantized"):
-        raise ConfigError(f"unknown compare_mode {mode!r}")
 
+    return DiffSpace(
+        points, dimension, generators,
+        compare_mode=mode, eps=eps,
+        constants_only=not generators,
+    )
+
+
+def load_config(path) -> dict:
+    """Read and parse a JSON config file; an unreadable or invalid one raises ConfigError."""
     try:
-        return DiffSpace(
-            points, dimension, generators,
-            compare_mode=mode, eps=eps,
-            constants_only=not generators,
-        )
-    except ValueError as exc:
-        raise ConfigError(str(exc))
+        with open(path, "r", encoding="utf-8") as fh:
+            return json.load(fh)
+    except (OSError, UnicodeDecodeError) as exc:
+        raise ConfigError(f"cannot read {path}: {exc}")
+    except json.JSONDecodeError as exc:
+        raise ConfigError(f"invalid JSON in {path}: {exc}")
 
 
 def load_space(path) -> DiffSpace:
     """Read a JSON space config from disk.  See :func:`build_space`."""
-    try:
-        with open(path, "r", encoding="utf-8") as fh:
-            config = json.load(fh)
-    except OSError as exc:
-        raise ConfigError(f"cannot read {path}: {exc}")
-    except json.JSONDecodeError as exc:
-        raise ConfigError(f"invalid JSON in {path}: {exc}")
-    return build_space(config)
+    return build_space(load_config(path))

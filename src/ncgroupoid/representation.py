@@ -75,10 +75,6 @@ class RandomOperator:
     def fiber(self, x: int) -> np.ndarray:
         return self.class_matrices[self.groupoid.block_index(x)]
 
-    @property
-    def fibers(self) -> dict[int, np.ndarray]:
-        return {x: self.fiber(x) for x in self.groupoid.space.ids}
-
     def __add__(self, other):
         if not isinstance(other, RandomOperator):
             return NotImplemented
@@ -139,6 +135,8 @@ def homomorphism_defect(a: AlgebraElement, b: AlgebraElement) -> float:
     Zero in exact arithmetic: with W the weight diagonal, representing
     means right-multiplying by W, and (A W B) W = (A W)(B W).
     """
+    # values only: jets would be convolved and never read
+    a, b = AlgebraElement(a.groupoid, a.value_stack), AlgebraElement(b.groupoid, b.value_stack)
     lhs = represent(convolve(a, b))
     rhs = represent(a) @ represent(b)
     return lhs.max_fiber_diff(rhs)

@@ -33,6 +33,9 @@ MAX_TOTAL_DIM = 64
 # rank decisions relative to the largest singular value
 RANK_TOL = 1e-10
 
+# how far sum_x tr(rho(x)) w(x) may be from 1
+NORM_TOL = 1e-9
+
 
 class DensityField:
     """One matrix per base point, sized by the point's fiber dimension.
@@ -133,14 +136,14 @@ class State:
         )
 
 
-def make_state(rho: DensityField, norm_tol: float = 1e-9) -> State:
+def make_state(rho: DensityField) -> State:
     """Validate a density field and wrap it as a state.
 
     Checks, per point: finite entries (trace class is automatic in finite
     dimension, but infinities and NaNs are refused), Hermitian symmetry,
     positive semidefiniteness; and globally, finiteness of
     sum_x tr|rho(x)| w(x) and normalization sum_x tr(rho(x)) w(x) = 1
-    within ``norm_tol``.  Violations raise ValueError naming a point.
+    within ``NORM_TOL``.  Violations raise ValueError naming a point.
     Each stored matrix is checked once, so a class-shared one only once.
 
     Faithfulness (all fibers strictly positive definite) is recorded as a
@@ -179,7 +182,7 @@ def make_state(rho: DensityField, norm_tol: float = 1e-9) -> State:
         total += float(mass.ravel() @ tr)
     if not np.isfinite(integral):
         raise ValueError("density is not integrable against the weights")
-    if abs(total - 1.0) > norm_tol:
+    if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"density normalizes to {total!r}, not 1")
     report = StateReport(
         trace_class=True,
@@ -283,7 +286,7 @@ def _gather(generators) -> tuple[Groupoid, list[np.ndarray], int]:
     return g, [big_matrix(G) for G in gens], D
 
 
-def _commutant_basis(mats: list[np.ndarray], D: int, rcond: float) -> list[np.ndarray]:
+def _commutant_basis(mats: list[np.ndarray], D: int) -> list[np.ndarray]:
     # vec is row-major: vec(G X - X G) = (kron(G, I) - kron(I, G^T)) vec(X)
     eye = np.eye(D)
     rows = [np.kron(G, eye) - np.kron(eye, G.T) for G in mats]
@@ -291,10 +294,10 @@ def _commutant_basis(mats: list[np.ndarray], D: int, rcond: float) -> list[np.nd
     # K has at least as many rows as columns, so the thin SVD's right
     # singular vectors span all of C^(D^2); those past the rank span the nullspace
     _, s, vh = np.linalg.svd(K, full_matrices=False)
-    return [v.conj().reshape(D, D) for v in vh[s <= rcond * s.max()]]
+    return [v.conj().reshape(D, D) for v in vh[s <= RANK_TOL * s.max()]]
 
 
-def commutant(generators, rcond: float = RANK_TOL) -> OperatorBasis:
+def commutant(generators) -> OperatorBasis:
     """Basis of {X : X G = G X for every generator G}, in the ambient matrices.
 
     The equations are solved in the full matrix algebra over the
@@ -304,7 +307,7 @@ def commutant(generators, rcond: float = RANK_TOL) -> OperatorBasis:
     star-closed, pass a star-closed generating set.
     """
     _, mats, D = _gather(generators)
-    return OperatorBasis(_commutant_basis(mats, D, rcond), D)
+    return OperatorBasis(_commutant_basis(mats, D), D)
 
 
 @dataclass(frozen=True)
@@ -318,7 +321,7 @@ class BicommutantReport:
     equals_span: bool
 
 
-def double_commutant(generators, rcond: float = RANK_TOL) -> BicommutantReport:
+def double_commutant(generators) -> BicommutantReport:
     """Commutant of the commutant, with the span comparison made explicit.
 
     ``span_dim`` is the linear dimension of the generator span;
@@ -328,9 +331,9 @@ def double_commutant(generators, rcond: float = RANK_TOL) -> BicommutantReport:
     for a unital star-closed generating set.
     """
     _, mats, D = _gather(generators)
-    first = _commutant_basis(mats, D, rcond)
+    first = _commutant_basis(mats, D)
     # never empty: the identity commutes with every generator
-    second = _commutant_basis(first, D, rcond)
+    second = _commutant_basis(first, D)
     stack = np.stack([G.reshape(-1) for G in mats])
     svals = np.linalg.svd(stack, compute_uv=False)
     span_dim = int(np.sum(svals > RANK_TOL * svals[0])) if svals.size else 0

@@ -157,6 +157,85 @@ def test_non_finite_generator_value_exits_2(tmp_path, capsys, mode):
     assert "error: generator 'g1': 10*x1 is inf at (x1=1e+308)" in capsys.readouterr().err
 
 
+def _write(tmp_path, config):
+    cfg = tmp_path / "space.json"
+    cfg.write_text(json.dumps(config))
+    return str(cfg)
+
+
+_LINE = {"dimension": 1, "points": [{"id": 0, "coords": [0.0]}, {"id": 1, "coords": [1.0]}],
+         "generators": [{"name": "f", "expr": "x1"}]}
+
+
+@pytest.mark.parametrize("field, config", [
+    ("eps", {**_LINE, "compare_mode": {"quantized": [1]}}),
+    ("dimension", {**_LINE, "dimension": 1.7}),
+    ("point id", {**_LINE, "points": [{"id": 0.5, "coords": [0.0]}]}),
+    ("coords", {**_LINE, "dimension": 2, "points": [{"id": 0, "coords": "12"}]}),
+    ("coords", {**_LINE, "generators": [], "points": [{"id": 0, "coords": [1e999]}]}),
+])
+def test_malformed_fields_exit_2_naming_the_field(tmp_path, capsys, field, config):
+    code, _ = run_cli(tmp_path, "space", "analyze", "--space", _write(tmp_path, config))
+    assert code == 2
+    err = capsys.readouterr().err
+    assert err.startswith("error: ") and field in err
+
+
+def test_internal_value_error_is_not_bad_input(tmp_path, monkeypatch):
+    def broken(a, b):
+        raise ValueError("internal failure")
+
+    monkeypatch.setattr("ncgroupoid.cli.convolve", broken)
+    with pytest.raises(ValueError, match="internal failure"):
+        run_cli(tmp_path, "algebra", "conv", "--space", "grid_2x2", "--a", "x1", "--b", "1")
+
+
+def test_derivation_arity_exits_2(tmp_path, capsys):
+    code, _ = run_cli(
+        tmp_path, "calculus", "leibniz",
+        "--space", "grid_2x2", "--deriv", "1", "--a", "x1", "--b", "1",
+    )
+    assert code == 2
+    assert "error: need 2 coefficient expressions, got 1" in capsys.readouterr().err
+
+
+def test_key_overflow_at_a_chain_level_exits_2(tmp_path, capsys):
+    # the generator "1" keeps every key finite; only the chain's projection
+    # pi1 = x1 overflows 1e300 / 1e-300
+    path = _write(tmp_path, {
+        "dimension": 1,
+        "points": [{"id": 0, "coords": [1e300]}, {"id": 1, "coords": [1.0]}],
+        "generators": [{"name": "c", "expr": "1"}],
+        "compare_mode": {"quantized": 1e-300},
+    })
+    code, _ = run_cli(tmp_path / "a", "space", "analyze", "--space", path)
+    assert code == 0
+    code, _ = run_cli(tmp_path / "d", "deform", "sweep", "--space", path)
+    assert code == 2
+    assert "error: generator 'pi1'" in capsys.readouterr().err
+
+
+@pytest.mark.parametrize("expr", ["1/0", "x1 + log(0)", "0/0", "x1 + (-1)^(1/2)", "log(-1)"])
+def test_non_finite_or_complex_constant_exits_2(tmp_path, capsys, expr):
+    code, _ = run_cli(tmp_path, "algebra", "conv", "--space", "grid_2x2", "--a", expr, "--b", "1")
+    assert code == 2
+    assert "error: not finite and real" in capsys.readouterr().err
+
+
+def test_undecodable_config_file_exits_2(tmp_path, capsys):
+    cfg = tmp_path / "binary.json"
+    cfg.write_bytes(b"\xff\xfe{")
+    code, _ = run_cli(tmp_path, "space", "analyze", "--space", str(cfg))
+    assert code == 2
+    assert "error: cannot read" in capsys.readouterr().err
+
+
+def test_negative_seed_exits_2(tmp_path, capsys):
+    code, _ = run_cli(tmp_path, "rep", "check", "--space", "grid_2x2", "--seed", "-1")
+    assert code == 2
+    assert "--seed: must be nonnegative" in capsys.readouterr().err
+
+
 # ---------------------------------------------------------- custom config
 
 def test_user_config_roundtrip(tmp_path, capsys):

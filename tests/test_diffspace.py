@@ -110,6 +110,63 @@ def test_build_space_happy_path_and_errors(tmp_path):
         load_space(tmp_path / "missing.json")
 
 
+_ONE = [Point(0, (0.0,), 1.0)]
+_CONST = {"constants_only": True}
+_FAR = [Point(0, (1e300,), 1.0), Point(1, (1.0,), 1.0)]
+
+
+@pytest.mark.parametrize("field, args, kwargs", [
+    ("dimension", (_ONE, 1.7, ()), _CONST),
+    ("dimension", (_ONE, -1, ()), _CONST),
+    ("point", ([], 1, ()), _CONST),
+    ("duplicate point id", (_ONE * 2, 1, ()), _CONST),
+    ("coordinates", (_ONE, 2, ()), _CONST),
+    ("weight", ([Point(0, (0.0,), 0.0)], 1, ()), _CONST),
+    ("weight", ([Point(0, (0.0,), math.inf)], 1, ()), _CONST),
+    ("generator family", (_ONE, 1, ()), {}),
+    ("generator names", (_ONE, 1, [GeneratorFunction("f", "x1", 1)] * 2), {}),
+    ("generator f: dimension", (_ONE, 1, [GeneratorFunction("f", "x1", 2)]), {}),
+    ("compare_mode", (_ONE, 1, ()), {**_CONST, "compare_mode": "fuzzy"}),
+    ("eps", (_ONE, 1, ()), {**_CONST, "compare_mode": "quantized", "eps": [1]}),
+    ("eps", (_ONE, 1, ()), {**_CONST, "compare_mode": "quantized", "eps": 0.0}),
+    ("eps", (_FAR, 1, [GeneratorFunction("f", "x1", 1)]),
+     {"compare_mode": "quantized", "eps": 1e-300}),
+])
+def test_every_space_refusal_is_a_config_error(field, args, kwargs):
+    with pytest.raises(ConfigError, match=field):
+        DiffSpace(*args, **kwargs)
+
+
+def test_one_refusal_type():
+    assert issubclass(ExpressionError, ConfigError)
+    assert issubclass(ConfigError, ValueError)
+
+
+@pytest.mark.parametrize("field, change", [
+    ("dimension", {"dimension": 1.7}),
+    ("dimension", {"dimension": "1"}),
+    ("point id", {"points": [{"id": 0.5, "coords": [0.0]}]}),
+    ("point id", {"points": [{"id": True, "coords": [0.0]}]}),
+    ("coords", {"dimension": 2, "points": [{"id": 0, "coords": "12"}]}),
+    ("coords", {"points": [{"id": 0, "coords": ["1"]}]}),
+    ("coords", {"points": [{"id": 0, "coords": [10 ** 400]}]}),
+    ("coords", {"points": [{"id": 0, "coords": [math.nan]}]}),
+    ("weight", {"points": [{"id": 0, "coords": [0.0], "weight": "2"}]}),
+    ("eps", {"compare_mode": {"quantized": None}}),
+])
+def test_build_space_refuses_instead_of_converting(field, change):
+    config = {"dimension": 1, "points": [{"id": 0, "coords": [0.0]}], "generators": []}
+    with pytest.raises(ConfigError, match=field):
+        build_space({**config, **change})
+
+
+def test_whole_floats_are_whole_numbers():
+    space = build_space({"dimension": 1.0, "points": [{"id": 3.0, "coords": [0]}],
+                         "generators": []})
+    assert space.dimension == 1 and space.ids == (3,) and space.points[0].coords == (0.0,)
+    assert type(space.ids[0]) is int
+
+
 # ------------------------------------------------------------ relation
 
 def test_grid_glues_into_columns():
