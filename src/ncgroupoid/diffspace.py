@@ -427,7 +427,9 @@ def build_space(config: dict) -> DiffSpace:
     for key in ("dimension", "points", "generators"):
         if key not in config:
             raise ConfigError(f"missing config key {key!r}")
-    dimension = config["dimension"]
+    # checked before any generator is built for it: that costs time linear
+    # in the dimension
+    dimension = _whole(config["dimension"], "dimension", minimum=0)
 
     raw_points = config["points"]
     if not isinstance(raw_points, list) or not raw_points:
@@ -446,6 +448,8 @@ def build_space(config: dict) -> DiffSpace:
         if not (isinstance(coords, list) and all(map(_is_number, coords))):
             raise ConfigError(f"point {pid}: coords must be a list of finite numbers, "
                               f"got {coords!r}")
+        if len(coords) != dimension:
+            raise ConfigError(f"point {pid}: got {len(coords)} coordinates, expected {dimension}")
         if not _is_number(weight):
             raise ConfigError(f"point {pid}: weight must be a finite number, got {weight!r}")
         points.append(Point(id=pid, coords=tuple(map(float, coords)), weight=float(weight)))

@@ -165,31 +165,22 @@ class RandomOperatorReport:
 
 
 def random_operator_report(R: RandomOperator) -> RandomOperatorReport:
-    """Check measurability structurally and compute the essential supremum.
+    """Report measurability and boundedness, and the essential supremum.
 
     Measurability asks that points of one class carry the same fiber
-    operator; the check verifies the fibers are literally shared objects.
-    Boundedness is finiteness of the largest fiber norm.
+    operator.  A ``RandomOperator`` stores one matrix per class, so that
+    holds by construction and ``measurable`` is always True.  Boundedness
+    is finiteness of the largest fiber norm.
     """
     g = R.groupoid
-    shared = all(
-        R.fiber(x) is R.fiber(block[0])
-        for block in g.blocks
-        for x in block
-    )
     norms = np.empty(len(g.space.points))
     for grp, arr in zip(g.groups, R.stack.arrays):
         norms[grp.index] = np.linalg.norm(arr, 2, axis=(1, 2))[:, None]
     sup = float(norms.max())
-    note = (
-        "fibers within each class are shared objects; on a finite atomic "
-        "base every class-constant field is measurable"
-        if shared
-        else "fibers within a class are not shared; field is not class-constant"
-    )
     return RandomOperatorReport(
-        measurable=shared,
-        measurable_note=note,
+        measurable=True,
+        measurable_note="fibers within each class are shared objects; on a finite atomic "
+                        "base every class-constant field is measurable",
         ess_sup=sup,
         bounded=bool(np.isfinite(sup)),
         fiber_norms=dict(zip(g.space.ids, norms.tolist())),

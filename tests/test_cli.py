@@ -1,6 +1,7 @@
 """Command line driver: exit codes, reports, CSV outputs, determinism."""
 
 import json
+import shlex
 import subprocess
 import sys
 from pathlib import Path
@@ -230,6 +231,16 @@ def test_undecodable_config_file_exits_2(tmp_path, capsys):
     assert "error: cannot read" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("inside", [False, True])
+def test_out_that_is_not_a_directory_exits_2(tmp_path, capsys, inside):
+    afile = tmp_path / "afile"
+    afile.write_text("keep")
+    out = afile / "sub" if inside else afile
+    assert run(["space", "analyze", "--space", "grid_2x2", "--out", str(out)]) == 2
+    assert capsys.readouterr().err == f"error: --out {str(out)!r} is not a directory\n"
+    assert afile.read_text() == "keep"
+
+
 def test_negative_seed_exits_2(tmp_path, capsys):
     code, _ = run_cli(tmp_path, "rep", "check", "--space", "grid_2x2", "--seed", "-1")
     assert code == 2
@@ -289,6 +300,25 @@ def test_console_script_runs(tmp_path):
 
 # ----------------------------------------------------------------- README
 
+README = Path(__file__).resolve().parents[1] / "README.md"
+
+
+def _readme_commands() -> list[list[str]]:
+    """The command lines of the README's "Command line" block, comments dropped."""
+    text = README.read_text(encoding="utf-8").split("## Command line", 1)[1]
+    block = text.split("```\n")[1]
+    return [shlex.split(line, comments=True) for line in block.splitlines()]
+
+
+@pytest.mark.parametrize("argv", _readme_commands(), ids=lambda argv: " ".join(argv[1:3]))
+def test_readme_command_examples_run(tmp_path, capsys, argv):
+    assert argv[0] == "ncgroupoid"
+    args = argv[1:]
+    args[args.index("--out") + 1] = str(tmp_path)
+    assert run(args) == 0
+    assert (tmp_path / "report.txt").exists()
+
+
 def test_readme_config_example_builds():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     example = readme.split("```json\n", 1)[1].split("```", 1)[0]
@@ -298,6 +328,25 @@ def test_readme_config_example_builds():
 
 
 # ------------------------------------------------------------- check names
+
+def test_verify_all_runs_every_command_once_per_config(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "verify", "all", "--seed", "1")
+    assert code == 0
+    names = [line.split()[1] for line in (out / "report.txt").read_text().splitlines()
+             if line.startswith("[")]
+    assert len(names) == len(set(names))
+    commands = {name.split(":")[1] for name in names}
+    assert commands == {
+        "space.analyze", "groupoid.build", "algebra.conv", "algebra.check-laws",
+        "calculus.leibniz", "calculus.commutator", "rep.build", "rep.check",
+        "vn.commutant", "vn.state-check", "vn.expect", "deform.sweep", "verify.all",
+    }
+    assert {name.split(":")[0] for name in names} == set(gallery())
+    # the suite-only checks are ones no command reports
+    suite_only = {n.split(":", 2)[2] for n in names if n.split(":")[1] == "verify.all"}
+    reported = {n.split(":", 2)[2] for n in names if n.split(":")[1] != "verify.all"}
+    assert len(suite_only) == 6 and not suite_only & reported
+
 
 def test_groupoid_build_checks_relation_against_generators(tmp_path, capsys):
     code, _ = run_cli(tmp_path / "h", "groupoid", "build", "--space", "grid_2x2")

@@ -167,6 +167,17 @@ def test_whole_floats_are_whole_numbers():
     assert type(space.ids[0]) is int
 
 
+def test_dimension_mismatch_is_refused_before_any_generator_is_built(monkeypatch):
+    # building a generator costs time linear in the declared dimension
+    def no_generators(*args, **kwargs):
+        raise AssertionError("a generator was built")
+
+    monkeypatch.setattr("ncgroupoid.diffspace.GeneratorFunction", no_generators)
+    with pytest.raises(ConfigError, match="point 0: got 1 coordinates, expected 1000000000"):
+        build_space({"dimension": 10 ** 9, "points": [{"id": 0, "coords": [1.0]}],
+                     "generators": [{"name": "g", "expr": "x1"}]})
+
+
 # ------------------------------------------------------------ relation
 
 def test_grid_glues_into_columns():

@@ -6,13 +6,15 @@ on which other points share the call, must agree with an independent
 scalar ``math`` evaluation, and must never let a NaN or infinity through.
 """
 
+import itertools
+import math
 import re
 import warnings
 
 import numpy as np
 import pytest
 import sympy
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 from ncgroupoid import (
@@ -45,7 +47,36 @@ def _expression(seed, dim, wrap):
     return WRAPPERS[wrap](int_poly(rng, coordinate_symbols(dim)))
 
 
+class _Rows:
+    """Stands in for ``st.data()`` in an explicit example: draws return fixed rows."""
+
+    def __init__(self, rows):
+        self.rows = rows
+
+    def draw(self, strategy):
+        return self.rows
+
+
+def _rounding_spread(reference, row, ulps=4):
+    """How far the ``math`` reference moves when each coordinate moves by ``ulps`` ulp.
+
+    Evaluation orders differ between numpy and ``math`` (``x**2`` against
+    ``pow``), so the two may round an intermediate differently by an ulp;
+    near a root of sin or cos that difference is amplified by the
+    expression's conditioning.  Moving the input by a few ulp shows how
+    large that amplification is at this row.
+    """
+    base = np.array(reference(*row), dtype=float)
+    spread = np.zeros_like(base)
+    for signs in itertools.product((-ulps, ulps), repeat=len(row)):
+        moved = [x + s * math.ulp(x) for x, s in zip(row, signs)]
+        spread = np.maximum(spread, np.abs(np.array(reference(*moved), dtype=float) - base))
+    return spread
+
+
 @settings(max_examples=80, deadline=None)
+# -sin(2*x1^2 + 5*x1) near a root of sin: one ulp in x1^2 gives a 1.8e-14 relative difference
+@example(seed=92, wrap=1, dim=1, data=_Rows([[1.8265976737355212]]))
 @given(
     seed=st.integers(0, 2 ** 32 - 1),
     wrap=st.integers(0, len(WRAPPERS) - 1),
@@ -68,8 +99,10 @@ def test_batch_equals_rows_and_matches_math(seed, wrap, dim, data):
         v, d = bundle(row)
         assert v.tobytes() == values[i].tobytes()
         assert d.tobytes() == partials[i].tobytes()
-        want = [float(t) for t in reference(*row)]
-        np.testing.assert_allclose([values[i], *partials[i]], want, rtol=1e-14, atol=0)
+        want = np.array([float(t) for t in reference(*row)])
+        got = np.array([values[i], *partials[i]])
+        bound = 1e-14 * np.abs(want) + _rounding_spread(reference, row)
+        assert (np.abs(got - want) <= bound).all(), (expr, row, got, want, bound)
 
 
 @settings(max_examples=40, deadline=None)
