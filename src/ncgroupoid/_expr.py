@@ -17,6 +17,7 @@ from sympy.parsing.sympy_parser import (
     parse_expr,
     standard_transformations,
 )
+from sympy.printing.numpy import NumPyPrinter
 
 ALLOWED_FUNCTIONS = {
     "sin": sympy.sin,
@@ -94,10 +95,14 @@ class ValueGradFn:
     """Array evaluation of one expression and its exact partials.
 
     ``expr`` and its partials with respect to ``symbols`` are lambdified
-    once, with numpy, and always evaluated on arrays: one point is an
-    array with an empty leading shape.  This is the only way expressions
-    are evaluated, so gluing, tabulation and derivation coefficients see
-    the same arithmetic.
+    once, with numpy, and always evaluated on arrays with at least one
+    leading axis: one point is a batch of one, because numpy's scalar
+    arithmetic (``x**2`` through ``pow``, say) may differ from its array
+    loops in the last bit.  This is the only way expressions are
+    evaluated, so gluing, tabulation and derivation coefficients see the
+    same arithmetic.  The generated code calls ``numpy.<name>`` from a
+    namespace holding numpy alone: ``modules="numpy"`` would run
+    ``from numpy import *``, which imports numpy's test and f2py machinery.
     """
 
     __slots__ = ("expr", "symbols", "partials", "_fn")
@@ -106,7 +111,8 @@ class ValueGradFn:
         self.expr = expr
         self.symbols = tuple(symbols)
         self.partials = tuple(sympy.diff(expr, s) for s in self.symbols)
-        self._fn = sympy.lambdify(self.symbols, [expr, *self.partials], modules="numpy")
+        self._fn = sympy.lambdify(self.symbols, [expr, *self.partials], modules=[{"numpy": np}],
+                                  printer=NumPyPrinter({"inline": True}))
 
     def __call__(self, *coords, out=None) -> tuple[np.ndarray, np.ndarray]:
         """Values and partials at coordinate arrays of any leading shape.
@@ -118,10 +124,11 @@ class ValueGradFn:
         dtype that holds floats).  A NaN or infinity in any value or
         partial raises ExpressionError naming the first such point.
         """
-        arrays = [np.asarray(c, dtype=float) for c in coords]
+        # a leading axis of one, dropped on return
+        arrays = [np.asarray(c, dtype=float)[None] for c in coords]
         columns = [a[..., i] for a in arrays for i in range(a.shape[-1])]
         shape = np.broadcast_shapes(*(a.shape[:-1] for a in arrays))
-        partials = np.empty(shape + (len(self.symbols),)) if out is None else out
+        partials = np.empty(shape + (len(self.symbols),)) if out is None else out[None]
         try:
             with np.errstate(all="ignore"):
                 value, *grads = self._fn(*columns)
@@ -138,7 +145,7 @@ class ValueGradFn:
             what = (f"is {float(values[at])!r}" if not np.isfinite(values[at])
                     else "has a non-finite partial")
             raise ExpressionError(f"{format_expr(self.expr)} {what} at ({point})")
-        return values, partials
+        return values[0, ...], partials[0]
 
 
 def format_expr(expr: sympy.Expr) -> str:

@@ -13,10 +13,16 @@ diagonal (in particular for the uniform density), not for arbitrary
 positive semidefinite rho.  With unit weights every positive
 semidefinite density works.
 
-The commutant machinery assembles all fibers into one block-diagonal
-matrix (one block per base point) and solves the linear commutation
-equations exactly as a nullspace problem.  This is meant for small
-ambient dimensions; a guard refuses anything past MAX_TOTAL_DIM.
+Commutants live in the ambient D x D matrices, where an operator field
+is one block-diagonal matrix with a block per base point (``big_matrix``),
+D = sum_b m_b^2 over the classes b.  The solver never forms the D^2
+unknowns: a field repeats one matrix G_b over the points of class b, so
+the commutation equations split into one small nullspace per pair of
+classes, G_b Y = Y G_c, solved by SVD in one stacked call per pair of
+class sizes; the bicommutant is then one nullspace in the class matrices
+(see ``_bicommutant_coords``).  The bases come back as dense D x D
+matrices, up to D^2 of them, so a guard still refuses anything past
+MAX_TOTAL_DIM.
 """
 
 from __future__ import annotations
@@ -249,23 +255,25 @@ def ambient_dim(g: Groupoid) -> int:
 
 
 class OperatorBasis:
-    """An orthonormal basis (trace inner product) of a space of matrices."""
+    """An orthonormal basis (trace inner product) of a space of D x D matrices.
+
+    ``stack`` holds the basis as one (dim, D, D) array; ``matrices`` are its rows.
+    """
 
     def __init__(self, matrices, ambient_dim: int):
-        self.matrices: tuple[np.ndarray, ...] = tuple(
-            np.asarray(m, dtype=complex) for m in matrices
-        )
         self.ambient_dim = int(ambient_dim)
+        D = self.ambient_dim
+        self.stack = np.asarray(matrices, dtype=complex).reshape(-1, D, D)
+        self.matrices: tuple[np.ndarray, ...] = tuple(self.stack)
 
     @property
     def dim(self) -> int:
-        return len(self.matrices)
+        return len(self.stack)
 
     def project(self, X: np.ndarray) -> np.ndarray:
-        out = np.zeros_like(np.asarray(X, dtype=complex))
-        for B in self.matrices:
-            out += np.vdot(B, X) * B
-        return out
+        X = np.asarray(X, dtype=complex)
+        flat = self.stack.reshape(self.dim, -1)
+        return ((flat.conj() @ X.reshape(-1)) @ flat).reshape(X.shape)
 
     def residual(self, X: np.ndarray) -> float:
         """Frobenius distance of X from the span, relative to max(1, |X|_F)."""
@@ -275,6 +283,7 @@ class OperatorBasis:
 
 
 def _gather(generators) -> tuple[Groupoid, list[np.ndarray], int]:
+    """The generators' groupoid, their (n_gen, k, m, m) class matrices per size group, and D."""
     gens = list(generators)
     if not gens:
         raise ValueError("need at least one generator")
@@ -283,18 +292,82 @@ def _gather(generators) -> tuple[Groupoid, list[np.ndarray], int]:
         if not G.groupoid.same_structure(g):
             raise ValueError("generators live on different groupoids")
     D = ambient_dim(g)
-    return g, [big_matrix(G) for G in gens], D
+    return g, [np.stack(arrs) for arrs in zip(*(G.stack.arrays for G in gens))], D
 
 
-def _commutant_basis(mats: list[np.ndarray], D: int) -> list[np.ndarray]:
-    # vec is row-major: vec(G X - X G) = (kron(G, I) - kron(I, G^T)) vec(X)
-    eye = np.eye(D)
-    rows = [np.kron(G, eye) - np.kron(eye, G.T) for G in mats]
-    K = np.vstack(rows)
-    # K has at least as many rows as columns, so the thin SVD's right
-    # singular vectors span all of C^(D^2); those past the rank span the nullspace
-    _, s, vh = np.linalg.svd(K, full_matrices=False)
-    return [v.conj().reshape(D, D) for v in vh[s <= RANK_TOL * s.max()]]
+def _nullspaces(systems, scale: float) -> list[tuple[np.ndarray, np.ndarray]]:
+    """Nullspaces of stacks of linear systems, shapes (k, rows, n), one rank threshold for all.
+
+    Returns per stack the (k, n, n) conjugated right singular vectors and
+    the (k, n) mask of those in the nullspace.  A singular value counts as
+    zero at or below RANK_TOL times the larger of ``scale`` and the largest
+    singular value of all stacks, so a system made of roundoff alone (the
+    equations of a scalar matrix) does not pass for full rank.
+    """
+    svds = []
+    for K in systems:
+        rows, n = K.shape[-2:]
+        if rows < n:  # zero equations, so the thin SVD returns all n right vectors
+            K = np.concatenate([K, np.zeros(K.shape[:-2] + (n - rows, n), K.dtype)], axis=-2)
+        svds.append(np.linalg.svd(K, full_matrices=False)[1:])
+    tol = RANK_TOL * max([scale] + [float(s.max()) for s, _ in svds])
+    return [(vh.conj(), s <= tol) for s, vh in svds]
+
+
+def _class_commutants(g: Groupoid, A: list[np.ndarray]) -> list[tuple]:
+    """N_bc = {Y : G_b Y = Y G_c for every generator G} for every ordered pair of classes.
+
+    Each generator repeats its class matrix G_b on the fiber of every
+    point of class b, so in the ambient matrices G X = X G says exactly
+    that the m_b x m_c block of X at each pair of points x in b, y in c
+    lies in N_bc.  The pairs of classes are solved in one stacked SVD per
+    pair of size groups (s, t).  Returns per pair (s, t, r, q, Y): Y[i] is
+    an orthonormal basis element of N_bc for the classes in rows r[i] of
+    group s and q[i] of group t.
+    """
+    scale = max(float(np.linalg.norm(a, axis=(2, 3)).max()) for a in A)
+    keys, systems = [], []
+    for s, (gs, As) in enumerate(zip(g.groups, A)):
+        for t, (gt, At) in enumerate(zip(g.groups, A)):
+            # row-major vec(G_b Y - Y G_c) = (kron(G_b, I) - kron(I, G_c^T)) vec(Y)
+            left = np.einsum("grik,jl->rgijkl", As, np.eye(gt.m))
+            right = np.einsum("gqlj,ik->qgijkl", At, np.eye(gs.m))
+            K = left[:, None] - right[None, :]
+            systems.append(K.reshape(len(gs.blocks) * len(gt.blocks), -1, gs.m * gt.m))
+            keys.append((s, t))
+    pieces = []
+    for (s, t), (vecs, null) in zip(keys, _nullspaces(systems, scale)):
+        pair, j = np.nonzero(null)
+        r, q = np.divmod(pair, len(g.groups[t].blocks))
+        pieces.append((s, t, r, q, vecs[pair, j].reshape(-1, g.groups[s].m, g.groups[t].m)))
+    return pieces
+
+
+def _embed(out: np.ndarray, k, P, Q, Y, offsets: np.ndarray) -> None:
+    """Write block Y into ambient matrix out[k] at the block of points (P, Q), broadcasting."""
+    ms, mt = Y.shape[-2:]
+    rows = (offsets[P][..., None] + np.arange(ms))[..., :, None]
+    cols = (offsets[Q][..., None] + np.arange(mt))[..., None, :]
+    out[k[..., None, None], rows, cols] = Y
+
+
+def _offsets(g: Groupoid) -> np.ndarray:
+    """First ambient row of each point's block, by point index, as in big_matrix."""
+    m = np.array([len(g.blocks[b]) for b in g.point_pos[:, 0]])
+    return np.cumsum(m) - m
+
+
+def _commutant_matrices(g: Groupoid, pieces, D: int) -> np.ndarray:
+    """The commutant basis Y (x) E_xy, x in b, y in c, Y in N_bc, as (dim, D, D)."""
+    offsets = _offsets(g)
+    out = np.zeros((sum(Y.size for *_, Y in pieces), D, D), dtype=complex)
+    start = 0
+    for s, t, r, q, Y in pieces:
+        k = start + np.arange(Y.size).reshape(Y.shape)
+        P, Q = g.groups[s].index[r][:, :, None], g.groups[t].index[q][:, None, :]
+        _embed(out, k, P, Q, Y[:, None, None], offsets)
+        start += Y.size
+    return out
 
 
 def commutant(generators) -> OperatorBasis:
@@ -302,12 +375,62 @@ def commutant(generators) -> OperatorBasis:
 
     The equations are solved in the full matrix algebra over the
     block-diagonal embedding, so the result contains everything that
-    commutes, not only block-diagonal solutions.  The basis columns come
+    commutes, not only block-diagonal solutions.  The basis matrices come
     out orthonormal under <A, B> = tr(A^H B).  For the commutant to be
     star-closed, pass a star-closed generating set.
     """
-    _, mats, D = _gather(generators)
-    return OperatorBasis(_commutant_basis(mats, D), D)
+    g, A, D = _gather(generators)
+    return OperatorBasis(_commutant_matrices(g, _class_commutants(g, A), D), D)
+
+
+def _bicommutant_coords(g: Groupoid, pieces) -> np.ndarray:
+    """Orthonormal basis of the bicommutant in class coordinates, shape (dim, D).
+
+    N_bb contains the identity, so the commutant holds every point
+    projection and every same-class I (x) E_xy; whatever commutes with
+    those is block-diagonal over the points and constant on each class,
+    X = (+)_b X_b.  What remains of [X, Y (x) E_xy] = 0 is
+    X_b Y = Y X_c for each Y in N_bc, whatever x in b and y in c: one
+    nullspace in the sum_b m_b^2 = D entries of the class matrices.  The
+    unknowns are u_b = sqrt(m_b) X_b, laid out group by group as the
+    generators' stacks are, so the dot product of coordinates is the trace
+    inner product of the ambient matrices.
+    """
+    sizes = [len(grp.blocks) * grp.m ** 2 for grp in g.groups]
+    start = np.cumsum(sizes) - sizes
+    M = np.zeros((sum(Y.size for *_, Y in pieces), sum(sizes)), dtype=complex)
+    row = 0
+    for s, t, r, q, Y in pieces:
+        ms, mt = g.groups[s].m, g.groups[t].m
+        rows = row + np.arange(Y.size).reshape(-1, ms * mt, 1)
+        # row-major vec(X_b Y) = kron(I, Y^T) vec(X_b), vec(Y X_c) = kron(Y, I) vec(X_c)
+        left = np.einsum("ia,ykj->yijak", np.eye(ms), Y).reshape(-1, ms * mt, ms * ms)
+        right = np.einsum("yil,jb->yijlb", Y, np.eye(mt)).reshape(-1, ms * mt, mt * mt)
+        M[rows, (start[s] + r * ms * ms)[:, None, None] + np.arange(ms * ms)] += left / np.sqrt(ms)
+        M[rows, (start[t] + q * mt * mt)[:, None, None] + np.arange(mt * mt)] -= right / np.sqrt(mt)
+        row += Y.size
+    # the Y are orthonormal, so 1 is the scale of the equations
+    ((vecs, null),) = _nullspaces([M[None]], 1.0)
+    return vecs[0][null[0]]
+
+
+def _class_coords(g: Groupoid, A: list[np.ndarray]) -> np.ndarray:
+    """Class coordinates (see _bicommutant_coords) of stacked class matrices, shape (n, D)."""
+    return np.concatenate([np.sqrt(grp.m) * a.reshape(len(a), -1) for grp, a in zip(g.groups, A)],
+                          axis=1)
+
+
+def _bicommutant_matrices(g: Groupoid, U: np.ndarray, D: int) -> np.ndarray:
+    """The ambient matrices (+)_x X_b(x) of class coordinates U, as (dim, D, D)."""
+    out = np.zeros((len(U), D, D), dtype=complex)
+    offsets, col = _offsets(g), 0
+    for grp in g.groups:
+        k = len(grp.blocks)
+        X = U[:, col:col + k * grp.m ** 2].reshape(len(U), k, grp.m, grp.m) / np.sqrt(grp.m)
+        _embed(out, np.arange(len(U))[:, None, None], grp.index[None], grp.index[None],
+               X[:, :, None], offsets)
+        col += k * grp.m ** 2
+    return out
 
 
 @dataclass(frozen=True)
@@ -328,21 +451,21 @@ def double_commutant(generators) -> BicommutantReport:
     ``generator_residual`` measures how far the generators are from the
     bicommutant (they must lie inside it); ``equals_span`` records whether
     the bicommutant is exactly the span, which is the closure statement
-    for a unital star-closed generating set.
+    for a unital star-closed generating set.  The bicommutant and the
+    generators are class-constant and block-diagonal, so the last two are
+    measured in class coordinates, where the trace inner product is kept.
     """
-    _, mats, D = _gather(generators)
-    first = _commutant_basis(mats, D)
-    # never empty: the identity commutes with every generator
-    second = _commutant_basis(first, D)
-    stack = np.stack([G.reshape(-1) for G in mats])
-    svals = np.linalg.svd(stack, compute_uv=False)
-    span_dim = int(np.sum(svals > RANK_TOL * svals[0])) if svals.size else 0
-    bic = OperatorBasis(second, D)
-    gen_res = max(bic.residual(G) for G in mats)
+    g, A, D = _gather(generators)
+    pieces = _class_commutants(g, A)
+    U = _bicommutant_coords(g, pieces)
+    gens = _class_coords(g, A)
+    svals = np.linalg.svd(gens, compute_uv=False)
+    span_dim = int(np.sum(svals > RANK_TOL * svals[0]))
+    res = np.linalg.norm(gens - (gens @ U.conj().T) @ U, axis=1)
     return BicommutantReport(
-        commutant=OperatorBasis(first, D),
-        bicommutant=bic,
+        commutant=OperatorBasis(_commutant_matrices(g, pieces, D), D),
+        bicommutant=OperatorBasis(_bicommutant_matrices(g, U, D), D),
         span_dim=span_dim,
-        generator_residual=gen_res,
-        equals_span=bic.dim == span_dim,
+        generator_residual=float(np.max(res / np.maximum(1.0, np.linalg.norm(gens, axis=1)))),
+        equals_span=len(U) == span_dim,
     )

@@ -77,6 +77,9 @@ def _rounding_spread(reference, row, ulps=4):
 @settings(max_examples=80, deadline=None)
 # -sin(2*x1^2 + 5*x1) near a root of sin: one ulp in x1^2 gives a 1.8e-14 relative difference
 @example(seed=92, wrap=1, dim=1, data=_Rows([[1.8265976737355212]]))
+# log((-3*x1*x3 + 3)^2 + 1): a point alone on numpy scalars squared through pow
+# and differed from the same point in a batch by an ulp in d/dx1
+@example(seed=206337, wrap=4, dim=3, data=_Rows([[-1e-12, 0.0, 0.25]]))
 @given(
     seed=st.integers(0, 2 ** 32 - 1),
     wrap=st.integers(0, len(WRAPPERS) - 1),

@@ -1,8 +1,10 @@
 """States, expectation functionals, commutants and bicommutants."""
 
+import gc
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -11,7 +13,10 @@ import scipy.linalg
 
 from ncgroupoid import (
     DensityField,
+    DiffSpace,
     NCProbabilitySpace,
+    Partition,
+    Point,
     RandomOperator,
     arrow_basis,
     big_matrix,
@@ -21,6 +26,7 @@ from ncgroupoid import (
     expect,
     hausdorff_relation,
     make_state,
+    random_element,
     represent,
     unit,
 )
@@ -279,6 +285,95 @@ def test_generators_land_in_bicommutant(rng):
         assert rep.bicommutant.residual(big_matrix(G)) <= 1e-10
 
 
+def _weighted_groupoid(blocks):
+    """Constants-only points 0..n-1 with weights 1, 0.5, 2 in turn, partitioned into ``blocks``."""
+    n = sum(len(b) for b in blocks)
+    pts = [Point(id=x, coords=(float(x),), weight=(1.0, 0.5, 2.0)[x % 3]) for x in range(n)]
+    space = DiffSpace(pts, 1, (), constants_only=True)
+    return build_groupoid(space, Partition(blocks))
+
+
+def _two_random_elements(g):
+    rng = np.random.default_rng(7)
+    return [represent(random_element(g, rng)) for _ in range(2)]
+
+
+GENERATOR_SETS = {
+    "arrow_basis": lambda g: [represent(e) for e in arrow_basis(g)],
+    "identity": lambda g: [RandomOperator.identity(g)],
+    # the delta on the arrow (0, 4), inside the first class
+    "unit_and_delta": lambda g: [represent(unit(g)), represent(arrow_basis(g)[1])],
+    "random_elements": _two_random_elements,
+}
+
+
+def _assert_orthonormal(basis):
+    flat = np.array([m.ravel() for m in basis.matrices])
+    np.testing.assert_allclose(flat.conj() @ flat.T, np.eye(basis.dim), atol=1e-10)
+
+
+def test_total_class_of_eight_points():
+    # D = 64, the largest ambient dimension the guard admits
+    space = line_space(8)
+    g = build_groupoid(space, Partition.total(space.ids))
+    gens = [represent(e) for e in arrow_basis(g)]
+    gc.collect()
+    tracemalloc.start()
+    try:
+        rep = double_commutant(gens)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert (rep.commutant.dim, rep.bicommutant.dim, rep.span_dim) == (64, 64, 64)
+    assert rep.commutant.ambient_dim == 64
+    assert rep.equals_span
+    assert rep.generator_residual <= 1e-10
+    assert peak < 200 * 2 ** 20
+
+
+@pytest.mark.parametrize("gens", sorted(set(GENERATOR_SETS) - {"arrow_basis"}))
+def test_commutant_matches_oracle_on_mixed_class_sizes(gens):
+    # class sizes 3, 1, 2, 1, 3 with interleaved points, D = 24; the arrow
+    # basis there is left to the closed form (the oracle's system would be
+    # 13,824 x 576)
+    g = _weighted_groupoid([(0, 4, 7), (1,), (2, 5), (3,), (6, 8, 9)])
+    G = GENERATOR_SETS[gens](g)
+    mats = [big_matrix(R) for R in G]
+    basis = commutant(G)
+    assert basis.ambient_dim == 24
+    assert basis.dim == commutant_dim_oracle(mats, 24)
+    _assert_orthonormal(basis)
+    for X in basis.matrices:
+        for M in mats:
+            assert np.linalg.norm(X @ M - M @ X) <= 1e-10
+
+
+def test_commutant_of_arrow_basis_on_mixed_class_sizes():
+    g = _weighted_groupoid([(0, 4, 7), (1,), (2, 5), (3,), (6, 8, 9)])
+    rep = double_commutant(GENERATOR_SETS["arrow_basis"](g))
+    assert (rep.commutant.dim, rep.bicommutant.dim, rep.span_dim) == (24, 24, 24)
+    assert rep.equals_span and rep.generator_residual <= 1e-10
+
+
+@pytest.mark.parametrize("gens", sorted(GENERATOR_SETS))
+def test_bicommutant_matches_dense_nullspace(gens):
+    # class sizes 2, 1, 2, D = 9: the commutant of the returned commutant
+    # basis, solved densely, has the bicommutant's dimension
+    g = _weighted_groupoid([(0, 3), (1,), (2, 4)])
+    G = GENERATOR_SETS[gens](g)
+    rep = double_commutant(G)
+    first = list(rep.commutant.matrices)
+    assert rep.bicommutant.dim == commutant_dim_oracle(first, 9)
+    assert rep.commutant.dim == commutant_dim_oracle([big_matrix(R) for R in G], 9)
+    _assert_orthonormal(rep.commutant)
+    _assert_orthonormal(rep.bicommutant)
+    for X in rep.bicommutant.matrices:
+        for Y in first:
+            assert np.linalg.norm(X @ Y - Y @ X) <= 1e-10
+    for R in G:
+        assert rep.bicommutant.residual(big_matrix(R)) <= 1e-10
+
+
 def test_dimension_guard():
     space = line_space(MAX_TOTAL_DIM + 1)
     g = build_groupoid(space, hausdorff_relation(space))
@@ -296,6 +391,26 @@ def test_library_runs_without_scipy():
         "report = double_commutant([represent(e) for e in arrow_basis(g)])\n"
         "assert report.equals_span, report\n"
         "print(sorted(m for m in sys.modules if m.split('.')[0] == 'scipy'))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+def test_evaluation_loads_no_numpy_test_machinery():
+    # lambdify with modules="numpy" runs `from numpy import *`, which loads
+    # numpy.f2py, numpy.testing and unittest on the first expression
+    src = Path(__file__).resolve().parents[1] / "src"
+    code = (
+        "import sys\n"
+        "from ncgroupoid import *\n"
+        "space = build_space(gallery_config('grid_2x2'))\n"
+        "g = build_groupoid(space, hausdorff_relation(space))\n"
+        "a = from_expression(g, 'x1*y2 + sin(x2)')\n"
+        "report = double_commutant([represent(e) for e in arrow_basis(g)])\n"
+        "print(sorted(m for m in ('numpy.f2py', 'numpy.testing', 'unittest') if m in sys.modules))\n"
     )
     path = os.pathsep.join(filter(None, [str(src), os.environ.get("PYTHONPATH")]))
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
