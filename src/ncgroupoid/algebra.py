@@ -24,6 +24,7 @@ from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -76,11 +77,6 @@ class BaseFunction:
     def value_at(self, pid: int) -> complex:
         return complex(self.values[self.space.index_of(pid)])
 
-    def grad_at(self, pid: int) -> tuple[complex, ...] | None:
-        if self.grads is None:
-            return None
-        return tuple(self.grads[self.space.index_of(pid)])
-
     def __mul__(self, other: "BaseFunction") -> "BaseFunction":
         """Pointwise product, gradients by the product rule."""
         if not isinstance(other, BaseFunction):
@@ -105,52 +101,68 @@ class BaseFunction:
 
 
 class AlgebraElement:
-    """A function on the arrows of a groupoid, stored as one matrix per block.
+    """A function on the arrows of a groupoid, stored as one channel stack.
 
     ``values[b][i, j]`` is the value at the arrow from the i-th to the j-th
     point of block b.  ``d_src[b][i, j, k]`` and ``d_dst[b][i, j, k]`` hold
     the partials with respect to the k-th source and destination coordinate;
     either both are present or neither.  ``expr`` optionally remembers a
     defining expression in x1..xn, y1..yn so jets can be re-tabulated.
+
+    All of it lives in ``stack``, one :class:`BlockStack` of (k, c, m, m)
+    arrays: channel 0 holds the values and, with jets (c = 1 + 2n),
+    channels 1..n the source partials and n+1..2n the destination
+    partials.  Without jets c = 1.  ``values``, ``d_src`` and ``d_dst``
+    are read-only per-block views into it, made on first use.
     """
 
     def __init__(self, groupoid: Groupoid, values, d_src=None, d_dst=None, expr=None):
-        self.groupoid = groupoid
-        self.value_stack = BlockStack.of(groupoid, values, exact=True)
         if (d_src is None) != (d_dst is None):
             raise ValueError("d_src and d_dst must be given together")
-        self.d_src_stack = self.d_dst_stack = None
+        arrays = [v[:, None] for v in BlockStack.of(groupoid, values, exact=True).arrays]
         if d_src is not None:
-            if any(v.dtype == object for v in self.value_stack.arrays):
+            if any(v.dtype == object for v in arrays):
                 raise ValueError("jets are not supported for object-dtype values")
-            tail = (groupoid.space.dimension,)
-            self.d_src_stack = BlockStack.of(groupoid, d_src, tail, "jet")
-            self.d_dst_stack = BlockStack.of(groupoid, d_dst, tail, "jet")
+            n = groupoid.space.dimension
+            # per block (m, m, n) in, (n, m, m) channels stored
+            src, dst = (BlockStack.of(groupoid, [np.moveaxis(np.asarray(d), -1, 0) for d in jets],
+                                      (n,), "jet").arrays for jets in (d_src, d_dst))
+            arrays = [np.concatenate(parts, axis=1) for parts in zip(arrays, src, dst)]
+        self.groupoid = groupoid
+        self.stack = BlockStack(groupoid, arrays)
+        self.has_jets = d_src is not None
         self.expr = expr
 
-    @property
-    def values(self) -> tuple[np.ndarray, ...]:
-        return self.value_stack.blocks
-
-    @property
-    def d_src(self) -> tuple[np.ndarray, ...] | None:
-        return None if self.d_src_stack is None else self.d_src_stack.blocks
-
-    @property
-    def d_dst(self) -> tuple[np.ndarray, ...] | None:
-        return None if self.d_dst_stack is None else self.d_dst_stack.blocks
-
-    @property
-    def has_jets(self) -> bool:
-        return self.d_src_stack is not None
-
     @classmethod
-    def zeros(cls, g: Groupoid, jets: bool = False) -> "AlgebraElement":
-        if not jets:
-            return cls(g, BlockStack.zeros(g))
-        tail = (g.space.dimension,)
-        return cls(g, BlockStack.zeros(g), d_src=BlockStack.zeros(g, tail),
-                   d_dst=BlockStack.zeros(g, tail))
+    def from_stack(cls, stack: BlockStack, has_jets: bool = False, expr=None) -> "AlgebraElement":
+        """The element whose channel stack is ``stack`` (see the class docstring)."""
+        a = cls.__new__(cls)
+        a.groupoid, a.stack, a.has_jets, a.expr = stack.groupoid, stack, has_jets, expr
+        return a
+
+    @cached_property
+    def values(self) -> tuple[np.ndarray, ...]:
+        return self.stack.per_block(lambda arr: arr[:, 0])
+
+    def _jet_blocks(self, channels: slice) -> tuple[np.ndarray, ...] | None:
+        """Per-block (m, m, n) views of a range of jet channels; None without jets."""
+        if not self.has_jets:
+            return None
+        return self.stack.per_block(lambda arr: np.moveaxis(arr[:, channels], 1, -1))
+
+    @cached_property
+    def d_src(self) -> tuple[np.ndarray, ...] | None:
+        return self._jet_blocks(slice(1, self.groupoid.space.dimension + 1))
+
+    @cached_property
+    def d_dst(self) -> tuple[np.ndarray, ...] | None:
+        return self._jet_blocks(slice(self.groupoid.space.dimension + 1, None))
+
+    def values_only(self) -> "AlgebraElement":
+        """This element without its jets, sharing the stored values."""
+        if not self.has_jets:
+            return self
+        return AlgebraElement.from_stack(self.stack.map(lambda arr: arr[:, :1]), expr=self.expr)
 
     def value_at(self, src: int, dst: int) -> complex:
         b, i = self.groupoid.position(src)
@@ -172,7 +184,7 @@ class AlgebraElement:
         )
 
     def max_abs(self) -> float:
-        return self.value_stack.max_abs()
+        return self.values_only().stack.max_abs()
 
     def with_jets(self) -> "AlgebraElement":
         """This element with jets available.
@@ -188,21 +200,15 @@ class AlgebraElement:
             return from_expression(self.groupoid, self.expr)
         raise ValueError("element carries no jets and no defining expression")
 
-    def _elementwise(self, other, op):
+    def __add__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        jets = self.has_jets and other.has_jets
-        return AlgebraElement(
-            self.groupoid, op(self.value_stack, other.value_stack),
-            d_src=op(self.d_src_stack, other.d_src_stack) if jets else None,
-            d_dst=op(self.d_dst_stack, other.d_dst_stack) if jets else None,
-        )
-
-    def __add__(self, other):
-        return self._elementwise(other, BlockStack.__add__)
+        return _channelwise(np.add, self, other)
 
     def __sub__(self, other):
-        return self._elementwise(other, BlockStack.__sub__)
+        if not isinstance(other, AlgebraElement):
+            return NotImplemented
+        return _channelwise(np.subtract, self, other)
 
     def __neg__(self):
         return self.__mul__(-1)
@@ -210,12 +216,7 @@ class AlgebraElement:
     def __mul__(self, scalar):
         if isinstance(scalar, AlgebraElement):
             raise TypeError("use convolve(a, b) for the algebra product")
-        c = complex(scalar)
-        return AlgebraElement(
-            self.groupoid, self.value_stack.scale(c),
-            d_src=self.d_src_stack.scale(c) if self.has_jets else None,
-            d_dst=self.d_dst_stack.scale(c) if self.has_jets else None,
-        )
+        return AlgebraElement.from_stack(self.stack.scale(complex(scalar)), self.has_jets)
 
     __rmul__ = __mul__
 
@@ -265,12 +266,9 @@ class AlgebraElement:
             table[src, dst] = [complex(re, im) for re, im in zip(nums[::2], nums[1::2])]
         if len(rows) != g.arrow_count or len(table) != len(rows):
             raise ValueError(f"file has {len(rows)} arrows, groupoid has {g.arrow_count}")
-        cells = [np.array([[table[x, y] for y in block] for x in block]) for block in g.blocks]
-        return cls(
-            g, [c[..., 0] for c in cells],
-            d_src=[c[..., 1:n + 1] for c in cells] if with_jets else None,
-            d_dst=[c[..., n + 1:] for c in cells] if with_jets else None,
-        )
+        cells = [np.moveaxis(np.array([[table[x, y] for y in block] for x in block]), -1, 0)
+                 for block in g.blocks]
+        return cls.from_stack(BlockStack.of(g, cells, ((len(header) - 2) // 2,)), with_jets)
 
     def __repr__(self) -> str:
         sizes = [len(b) for b in self.groupoid.blocks]
@@ -283,34 +281,29 @@ def from_expression(g: Groupoid, text) -> AlgebraElement:
 
     Values and both jet families come from one symbolic bundle, so the jets
     are the exact partials of the tabulated values.  The bundle runs once
-    per size group, over all its arrows at once.
+    per size group, over all its arrows at once, and writes straight into
+    the element's channels.
     """
     n = g.space.dimension
     syms = coordinate_symbols(n) + coordinate_symbols(n, prefix="y")
     expr = parse(text, syms)
     bundle = ValueGradFn(expr, syms)
-    values, grads = [], []
+    arrays = []
     for grp in g.groups:
         coords = g.space.coords[grp.index]  # (k, m, n)
-        grad = np.empty((len(grp.blocks), grp.m, grp.m, 2 * n), dtype=complex)
-        vals, _ = bundle(coords[:, :, None], coords[:, None, :], out=grad)
-        values.append(vals.astype(complex))
-        grads.append(grad)
-    return AlgebraElement(
-        g, BlockStack(g, values),
-        d_src=BlockStack(g, [d[..., :n] for d in grads]),
-        d_dst=BlockStack(g, [d[..., n:] for d in grads]),
-        expr=expr,
-    )
+        arr = np.empty((len(grp.blocks), 1 + 2 * n, grp.m, grp.m), dtype=complex)
+        arr[:, 0], _ = bundle(coords[:, :, None], coords[:, None, :],
+                              out=np.moveaxis(arr[:, 1:], 1, -1))
+        arrays.append(arr)
+    return AlgebraElement.from_stack(BlockStack(g, arrays), True, expr)
 
 
-def _per_coordinate(fn, jets: np.ndarray) -> np.ndarray:
-    """fn applied to (k, n, m, m) contiguous copies of (k, m, m, n) jets.
-
-    One m x m matrix per coordinate keeps the products on BLAS.
-    """
-    out = fn(np.ascontiguousarray(jets.transpose(0, 3, 1, 2)))
-    return np.ascontiguousarray(out.transpose(0, 2, 3, 1))
+def _channelwise(op, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+    """``op`` on the channels both operands carry: jets only when both have them."""
+    jets = a.has_jets and b.has_jets
+    c = None if jets else 1
+    return AlgebraElement.from_stack(a.stack.map(lambda x, y: op(x[:, :c], y[:, :c]), b.stack),
+                                     jets)
 
 
 def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -322,24 +315,21 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     """
     if not a.groupoid.same_structure(b.groupoid):
         raise ValueError("elements live on different groupoids")
-    g = a.groupoid
-    A, B = a.value_stack.arrays, b.value_stack.arrays
-    w = a.value_stack.weights()
-    # weight the summed-over point z: rows of the right factor, columns of the left
-    WB = [Bs * ws[:, :, None] for Bs, ws in zip(B, w)]
-    values = BlockStack(g, [As @ WBs for As, WBs in zip(A, WB)])
-    if not (a.has_jets and b.has_jets):
-        return AlgebraElement(g, values)
-    d_src = [_per_coordinate(lambda D: D @ WBs[:, None], ds)
-             for WBs, ds in zip(WB, a.d_src_stack.arrays)]
-    d_dst = [_per_coordinate(lambda D: (As * ws[:, None, :])[:, None] @ D, dd)
-             for As, ws, dd in zip(A, w, b.d_dst_stack.arrays)]
-    return AlgebraElement(g, values, d_src=BlockStack(g, d_src), d_dst=BlockStack(g, d_dst))
+    jets = a.has_jets and b.has_jets
+    n = a.groupoid.space.dimension
 
+    def product(X, Y, w):
+        # weight the summed-over point z: rows of the right factor, columns of the left
+        WY = Y[:, :1] * w[:, None, :, None]
+        if not jets:
+            return X[:, :1] @ WY
+        out = np.empty(X.shape, dtype=complex)
+        np.matmul(X[:, :n + 1], WY, out=out[:, :n + 1])
+        np.matmul(X[:, :1] * w[:, None, None, :], Y[:, n + 1:], out=out[:, n + 1:])
+        return out
 
-def _transpose(arr: np.ndarray) -> np.ndarray:
-    """Conjugate with the two arrow slots swapped."""
-    return np.conjugate(arr.swapaxes(1, 2))
+    return AlgebraElement.from_stack(BlockStack(a.groupoid, map(
+        product, a.stack.arrays, b.stack.arrays, a.stack.weights())), jets)
 
 
 def involution(a: AlgebraElement) -> AlgebraElement:
@@ -348,20 +338,22 @@ def involution(a: AlgebraElement) -> AlgebraElement:
     Jets swap roles: the source partials of the result are the conjugated
     destination partials of the input, transposed, and vice versa.
     """
-    d_src = d_dst = None
-    if a.has_jets:
-        d_src = a.d_dst_stack.map(_transpose)
-        d_dst = a.d_src_stack.map(_transpose)
+    n = a.groupoid.space.dimension
+    # value, then the destination partials, then the source partials
+    order = np.r_[0, n + 1:2 * n + 1, 1:n + 1] if a.has_jets else [0]
+
+    def star(arr):
+        out = arr[:, order].swapaxes(-1, -2)  # a fresh copy, conjugated in place
+        return np.conjugate(out, out=out)
+
     expr = None
     if a.expr is not None:
-        n = a.groupoid.space.dimension
         xs = coordinate_symbols(n)
         ys = coordinate_symbols(n, prefix="y")
         swap = {**dict(zip(xs, ys)), **dict(zip(ys, xs))}
         # expressions are real-valued, so conjugation is a no-op here
         expr = a.expr.subs(swap, simultaneous=True)
-    return AlgebraElement(a.groupoid, a.value_stack.map(_transpose),
-                          d_src=d_src, d_dst=d_dst, expr=expr)
+    return AlgebraElement.from_stack(a.stack.map(star), a.has_jets, expr)
 
 
 def unit(g: Groupoid) -> AlgebraElement:
@@ -373,11 +365,11 @@ def unit(g: Groupoid) -> AlgebraElement:
     """
     values = []
     for grp in g.groups:
-        e = np.zeros((len(grp.blocks), grp.m, grp.m), dtype=complex)
+        e = np.zeros((len(grp.blocks), 1, grp.m, grp.m), dtype=complex)
         diag = np.arange(grp.m)
-        e[:, diag, diag] = 1.0 / grp.weights
+        e[:, 0, diag, diag] = 1.0 / grp.weights
         values.append(e)
-    return AlgebraElement(g, BlockStack(g, values))
+    return AlgebraElement.from_stack(BlockStack(g, values))
 
 
 def module_action(f: BaseFunction, a: AlgebraElement) -> AlgebraElement:
@@ -389,26 +381,24 @@ def module_action(f: BaseFunction, a: AlgebraElement) -> AlgebraElement:
     if f.space is not a.groupoid.space:
         raise ValueError("function and element live on different spaces")
     g = a.groupoid
-    # f at the source point of every arrow, (k, m, 1) per size group
-    F = [f.values[grp.index][:, :, None] for grp in g.groups]
-    values = BlockStack(g, [Fs * As for Fs, As in zip(F, a.value_stack.arrays)])
+    n = g.space.dimension
+    jets = a.has_jets and f.grads is not None
+    arrays = []
+    for grp, arr in zip(g.groups, a.stack.arrays):
+        out = f.values[grp.index][:, None, :, None] * (arr if jets else arr[:, :1])
+        if jets:
+            # (k, n, m, 1): the gradient of f at the source point of every arrow
+            out[:, 1:n + 1] += np.moveaxis(f.grads[grp.index], -1, 1)[..., None] * arr[:, :1]
+        arrays.append(out)
     expr = None
     if f.expr is not None and a.expr is not None:
         expr = f.expr * a.expr
-    if not (a.has_jets and f.grads is not None):
-        return AlgebraElement(g, values, expr=expr)
-    d_src = [
-        f.grads[grp.index][:, :, None, :] * As[..., None] + Fs[..., None] * ds
-        for grp, Fs, As, ds in zip(g.groups, F, a.value_stack.arrays, a.d_src_stack.arrays)
-    ]
-    d_dst = [Fs[..., None] * dd for Fs, dd in zip(F, a.d_dst_stack.arrays)]
-    return AlgebraElement(g, values, d_src=BlockStack(g, d_src), d_dst=BlockStack(g, d_dst),
-                          expr=expr)
+    return AlgebraElement.from_stack(BlockStack(g, arrays), jets, expr)
 
 
 def arrow_basis(g: Groupoid) -> list[AlgebraElement]:
     """Delta elements, one per arrow, in the groupoid's arrow order."""
-    zeros = BlockStack.zeros(g).arrays
+    zeros = BlockStack.zeros(g, (1,)).arrays
     out = []
     for b, (s, r) in enumerate(g.slots.tolist()):
         m = len(g.blocks[b])
@@ -416,8 +406,8 @@ def arrow_basis(g: Groupoid) -> list[AlgebraElement]:
             for j in range(m):
                 arrays = list(zeros)
                 arrays[s] = zeros[s].copy()
-                arrays[s][r, i, j] = 1.0
-                out.append(AlgebraElement(g, BlockStack(g, arrays)))
+                arrays[s][r, 0, i, j] = 1.0
+                out.append(AlgebraElement.from_stack(BlockStack(g, arrays)))
     return out
 
 
@@ -445,4 +435,4 @@ def max_diff(a: AlgebraElement, b: AlgebraElement) -> float:
     """Largest absolute difference of values over all arrows."""
     if not a.groupoid.same_structure(b.groupoid):
         raise ValueError("elements live on different groupoids")
-    return (a.value_stack - b.value_stack).max_abs()
+    return (a.values_only() - b.values_only()).max_abs()

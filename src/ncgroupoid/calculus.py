@@ -31,24 +31,18 @@ from .groupoid import BlockStack
 class Derivation:
     """A vector field on the space: coefficients c_i per point, one per coordinate.
 
-    ``coeffs[p, i]`` is c_i at point index p; ``coeff_grads[p, i, k]`` is
-    d c_i / d x_k there, needed only when derivations are iterated.  When
-    built from expressions the symbolic form is kept so results of
-    :meth:`apply_to` keep exact gradients.
+    ``coeffs[p, i]`` is c_i at point index p.  When built from expressions
+    the symbolic form is kept so results of :meth:`apply_to` keep exact
+    gradients and derivations can be iterated.
     """
 
-    def __init__(self, space: DiffSpace, coeffs, coeff_grads=None, exprs=None):
+    def __init__(self, space: DiffSpace, coeffs, exprs=None):
         self.space = space
         n = space.dimension
         self.coeffs = np.asarray(coeffs, dtype=complex)
         if self.coeffs.shape != (len(space.points), n):
             raise ValueError(f"coefficient shape {self.coeffs.shape}, "
                              f"need ({len(space.points)}, {n})")
-        if coeff_grads is not None:
-            coeff_grads = np.asarray(coeff_grads, dtype=complex)
-            if coeff_grads.shape != (len(space.points), n, n):
-                raise ValueError(f"bad coefficient gradient shape {coeff_grads.shape}")
-        self.coeff_grads = coeff_grads
         self.exprs = tuple(exprs) if exprs is not None else None
 
     @classmethod
@@ -61,10 +55,9 @@ class Derivation:
         syms = coordinate_symbols(n)
         exprs = [parse(t, syms) for t in texts]
         coeffs = np.empty((len(space.points), n), dtype=complex)
-        grads = np.empty((len(space.points), n, n), dtype=complex)
         for i, e in enumerate(exprs):
-            coeffs[:, i], grads[:, i] = ValueGradFn(e, syms)(space.coords)
-        return cls(space, coeffs, coeff_grads=grads, exprs=exprs)
+            coeffs[:, i], _ = ValueGradFn(e, syms)(space.coords)
+        return cls(space, coeffs, exprs=exprs)
 
     @classmethod
     def constant(cls, space: DiffSpace, vector) -> "Derivation":
@@ -124,10 +117,12 @@ def _lift(P: Derivation, a: AlgebraElement, slot: str) -> AlgebraElement:
     """sum_k c_k d/d(slot)_k with the coefficients taken at the slot's point."""
     a = _check_pair(P, a)
     g = a.groupoid
-    jets = a.d_src_stack if slot == "src" else a.d_dst_stack
-    spec = "kil,kijl->kij" if slot == "src" else "kjl,kijl->kij"
-    values = [np.einsum(spec, P.coeffs[grp.index], d) for grp, d in zip(g.groups, jets.arrays)]
-    return AlgebraElement(g, BlockStack(g, values), expr=_symbolic_lift(P, a, slot))
+    n = g.space.dimension
+    jets = slice(1, n + 1) if slot == "src" else slice(n + 1, None)
+    spec = "kil,klij->kij" if slot == "src" else "kjl,klij->kij"
+    values = [np.einsum(spec, P.coeffs[grp.index], arr[:, jets])[:, None]
+              for grp, arr in zip(g.groups, a.stack.arrays)]
+    return AlgebraElement.from_stack(BlockStack(g, values), expr=_symbolic_lift(P, a, slot))
 
 
 def lift_horizontal(P: Derivation, a: AlgebraElement) -> AlgebraElement:
@@ -148,7 +143,7 @@ def lift_symmetrized(P: Derivation, a: AlgebraElement) -> AlgebraElement:
     expr = None
     if hor.expr is not None and ver.expr is not None:
         expr = hor.expr + ver.expr
-    return AlgebraElement(a.groupoid, hor.value_stack + ver.value_stack, expr=expr)
+    return AlgebraElement.from_stack((hor + ver).stack, expr=expr)
 
 
 def leibniz_defect(P: Derivation, a: AlgebraElement, b: AlgebraElement) -> float:

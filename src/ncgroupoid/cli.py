@@ -254,13 +254,16 @@ def _cmd_rep_build(args, space, g, report) -> None:
     report.note(f"ess sup = {rep_report.ess_sup:.6g}")
     report.add(check_flag("bounded", rep_report.bounded))
     if args.out:
-        rows = []
-        for x in space.ids:
-            fs_block = g.block_points(g.block_index(x))
-            M = R.fiber(x)
-            for i, zi in enumerate(fs_block):
-                for j, zj in enumerate(fs_block):
-                    rows.append((x, zi, zj, float(M[i, j].real), float(M[i, j].imag)))
+        # per class its (row, col, re, im) entries, row-major; streamed once per point
+        ids = np.array(space.ids)
+        entries = [None] * g.n_blocks
+        for grp, M in zip(g.groups, R.stack.arrays):
+            pts = ids[grp.index]
+            cols = (np.repeat(pts, grp.m, axis=1), np.tile(pts, grp.m),
+                    M.real.reshape(len(pts), -1), M.imag.reshape(len(pts), -1))
+            for b, *col in zip(grp.blocks.tolist(), *(c.tolist() for c in cols)):
+                entries[b] = list(zip(*col))
+        rows = ((x, *e) for x in space.ids for e in entries[g.block_index(x)])
         write_csv(
             os.path.join(args.out, "fibers.csv"),
             ["point", "row", "col", "re", "im"],
@@ -306,11 +309,8 @@ def _cmd_vn_commutant(args, space, g, report) -> None:
                      result.generator_residual, 1e-10))
     report.add(check_flag("bicommutant_equals_span", result.equals_span))
     if args.out:
-        rows = []
-        for k, B in enumerate(result.commutant.matrices):
-            for i in range(D):
-                for j in range(D):
-                    rows.append((k, i, j, float(B[i, j].real), float(B[i, j].imag)))
+        S = result.commutant.stack
+        rows = zip(*(col.ravel().tolist() for col in (*np.indices(S.shape), S.real, S.imag)))
         write_csv(
             os.path.join(args.out, "commutant_basis.csv"),
             ["k", "row", "col", "re", "im"],

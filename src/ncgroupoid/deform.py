@@ -122,13 +122,7 @@ def restrict(a: AlgebraElement, chain: DeformationChain, k: int) -> AlgebraEleme
     dst_level = chain.level(k + 1)
     if not a.groupoid.same_structure(src_level.groupoid):
         raise ValueError(f"element does not live on level {k}")
-    g = dst_level.groupoid
-    return AlgebraElement(
-        g, a.value_stack.restrict(g),
-        d_src=a.d_src_stack.restrict(g) if a.has_jets else None,
-        d_dst=a.d_dst_stack.restrict(g) if a.has_jets else None,
-        expr=a.expr,
-    )
+    return AlgebraElement.from_stack(a.stack.restrict(dst_level.groupoid), a.has_jets, a.expr)
 
 
 def homomorphism_defect_chain(
@@ -142,7 +136,7 @@ def homomorphism_defect_chain(
     terms, and is typically nonzero.
     """
     # values only: jets would be convolved and restricted and never read
-    a, b = AlgebraElement(a.groupoid, a.value_stack), AlgebraElement(b.groupoid, b.value_stack)
+    a, b = a.values_only(), b.values_only()
     lhs = restrict(convolve(a, b), chain, k)
     rhs = convolve(restrict(a, chain, k), restrict(b, chain, k))
     return max_diff(lhs, rhs)
@@ -174,12 +168,12 @@ def step_n_pointwise_check(
     weighted = plain = 0.0
     diag = top.partition.is_identity
     unit_w = all(top.space.weight(x) == 1.0 for x in top.space.ids)
-    stacks = (a.value_stack.arrays, b.value_stack.arrays, conv.value_stack.arrays)
+    stacks = (a.stack.arrays, b.stack.arrays, conv.stack.arrays)
     for grp, A, B, C in zip(a.groupoid.groups, *stacks):
         if grp.m == 1:  # the singleton classes
-            ab = A[:, 0, 0] * B[:, 0, 0]
-            weighted = float(np.abs(C[:, 0, 0] - ab * grp.weights[:, 0]).max())
-            plain = float(np.abs(C[:, 0, 0] - ab).max())
+            ab = A[:, 0, 0, 0] * B[:, 0, 0, 0]
+            weighted = float(np.abs(C[:, 0, 0, 0] - ab * grp.weights[:, 0]).max())
+            plain = float(np.abs(C[:, 0, 0, 0] - ab).max())
     return StepNReport(
         top_is_diagonal=diag,
         unit_weights=unit_w,

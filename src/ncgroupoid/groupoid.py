@@ -6,10 +6,10 @@ flips a pair and the units are the diagonal.  Everything is finite, so the
 arrow set is just the disjoint union of block x block squares.
 
 Array-valued layers (algebra elements, operator fields, densities) store
-one m x m matrix per block.  :class:`BlockStack` is the one place that
-knows how: blocks of equal size m are stacked into a (k, m, m[, n]) array
-per size group, so every blockwise operation is one array operation per
-distinct block size.
+m x m matrices per block.  :class:`BlockStack` is the one place that
+knows how: blocks of equal size m are stacked into a (k, *lead, m, m)
+array per size group, matrices last, so every blockwise operation is one
+array operation per distinct block size.
 """
 
 from __future__ import annotations
@@ -177,27 +177,28 @@ _FRACTION = np.frompyfunc(Fraction, 1, 1)
 
 
 class BlockStack:
-    """Per-block arrays of one groupoid, stacked by block size.
+    """Per-block arrays of one groupoid, stacked by block size, matrices last.
 
     ``arrays[s]`` holds the blocks of size group ``groupoid.groups[s]`` as
-    one (k, m, m) + tail array, rows in the group's block order.  The
-    arrays are read-only; operations return new stacks.
+    one (k, *lead, m, m) array, rows in the group's block order: lead ()
+    for operator fields, (c,) for the channels of an algebra element or
+    the per-point matrices of a density.  The arrays are read-only;
+    operations return new stacks.
     """
 
-    __slots__ = ("groupoid", "arrays", "_blocks")
+    __slots__ = ("groupoid", "arrays")
 
     def __init__(self, groupoid: Groupoid, arrays):
         self.groupoid = groupoid
         self.arrays: tuple[np.ndarray, ...] = tuple(arrays)
         for arr in self.arrays:
             arr.flags.writeable = False
-        self._blocks = None
 
     @classmethod
-    def of(cls, g: Groupoid, data, tail=(), what="value", exact=False) -> "BlockStack":
+    def of(cls, g: Groupoid, data, lead=(), what="value", exact=False) -> "BlockStack":
         """A stack from one array per block (a stack passes through unchanged).
 
-        Shapes must be (m, m) + tail.  Entries become complex128, except that
+        Shapes must be lead + (m, m).  Entries become complex128, except that
         with ``exact`` an object-dtype group (Fraction entries, say) stays
         object.  The input is copied, never referenced.
         """
@@ -208,7 +209,7 @@ class BlockStack:
                              f"the groupoid has {g.n_blocks}")
         blocks = [np.asarray(x) for x in data]
         for b, (arr, block) in enumerate(zip(blocks, g.blocks)):
-            need = (len(block), len(block)) + tuple(tail)
+            need = tuple(lead) + (len(block), len(block))
             if arr.shape != need:
                 raise ValueError(f"block {b}: {what} shape {arr.shape}, need {need}")
         arrays = []
@@ -218,16 +219,14 @@ class BlockStack:
         return cls(g, arrays)
 
     @classmethod
-    def zeros(cls, g: Groupoid, tail=()) -> "BlockStack":
-        return cls(g, [np.zeros((len(grp.blocks), grp.m, grp.m) + tuple(tail), dtype=complex)
+    def zeros(cls, g: Groupoid, lead=()) -> "BlockStack":
+        return cls(g, [np.zeros((len(grp.blocks),) + tuple(lead) + (grp.m, grp.m), dtype=complex)
                        for grp in g.groups])
 
-    @property
-    def blocks(self) -> tuple[np.ndarray, ...]:
-        """One read-only view per block, in block order, made on first use."""
-        if self._blocks is None:
-            self._blocks = tuple(self.arrays[s][r] for s, r in self.groupoid.slots.tolist())
-        return self._blocks
+    def per_block(self, view=None) -> tuple[np.ndarray, ...]:
+        """One read-only view per block, in block order, of ``view(arrays[s])`` if given."""
+        groups = self.arrays if view is None else [view(arr) for arr in self.arrays]
+        return tuple(groups[s][r] for s, r in self.groupoid.slots.tolist())
 
     def weights(self) -> list[np.ndarray]:
         """Per group the (k, m) point weights, as Fractions for object-dtype groups."""
@@ -261,18 +260,21 @@ class BlockStack:
         groupoid; the entries between its points are copied.
         """
         pos = self.groupoid.point_pos
-        tail = self.arrays[0].shape[3:]
+        lead = self.arrays[0].shape[1:-2]
         arrays = []
         for grp in finer.groups:
             old_block, at = pos[grp.index, 0], pos[grp.index, 1]
             if np.any(old_block != old_block[:, :1]):
                 raise ValueError("levels do not refine; cannot restrict")
             slot = self.groupoid.slots[old_block[:, 0]]
-            out = np.empty((len(grp.blocks), grp.m, grp.m) + tail,
+            out = np.empty((len(grp.blocks),) + lead + (grp.m, grp.m),
                            dtype=np.result_type(*self.arrays))
             for s in np.unique(slot[:, 0]):
                 sel = slot[:, 0] == s
                 i = at[sel]
-                out[sel] = self.arrays[s][slot[sel, 1][:, None, None], i[:, :, None], i[:, None, :]]
+                rows = slot[sel, 1][:, None, None]
+                # the indexed (block, row, col) axes come first, the lead axes after
+                picked = self.arrays[s][rows, ..., i[:, :, None], i[:, None, :]]
+                out[sel] = np.moveaxis(picked, (1, 2), (-2, -1))
             arrays.append(out)
         return BlockStack(finer, arrays)

@@ -8,11 +8,8 @@ import json
 import os
 from dataclasses import dataclass, field
 
-_FLOAT_FMT = ".17g"
-
-
-def fmt_float(x) -> str:
-    return format(float(x), _FLOAT_FMT)
+# repr-faithful: equal to format(x, ".17g") for every double
+_FLOAT_FMT = "%.17g"
 
 
 def config_digest(config: dict) -> str:
@@ -99,12 +96,11 @@ class RunReport:
         return path
 
 
-def write_csv(path: str, header: list[str], rows: list[tuple]) -> None:
+def write_csv(path: str, header: list[str], rows) -> None:
     """CSV with all floats rendered via repr-faithful %.17g formatting."""
     with open(path, "w", encoding="utf-8", newline="") as fh:
         writer = csv.writer(fh)
         writer.writerow(header)
-        for row in rows:
-            writer.writerow(
-                [fmt_float(v) if isinstance(v, float) else v for v in row]
-            )
+        writer.writerows(
+            [_FLOAT_FMT % v if isinstance(v, float) else v for v in row] for row in rows
+        )

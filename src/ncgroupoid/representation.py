@@ -19,6 +19,7 @@ weight, so no fiber is negligible).
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -59,9 +60,9 @@ class RandomOperator:
         self.groupoid = groupoid
         self.stack = BlockStack.of(groupoid, class_matrices, what="matrix")
 
-    @property
+    @cached_property
     def class_matrices(self) -> tuple[np.ndarray, ...]:
-        return self.stack.blocks
+        return self.stack.per_block()
 
     @classmethod
     def identity(cls, g: Groupoid) -> "RandomOperator":
@@ -124,8 +125,8 @@ def represent(a: AlgebraElement) -> RandomOperator:
     """The regular representation M[i, j] = a(z_i, z_j) w(z_j), per class."""
     g = a.groupoid
     return RandomOperator(g, BlockStack(g, [
-        np.asarray(A, dtype=complex) * grp.weights[:, None, :]
-        for grp, A in zip(g.groups, a.value_stack.arrays)
+        np.asarray(A[:, 0], dtype=complex) * grp.weights[:, None, :]
+        for grp, A in zip(g.groups, a.stack.arrays)
     ]))
 
 
@@ -136,7 +137,7 @@ def homomorphism_defect(a: AlgebraElement, b: AlgebraElement) -> float:
     means right-multiplying by W, and (A W B) W = (A W)(B W).
     """
     # values only: jets would be convolved and never read
-    a, b = AlgebraElement(a.groupoid, a.value_stack), AlgebraElement(b.groupoid, b.value_stack)
+    a, b = a.values_only(), b.values_only()
     lhs = represent(convolve(a, b))
     rhs = represent(a) @ represent(b)
     return lhs.max_fiber_diff(rhs)

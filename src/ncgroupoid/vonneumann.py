@@ -28,10 +28,11 @@ MAX_TOTAL_DIM.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
-from .groupoid import Groupoid
+from .groupoid import BlockStack, Groupoid
 from .representation import RandomOperator
 
 MAX_TOTAL_DIM = 64
@@ -47,55 +48,52 @@ class DensityField:
     """One matrix per base point, sized by the point's fiber dimension.
 
     Unlike an operator field, the matrices may vary within a class; the
-    field lives over points, not classes.  ``stacks[s]`` holds size group
-    s of the groupoid as one (k, c, m, m) array: with c = m one matrix per
-    point of each class, with c = 1 one matrix per class that all its
-    points share (the uniform density is stored that way).
+    field lives over points, not classes.  ``stack`` holds size group s of
+    the groupoid as one (k, c, m, m) array, ``stacks[s]``: with c = m one
+    matrix per point of each class, with c = 1 one matrix per class that
+    all its points share (the uniform density is stored that way).
+    ``matrices`` may be that stack or one matrix per point, in point order.
     """
 
     def __init__(self, groupoid: Groupoid, matrices):
         g = groupoid
-        mats = [np.asarray(mat, dtype=complex) for mat in matrices]
-        if len(mats) != len(g.space.points):
-            raise ValueError(f"need one density per point, got {len(mats)}")
-        for x, mat in zip(g.space.ids, mats):
-            m = len(g.blocks[g.block_index(x)])
-            if mat.shape != (m, m):
-                raise ValueError(f"point {x}: density shape {mat.shape}, fiber dim is {m}")
-        self._store(g, [
-            np.stack([mats[p] for p in grp.index.flat]).reshape(grp.index.shape + (grp.m, grp.m))
-            for grp in g.groups
-        ])
-
-    def _store(self, g: Groupoid, stacks) -> None:
+        if not isinstance(matrices, BlockStack):
+            mats = [np.asarray(mat, dtype=complex) for mat in matrices]
+            if len(mats) != len(g.space.points):
+                raise ValueError(f"need one density per point, got {len(mats)}")
+            for x, mat in zip(g.space.ids, mats):
+                m = len(g.blocks[g.block_index(x)])
+                if mat.shape != (m, m):
+                    raise ValueError(f"point {x}: density shape {mat.shape}, fiber dim is {m}")
+            matrices = BlockStack(g, [
+                np.stack([mats[p] for p in grp.index.flat]).reshape(*grp.index.shape, grp.m, grp.m)
+                for grp in g.groups
+            ])
         self.groupoid = g
-        self.stacks: tuple[np.ndarray, ...] = tuple(stacks)
-        for stack in self.stacks:
-            stack.flags.writeable = False
-        self._matrices = None
+        self.stack = matrices
+
+    @property
+    def stacks(self) -> tuple[np.ndarray, ...]:
+        return self.stack.arrays
 
     @classmethod
     def uniform(cls, g: Groupoid) -> "DensityField":
         """Identity on every fiber, scaled to total mass one."""
         z = sum(grp.m * float(grp.weights.sum()) for grp in g.groups)
-        field = cls.__new__(cls)
-        field._store(g, [np.tile(np.eye(grp.m, dtype=complex) / z, (len(grp.blocks), 1, 1, 1))
-                         for grp in g.groups])
-        return field
+        return cls(g, BlockStack(g, [np.tile(np.eye(grp.m, dtype=complex) / z,
+                                             (len(grp.blocks), 1, 1, 1)) for grp in g.groups]))
 
-    @property
+    @cached_property
     def matrices(self) -> tuple[np.ndarray, ...]:
         """One read-only matrix per point, in point order, made on first use;
         points that share a stored matrix get the same object."""
-        if self._matrices is None:
-            out = [None] * len(self.groupoid.space.points)
-            for grp, stack in zip(self.groupoid.groups, self.stacks):
-                k, c = stack.shape[:2]
-                views = list(stack.reshape(k * c, grp.m, grp.m))
-                for (r, i), p in np.ndenumerate(grp.index):
-                    out[p] = views[r * c + i % c]
-            self._matrices = tuple(out)
-        return self._matrices
+        out = [None] * len(self.groupoid.space.points)
+        for grp, stack in zip(self.groupoid.groups, self.stacks):
+            k, c = stack.shape[:2]
+            views = list(stack.reshape(k * c, grp.m, grp.m))
+            for (r, i), p in np.ndenumerate(grp.index):
+                out[p] = views[r * c + i % c]
+        return tuple(out)
 
     def matrix(self, x: int) -> np.ndarray:
         return self.matrices[self.groupoid.space.index_of(x)]

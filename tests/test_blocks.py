@@ -12,6 +12,7 @@ import pytest
 
 from ncgroupoid import (
     AlgebraElement,
+    BaseFunction,
     DensityField,
     DiffSpace,
     Partition,
@@ -19,12 +20,15 @@ from ncgroupoid import (
     RandomOperator,
     build_groupoid,
     convolve,
+    deformation_chain,
     expect,
     involution,
     make_state,
+    module_action,
     random_element,
     random_operator_report,
     represent,
+    restrict,
 )
 
 from conftest import DYADIC_WEIGHTS
@@ -140,6 +144,70 @@ def test_fraction_associativity_is_exact_on_mixed_sizes(g, rng):
         assert u.dtype == object
         assert all(type(t) is Fraction for t in u.flat)
         assert np.array_equal(u, v)
+
+
+def fraction_element(g, rng):
+    return AlgebraElement(g, [
+        np.array([[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
+                   for _ in block] for _ in block], dtype=object)
+        for block in g.blocks
+    ])
+
+
+def assert_same_element(got, want):
+    """Equal jets flag and bitwise equal values and jets, block by block."""
+    assert got.has_jets == want.has_jets
+    for fam in ("values", "d_src", "d_dst"):
+        if getattr(want, fam) is None:
+            assert getattr(got, fam) is None
+            continue
+        for u, v in zip(getattr(got, fam), getattr(want, fam)):
+            assert u.shape == v.shape and u.dtype == v.dtype
+            assert np.array_equal(u, v)
+
+
+@pytest.mark.parametrize("op", [
+    lambda x, y: x + y, lambda x, y: x - y, convolve,
+    lambda x, y: y + x, lambda x, y: y - x, lambda x, y: convolve(y, x),
+], ids=["add", "sub", "convolve", "add_swapped", "sub_swapped", "convolve_swapped"])
+def test_jets_with_no_jets_gives_the_values_only_result(g, rng, op):
+    a = random_element(g, rng, with_jets=True)
+    b = random_element(g, rng)
+    got = op(a, b)
+    assert not got.has_jets
+    assert_same_element(got, op(AlgebraElement(g, a.values), b))
+
+
+def test_module_action_without_gradients_drops_jets(g, rng):
+    a = random_element(g, rng, with_jets=True)
+    f = BaseFunction(g.space, rng.standard_normal(len(g.space.points)))
+    got = module_action(f, a)
+    assert not got.has_jets
+    assert_same_element(got, module_action(f, AlgebraElement(g, a.values)))
+
+
+def test_restrict_and_involution_keep_fractions_exact(rng):
+    # x1 = x mod 3 splits the one level-0 class into classes of 4, 3 and 3 points
+    pts = [Point(id=x, coords=(float(x % 3), float(x)), weight=DYADIC_WEIGHTS[x % 4])
+           for x in ORDER]
+    chain = deformation_chain(DiffSpace(pts, 2, (), constants_only=True))
+    g0 = chain.level(0).groupoid
+    a = fraction_element(g0, rng)
+    star, low = involution(a), restrict(a, chain, 0)
+    for u, v in zip(star.values, a.values):
+        assert u.dtype == object and all(type(t) is Fraction for t in u.flat)
+        assert np.array_equal(u, v.T)
+    g1 = chain.level(1).groupoid
+    assert [len(b) for b in g1.blocks] == [4, 3, 3]
+    for block, u in zip(g1.blocks, low.values):
+        assert u.dtype == object and all(type(t) is Fraction for t in u.flat)
+        assert np.array_equal(u, [[a.value_at(x, y) for y in block] for x in block])
+
+
+@pytest.mark.parametrize("jets", [False, True])
+def test_constructor_round_trips_the_views(g, rng, jets):
+    a = random_element(g, rng, with_jets=jets)
+    assert_same_element(AlgebraElement(g, a.values, d_src=a.d_src, d_dst=a.d_dst), a)
 
 
 def test_random_element_draws_blocks_in_block_order(g):

@@ -319,6 +319,12 @@ def test_readme_command_examples_run(tmp_path, capsys, argv):
     assert (tmp_path / "report.txt").exists()
 
 
+def test_readme_quick_start_runs(capsys):
+    text = README.read_text(encoding="utf-8").split("## Quick start", 1)[1]
+    exec(text.split("```python\n", 1)[1].split("```", 1)[0], {})
+    assert capsys.readouterr().out == "(4+0j) (5+0j)\n"
+
+
 def test_readme_config_example_builds():
     readme = (Path(__file__).resolve().parents[1] / "README.md").read_text(encoding="utf-8")
     example = readme.split("```json\n", 1)[1].split("```", 1)[0]

@@ -157,8 +157,8 @@ def test_constants_fill_every_shape(dim, text):
     assert f.values.shape == (10,) and f.grads.shape == (10, dim)
     assert (f.values == want).all() and not f.grads.any()
     P = Derivation.from_expressions(space, [text] * dim)
-    assert P.coeffs.shape == (10, dim) and P.coeff_grads.shape == (10, dim, dim)
-    assert (P.coeffs == want).all() and not P.coeff_grads.any()
+    assert P.coeffs.shape == (10, dim)
+    assert (P.coeffs == want).all()
     assert space.generator_values.shape == (10, 1)
 
 
