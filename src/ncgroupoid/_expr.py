@@ -1,41 +1,42 @@
 """Restricted symbolic expressions shared by the space, algebra and calculus layers.
 
-The accepted grammar is small on purpose: ``+ - * / ^``, real literals,
-coordinate symbols, and the functions sin, cos, exp, log.  Parsing and
-differentiation are delegated to sympy; evaluation goes through one
-numpy-lambdified bundle per expression, on arrays, so a value does not
-depend on which other points it was evaluated with.
+The accepted grammar is small on purpose: ``+ - * / ^`` (or ``**``) and
+unary signs, int and float literals, the coordinate symbols of the call,
+and the functions sin, cos, exp, log of one argument.  An expression is
+an immutable tree of :class:`Expr` nodes.  :func:`parse` builds it by
+walking Python's syntax tree of the text through that allowlist, so
+nothing outside the grammar is ever evaluated; constant subtrees fold as
+they are built, and one that is not finite and real is refused.
+:meth:`Expr.diff` gives the exact partials by the sum, product, quotient,
+power and chain rules, and :func:`format_expr` prints the input grammar
+back.  :class:`ValueGradFn` is the one way expressions are evaluated: it
+walks the tree with numpy ufuncs on arrays, so a value does not depend on
+which other points it was evaluated with.
 """
 
 from __future__ import annotations
 
+import ast
+import functools
+import math
+import operator
+
 import numpy as np
-import sympy
-from sympy.core.function import AppliedUndef
-from sympy.parsing.sympy_parser import (
-    convert_xor,
-    parse_expr,
-    standard_transformations,
-)
-from sympy.printing.numpy import NumPyPrinter
 
-ALLOWED_FUNCTIONS = {
-    "sin": sympy.sin,
-    "cos": sympy.cos,
-    "exp": sympy.exp,
-    "log": sympy.log,
-}
-
-# parse_expr's standard transformations emit calls to these constructors.
-_PARSE_GLOBALS = {
-    "Integer": sympy.Integer,
-    "Float": sympy.Float,
-    "Rational": sympy.Rational,
-    "Symbol": sympy.Symbol,
-    "Function": sympy.Function,
-}
-
-_TRANSFORMATIONS = standard_transformations + (convert_xor,)
+FUNCTIONS = {"sin": np.sin, "cos": np.cos, "exp": np.exp, "log": np.log}
+# the grammar's operators as Python applies them to arrays, so that ** with
+# an int exponent takes numpy's scalar-power loop (x**2 squares)
+_APPLY = {"+": operator.add, "*": operator.mul, "/": operator.truediv,
+          "^": operator.pow, "neg": operator.neg, **FUNCTIONS}
+# Python nests a + b - c and a*b*c to the left; each is one n-ary node here
+_CHAINS = {ast.Add: "+", ast.Sub: "+", ast.Mult: "*"}
+_BINARY = {ast.Div: "/", ast.Pow: "^"}
+# how tightly a node binds when printed: sums, products, powers, atoms; a
+# negation is put in parentheses wherever it is an operand
+_PRECEDENCE = {"neg": 0, "+": 1, "*": 2, "/": 2, "^": 4}
+# larger ints are kept as floats, the type numpy computes them in
+_EXACT_INT = 2 ** 53
+MAX_DEPTH = 200
 
 
 class ConfigError(ValueError):
@@ -46,73 +47,309 @@ class ExpressionError(ConfigError):
     """An expression does not fit the supported grammar, or failed to evaluate."""
 
 
-def coordinate_symbols(dimension: int, prefix: str = "x") -> tuple[sympy.Symbol, ...]:
-    """Symbols x1..xn (or another prefix) for a space of the given dimension."""
-    if dimension == 0:
-        return ()
-    return tuple(sympy.symbols(f"{prefix}1:{dimension + 1}"))
+class Expr:
+    """One immutable expression node.
 
-
-def parse(text: object, symbols: tuple[sympy.Symbol, ...]) -> sympy.Expr:
-    """Parse ``text`` into a sympy expression over exactly the given symbols.
-
-    Accepts an already-built sympy expression as well (validated the same
-    way).  Unknown names and unknown functions are rejected rather than
-    evaluated.
+    ``op`` is ``"num"`` (``args`` holds an int or a float), ``"sym"``
+    (``args`` holds the name), one of ``+ * / ^``, ``"neg"`` or a
+    function name (``args`` holds the operand nodes).  Sums and products
+    take any number of operands and evaluate left to right; a subtracted
+    term is a negation, and ``a - b`` is evaluated as a subtraction.  The
+    arithmetic operators build new nodes the way :func:`parse` does.
     """
-    if isinstance(text, sympy.Expr):
-        expr = text
+
+    __slots__ = ("op", "args")
+
+    def __init__(self, op: str, *args):
+        self.op = op
+        self.args = args
+
+    def __eq__(self, other) -> bool:
+        return isinstance(other, Expr) and (self.op, self.args) == (other.op, other.args)
+
+    def __hash__(self) -> int:
+        return hash((self.op, self.args))
+
+    def __add__(self, other) -> "Expr":
+        return _node("+", self, other)
+
+    def __sub__(self, other) -> "Expr":
+        return _node("+", self, _node("neg", other))
+
+    def __mul__(self, other) -> "Expr":
+        return _node("*", self, other)
+
+    def __neg__(self) -> "Expr":
+        return _node("neg", self)
+
+    def __str__(self) -> str:
+        return format_expr(self)
+
+    __repr__ = __str__
+
+    def symbol_names(self) -> set[str]:
+        if self.op == "sym":
+            return {self.args[0]}
+        if self.op == "num":
+            return set()
+        return set().union(*(a.symbol_names() for a in self.args))
+
+    def subs(self, mapping: dict) -> "Expr":
+        """Symbols replaced by expressions, all at once (so x <-> y swaps work)."""
+        if self.op == "sym":
+            return mapping.get(self, self)
+        if self.op == "num":
+            return self
+        return _node(self.op, *(a.subs(mapping) for a in self.args))
+
+    def diff(self, s: "Expr") -> "Expr":
+        """The exact partial derivative with respect to the symbol ``s``."""
+        op, args = self.op, self.args
+        if op in ("num", "sym"):
+            return ONE if self == s else ZERO
+        d = [a.diff(s) for a in args]
+        u, du = args[0], d[0]
+        if op in ("+", "neg"):
+            return _node(op, *d)
+        if op == "*":
+            return _node("+", *(_node("*", *args[:i], di, *args[i + 1:])
+                                 for i, di in enumerate(d)))
+        if op == "/":
+            v, dv = args[1], d[1]
+            return _node("/", du, v) - _node("/", u * dv, _node("^", v, 2))
+        if op == "^":
+            v, dv = args[1], d[1]
+            if dv == ZERO:
+                return v * _node("^", u, v - ONE) * du
+            return self * (dv * _node("log", u) + _node("/", v * du, u))
+        if op == "sin":
+            return _node("cos", u) * du
+        if op == "cos":
+            return -_node("sin", u) * du
+        if op == "exp":
+            return self * du
+        return _node("/", du, u)  # log
+
+
+ZERO, ONE = Expr("num", 0), Expr("num", 1)
+
+
+def _number(value) -> Expr:
+    """A literal as a node: ints up to 2^53 stay ints, others become floats."""
+    if isinstance(value, int) and abs(value) <= _EXACT_INT:
+        return Expr("num", value)
+    try:
+        value = float(value)
+    except OverflowError:
+        value = math.inf
+    if not math.isfinite(value):
+        raise ExpressionError(f"not finite and real: a literal is {value!r}")
+    return Expr("num", value)
+
+
+def _fold(op: str, args) -> Expr:
+    """The constant ``op(*args)``, computed by the ufuncs evaluation uses.
+
+    Integer operands of ``+ * ^`` and negation keep an integral result an int.
+    """
+    values = [a.args[0] for a in args]
+    with np.errstate(all="ignore"):
+        out = float(_apply(op, [np.array([float(v)]) for v in values])[0])
+    if not math.isfinite(out):
+        raise ExpressionError(f"not finite and real: {format_expr(Expr(op, *args))} is {out!r}")
+    if (op in ("+", "*", "^", "neg") and all(type(v) is int for v in values)
+            and out.is_integer() and abs(out) <= _EXACT_INT):
+        return Expr("num", int(out))
+    return Expr("num", out)
+
+
+def _apply(op: str, values):
+    """``op`` applied to its operands' values, a sum or product left to right."""
+    return functools.reduce(_APPLY[op], values) if len(values) > 1 else _APPLY[op](*values)
+
+
+def _is(e: Expr, value) -> bool:
+    return e.op == "num" and e.args[0] == value
+
+
+def _node(op: str, *args) -> Expr:
+    """The node ``op(*args)``: constants fold, zero terms and unit factors drop.
+
+    A sum or product whose first operand is one of its own kind takes that
+    operand's operands, which keeps the left-to-right order; a later
+    operand of its own kind stays a node, as its parentheses say.
+    """
+    args = tuple(a if isinstance(a, Expr) else _number(a) for a in args)
+    if all(a.op == "num" for a in args):
+        return _fold(op, args)
+    if op in ("+", "*"):
+        if op == "*" and any(_is(a, 0) for a in args):
+            return ZERO
+        unit = 0 if op == "+" else 1
+        args = tuple(a for a in args if not _is(a, unit))
+        if args[0].op == op:
+            args = args[0].args + args[1:]
+        return Expr(op, *args) if len(args) > 1 else args[0]
+    a, b = args[0], args[-1]
+    if op == "/" and _is(a, 0):
+        return ZERO
+    if op in ("/", "^") and _is(b, 1):
+        return a
+    if op == "^" and _is(b, 0):
+        return ONE
+    if op == "neg" and a.op == "neg":
+        return a.args[0]
+    return Expr(op, *args)
+
+
+def coordinate_symbols(dimension: int, prefix: str = "x") -> tuple[Expr, ...]:
+    """Symbols x1..xn (or another prefix) for a space of the given dimension."""
+    return tuple(Expr("sym", f"{prefix}{i}") for i in range(1, dimension + 1))
+
+
+def parse(text: object, symbols: tuple[Expr, ...]) -> Expr:
+    """Parse ``text`` into an expression over exactly the given symbols.
+
+    Anything that is not a string goes through ``str()`` first, except an
+    already-built :class:`Expr`, whose symbols are checked.  Names other
+    than the symbols, functions other than the four, and every other piece
+    of syntax are refused rather than evaluated.
+    """
+    names = {s.args[0]: s for s in symbols}
+    if isinstance(text, Expr):
+        extra = sorted(text.symbol_names() - set(names))
+        if extra:
+            raise ExpressionError(f"unknown symbol(s) {extra} in {format_expr(text)!r}")
+        return text
+    text = str(text)
+    source = text.strip().replace("^", "**")
+    try:
+        tree = ast.parse(source, mode="eval")
+    except (SyntaxError, ValueError, RecursionError) as exc:
+        raise ExpressionError(f"cannot parse expression {text!r}: "
+                              f"{getattr(exc, 'msg', None) or exc}") from None
+    try:
+        return _build(tree.body, names, source, 0)
+    except ExpressionError as exc:
+        raise ExpressionError(f"{exc} in {text!r}") from None
+
+
+def _build(node: ast.AST, names: dict, source: str, depth: int) -> Expr:
+    """The node for one piece of Python syntax, if the grammar allows it."""
+    if depth > MAX_DEPTH:
+        raise ExpressionError(f"nested deeper than {MAX_DEPTH} levels")
+
+    def sub(child):
+        return _build(child, names, source, depth + 1)
+
+    if isinstance(node, ast.BinOp) and type(node.op) in _CHAINS:
+        # the whole chain a + b - c ... is one level, walked without recursion
+        op, links = _CHAINS[type(node.op)], []
+        while isinstance(node, ast.BinOp) and _CHAINS.get(type(node.op)) == op:
+            links.append(node)
+            node = node.left
+        out = sub(node)
+        for link in reversed(links):
+            right = sub(link.right)
+            out = _node(op, out, _node("neg", right) if isinstance(link.op, ast.Sub) else right)
+        return out
+    if isinstance(node, ast.BinOp) and type(node.op) in _BINARY:
+        return _node(_BINARY[type(node.op)], sub(node.left), sub(node.right))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.USub):
+        return _node("neg", sub(node.operand))
+    if isinstance(node, ast.UnaryOp) and isinstance(node.op, ast.UAdd):
+        return sub(node.operand)
+    if isinstance(node, ast.Constant) and type(node.value) in (int, float):
+        return _number(node.value)
+    if isinstance(node, ast.Name):
+        if node.id not in names:
+            raise ExpressionError(f"unknown symbol {node.id!r}")
+        return names[node.id]
+    if isinstance(node, ast.Call) and isinstance(node.func, ast.Name):
+        if node.func.id not in FUNCTIONS:
+            raise ExpressionError(f"unknown function {node.func.id!r}")
+        if len(node.args) != 1 or node.keywords:
+            raise ExpressionError(f"{node.func.id} takes one argument")
+        return _node(node.func.id, sub(node.args[0]))
+    raise ExpressionError(f"outside the grammar: {ast.get_source_segment(source, node)}")
+
+
+def format_expr(expr: Expr) -> str:
+    """Render an expression in the input grammar (^ for powers), parsing back to itself."""
+    op, args = expr.op, expr.args
+    if op == "num":
+        return repr(args[0])
+    if op == "sym":
+        return args[0]
+    if op in FUNCTIONS:
+        return f"{op}({format_expr(args[0])})"
+    if op == "neg":
+        return "-" + _operand(args[0], 3)
+    if op == "+":
+        text = _operand(args[0], 1)
+        for t in args[1:]:
+            if t.op == "neg":
+                text += " - " + _operand(t.args[0], 2)
+            elif t.op == "num" and t.args[0] < 0:
+                text += f" - {-t.args[0]!r}"
+            else:
+                text += " + " + _operand(t, 2)
+        return text
+    if op == "*":
+        return "*".join([_operand(args[0], 2), *(_operand(a, 3) for a in args[1:])])
+    p = _PRECEDENCE[op]
+    # a ^ b ^ c is a ^ (b ^ c); a / b / c is (a / b) / c
+    left = _operand(args[0], p + (op == "^"))
+    right = _operand(args[1], p + (op != "^"))
+    return f"{left}{op}{right}"
+
+
+def _operand(e: Expr, at_least: int) -> str:
+    """``e`` printed, in parentheses when it binds less tightly than ``at_least``."""
+    text = format_expr(e)
+    if e.op == "num":
+        binding = 0 if text.startswith("-") else 5
     else:
-        local = {s.name: s for s in symbols}
-        local.update(ALLOWED_FUNCTIONS)
-        try:
-            expr = parse_expr(
-                str(text),
-                local_dict=local,
-                global_dict=dict(_PARSE_GLOBALS),
-                transformations=_TRANSFORMATIONS,
-            )
-        except ExpressionError:
-            raise
-        except Exception as exc:
-            raise ExpressionError(f"cannot parse expression {text!r}: {exc}") from None
-    if not isinstance(expr, sympy.Expr):
-        raise ExpressionError(f"not an arithmetic expression: {text!r}")
-    if expr.has(sympy.zoo, sympy.nan, sympy.oo, -sympy.oo, sympy.I):
-        raise ExpressionError(f"not finite and real: {text!r} is {format_expr(expr)}")
-    undefined = expr.atoms(AppliedUndef)
-    if undefined:
-        names = sorted(str(f.func) for f in undefined)
-        raise ExpressionError(f"unknown function(s) {names} in {text!r}")
-    extra = expr.free_symbols - set(symbols)
-    if extra:
-        names = sorted(s.name for s in extra)
-        raise ExpressionError(f"unknown symbol(s) {names} in {text!r}")
-    return expr
+        binding = _PRECEDENCE.get(e.op, 5)
+    return f"({text})" if binding < at_least else text
+
+
+def _evaluate(expr: Expr, env: dict, memo: dict):
+    """``expr`` with symbols bound to ``env``; ``memo`` shares subtrees evaluated once."""
+    out = memo.get(id(expr))
+    if out is None:
+        if expr.op == "num":
+            out = expr.args[0]
+        elif expr.op == "sym":
+            out = env[expr.args[0]]
+        elif expr.op == "+":
+            out = _evaluate(expr.args[0], env, memo)
+            for t in expr.args[1:]:
+                out = (out - _evaluate(t.args[0], env, memo) if t.op == "neg"
+                       else out + _evaluate(t, env, memo))
+        else:
+            out = _apply(expr.op, [_evaluate(a, env, memo) for a in expr.args])
+        memo[id(expr)] = out
+    return out
 
 
 class ValueGradFn:
     """Array evaluation of one expression and its exact partials.
 
-    ``expr`` and its partials with respect to ``symbols`` are lambdified
-    once, with numpy, and always evaluated on arrays with at least one
+    The partials with respect to ``symbols`` are derived once, and the
+    value and partials are always evaluated on arrays with at least one
     leading axis: one point is a batch of one, because numpy's scalar
-    arithmetic (``x**2`` through ``pow``, say) may differ from its array
-    loops in the last bit.  This is the only way expressions are
-    evaluated, so gluing, tabulation and derivation coefficients see the
-    same arithmetic.  The generated code calls ``numpy.<name>`` from a
-    namespace holding numpy alone: ``modules="numpy"`` would run
-    ``from numpy import *``, which imports numpy's test and f2py machinery.
+    arithmetic may differ from its array loops in the last bit.  This is
+    the only way expressions are evaluated, so gluing, tabulation and
+    derivation coefficients see the same arithmetic.
     """
 
-    __slots__ = ("expr", "symbols", "partials", "_fn")
+    __slots__ = ("expr", "symbols", "partials")
 
-    def __init__(self, expr: sympy.Expr, symbols: tuple[sympy.Symbol, ...]):
+    def __init__(self, expr: Expr, symbols: tuple[Expr, ...]):
         self.expr = expr
         self.symbols = tuple(symbols)
-        self.partials = tuple(sympy.diff(expr, s) for s in self.symbols)
-        self._fn = sympy.lambdify(self.symbols, [expr, *self.partials], modules=[{"numpy": np}],
-                                  printer=NumPyPrinter({"inline": True}))
+        self.partials = tuple(expr.diff(s) for s in self.symbols)
 
     def __call__(self, *coords, out=None) -> tuple[np.ndarray, np.ndarray]:
         """Values and partials at coordinate arrays of any leading shape.
@@ -129,12 +366,14 @@ class ValueGradFn:
         columns = [a[..., i] for a in arrays for i in range(a.shape[-1])]
         shape = np.broadcast_shapes(*(a.shape[:-1] for a in arrays))
         partials = np.empty(shape + (len(self.symbols),)) if out is None else out[None]
+        env = {s.args[0]: c for s, c in zip(self.symbols, columns)}
+        memo: dict = {}
         try:
             with np.errstate(all="ignore"):
-                value, *grads = self._fn(*columns)
-                values = np.array(np.broadcast_to(value, shape), dtype=float)
-                for i, d in enumerate(grads):
-                    partials[..., i] = d
+                values = np.array(np.broadcast_to(_evaluate(self.expr, env, memo), shape),
+                                  dtype=float)
+                for i, d in enumerate(self.partials):
+                    partials[..., i] = _evaluate(d, env, memo)
         except Exception as exc:
             raise ExpressionError(f"cannot evaluate {format_expr(self.expr)}: {exc}") from None
         bad = ~np.isfinite(values) | ~np.isfinite(partials).all(axis=-1)
@@ -146,8 +385,3 @@ class ValueGradFn:
                     else "has a non-finite partial")
             raise ExpressionError(f"{format_expr(self.expr)} {what} at ({point})")
         return values[0, ...], partials[0]
-
-
-def format_expr(expr: sympy.Expr) -> str:
-    """Render an expression in the input grammar (^ for powers)."""
-    return sympy.sstr(expr).replace("**", "^")

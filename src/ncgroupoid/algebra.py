@@ -226,14 +226,22 @@ class AlgebraElement:
         Jet columns are interleaved re/im per coordinate and appear only
         when the element carries jets.
         """
-        rows = []
-        for x, y in sorted(self.groupoid.partition.pairs()):
-            entries = [self.value_at(x, y)]
-            if self.has_jets:
-                jet = self.jet_at(x, y)
-                entries += jet.d_src + jet.d_dst
-            rows.append((x, y) + tuple(t for v in map(complex, entries) for t in (v.real, v.imag)))
-        return rows
+        g = self.groupoid
+        ids = np.array(g.space.ids)
+        src, dst, channels = [], [], []
+        for grp, arr in zip(g.groups, self.stack.arrays):
+            block_ids = ids[grp.index]  # (k, m)
+            shape = block_ids.shape + (grp.m,)
+            src.append(np.broadcast_to(block_ids[:, :, None], shape).ravel())
+            dst.append(np.broadcast_to(block_ids[:, None, :], shape).ravel())
+            # (k, c, m, m) -> one row of c channels per arrow
+            channels.append(np.moveaxis(arr, 1, -1).reshape(-1, arr.shape[1]).astype(complex))
+        src, dst, channels = (np.concatenate(parts) for parts in (src, dst, channels))
+        order = np.lexsort((dst, src))
+        # re and im interleaved per channel
+        table = channels[order].view(float)
+        return [(x, y, *row) for x, y, row in
+                zip(src[order].tolist(), dst[order].tolist(), table.tolist())]
 
     def to_csv(self, path) -> None:
         n = self.groupoid.space.dimension
@@ -352,7 +360,7 @@ def involution(a: AlgebraElement) -> AlgebraElement:
         ys = coordinate_symbols(n, prefix="y")
         swap = {**dict(zip(xs, ys)), **dict(zip(ys, xs))}
         # expressions are real-valued, so conjugation is a no-op here
-        expr = a.expr.subs(swap, simultaneous=True)
+        expr = a.expr.subs(swap)
     return AlgebraElement.from_stack(a.stack.map(star), a.has_jets, expr)
 
 

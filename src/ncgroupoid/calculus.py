@@ -20,9 +20,8 @@ roundoff; the functions here measure the defects rather than assume them.
 from __future__ import annotations
 
 import numpy as np
-import sympy
 
-from ._expr import ExpressionError, ValueGradFn, coordinate_symbols, parse
+from ._expr import ZERO, ExpressionError, ValueGradFn, coordinate_symbols, parse
 from .algebra import AlgebraElement, BaseFunction, convolve, max_diff, module_action
 from .diffspace import DiffSpace
 from .groupoid import BlockStack
@@ -62,9 +61,7 @@ class Derivation:
     @classmethod
     def constant(cls, space: DiffSpace, vector) -> "Derivation":
         """A constant-coefficient field, e.g. a single d/dx_i."""
-        vector = [sympy.nsimplify(v) if v == int(v) else sympy.Float(v)
-                  for v in vector]
-        return cls.from_expressions(space, [str(v) for v in vector])
+        return cls.from_expressions(space, [repr(float(v)) for v in vector])
 
     def apply_to(self, f: BaseFunction) -> BaseFunction:
         """Pf = sum_i c_i df/dx_i as a point function.
@@ -78,9 +75,7 @@ class Derivation:
             raise ValueError("function carries no gradient data")
         if self.exprs is not None and f.expr is not None:
             syms = coordinate_symbols(self.space.dimension)
-            expr = sympy.Add(*[
-                c * sympy.diff(f.expr, s) for c, s in zip(self.exprs, syms)
-            ])
+            expr = sum((c * f.expr.diff(s) for c, s in zip(self.exprs, syms)), ZERO)
             return BaseFunction.from_expression(self.space, expr)
         values = np.einsum("pk,pk->p", self.coeffs, f.grads)
         return BaseFunction(self.space, values)
@@ -108,9 +103,9 @@ def _symbolic_lift(P: Derivation, a: AlgebraElement, slot: str):
         coeffs = P.exprs
         wrt = xs
     else:
-        coeffs = [c.subs(dict(zip(xs, ys)), simultaneous=True) for c in P.exprs]
+        coeffs = [c.subs(dict(zip(xs, ys))) for c in P.exprs]
         wrt = ys
-    return sympy.Add(*[c * sympy.diff(a.expr, s) for c, s in zip(coeffs, wrt)])
+    return sum((c * a.expr.diff(s) for c, s in zip(coeffs, wrt)), ZERO)
 
 
 def _lift(P: Derivation, a: AlgebraElement, slot: str) -> AlgebraElement:

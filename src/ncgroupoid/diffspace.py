@@ -17,7 +17,6 @@ import sys
 from dataclasses import dataclass, field
 
 import numpy as np
-import sympy
 
 from ._expr import ConfigError, ExpressionError, ValueGradFn, coordinate_symbols, format_expr, parse
 
@@ -209,7 +208,7 @@ class DiffSpace:
                     "empty generator family (pass constants_only=True for the "
                     "trivial structure)"
                 )
-            gens = (GeneratorFunction("one", sympy.Integer(1), self.dimension),)
+            gens = (GeneratorFunction("one", "1", self.dimension),)
         self.constants_only = bool(constants_only)
         names = [g.name for g in gens]
         if len(set(names)) != len(names):

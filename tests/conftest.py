@@ -14,7 +14,6 @@ import pytest
 import sympy
 
 from ncgroupoid import DiffSpace, GeneratorFunction, Partition, Point, build_groupoid
-from ncgroupoid._expr import coordinate_symbols
 
 DYADIC_WEIGHTS = (0.5, 1.0, 1.0, 2.0)
 
@@ -22,6 +21,11 @@ DYADIC_WEIGHTS = (0.5, 1.0, 1.0, 2.0)
 @pytest.fixture
 def rng():
     return np.random.default_rng(20240817)
+
+
+def sympy_coordinates(dimension: int, prefix: str = "x") -> tuple[sympy.Symbol, ...]:
+    """x1..xn (or another prefix) as sympy symbols, for expressions sympy checks."""
+    return tuple(sympy.symbols(f"{prefix}1:{dimension + 1}")) if dimension else ()
 
 
 def int_poly(rng, syms, degree=2, max_terms=4, coef_bound=3) -> sympy.Expr:
@@ -57,7 +61,7 @@ def random_int_space(rng, max_points=8, max_gens=4) -> DiffSpace:
     n = int(rng.integers(1, 4))
     npts = int(rng.integers(2, max_points + 1))
     pts = make_points(rng, npts, n)
-    syms = coordinate_symbols(n)
+    syms = sympy_coordinates(n)
     k = int(rng.integers(1, max_gens + 1))
     gens = [
         GeneratorFunction(f"g{j + 1}", int_poly(rng, syms), n) for j in range(k)

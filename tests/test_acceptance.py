@@ -48,7 +48,6 @@ from ncgroupoid import (
     step_n_pointwise_check,
     unit,
 )
-from ncgroupoid._expr import coordinate_symbols
 
 from conftest import (
     grid_space,
@@ -57,6 +56,7 @@ from conftest import (
     make_points,
     random_groupoid,
     random_int_space,
+    sympy_coordinates,
     total_pair_space,
 )
 
@@ -86,7 +86,7 @@ def test_criterion_01_gluing_consistency_and_superposition(capsys):
         tsyms = sympy.symbols(f"t1:{k + 1}")
         omega = int_poly(rng, tsyms, degree=2)
         combined = omega.subs(
-            {t: g.expr for t, g in zip(tsyms, space.generators)},
+            {t: sympy.sympify(g.expr_text) for t, g in zip(tsyms, space.generators)},
             simultaneous=True,
         )
         extended = DiffSpace(
@@ -370,7 +370,7 @@ def test_criterion_09_lifted_derivation_calculus(capsys):
             base = random_groupoid(rng, max_points=6, max_block=6)
             g = build_groupoid(base.space, Partition.total(base.space.ids))
         n = g.space.dimension
-        syms = coordinate_symbols(n)
+        syms = sympy_coordinates(n)
         P = Derivation.from_expressions(
             g.space, [str(int_poly(rng, syms, degree=1)) for _ in range(n)]
         )
@@ -424,7 +424,7 @@ def test_criterion_10_jet_fidelity(capsys):
         ]
         space = DiffSpace(pts, n, (), constants_only=True)
         g = build_groupoid(space, Partition.total(space.ids))
-        syms = [*coordinate_symbols(n), *coordinate_symbols(n, prefix="y")]
+        syms = [*sympy_coordinates(n), *sympy_coordinates(n, prefix="y")]
         expr = int_poly(rng, syms, degree=3, max_terms=5)
         a = from_expression(g, expr)
         fn = sympy.lambdify(syms, expr, modules="math")

@@ -223,6 +223,15 @@ def test_non_finite_or_complex_constant_exits_2(tmp_path, capsys, expr):
     assert "error: not finite and real" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("expr", ["x1//2", "x1%2", "x1 if 1 else 2", "0.[3]*x1", "1e400"])
+def test_expression_outside_the_grammar_exits_2(tmp_path, capsys, expr):
+    code, _ = run_cli(tmp_path, "algebra", "conv", "--space", "grid_2x2", "--a", expr, "--b", "x1")
+    assert code == 2
+    err = capsys.readouterr().err
+    # one short line, not a traceback or a 401-digit number
+    assert err.startswith("error: ") and err.count("\n") == 1 and len(err) < 120, err
+
+
 def test_undecodable_config_file_exits_2(tmp_path, capsys):
     cfg = tmp_path / "binary.json"
     cfg.write_bytes(b"\xff\xfe{")

@@ -2,8 +2,10 @@
 
 Generators, algebra elements, point functions and derivation
 coefficients all go through ``ValueGradFn``.  Its values must not depend
-on which other points share the call, must agree with an independent
-scalar ``math`` evaluation, and must never let a NaN or infinity through.
+on which other points share the call, must agree with a scalar ``math``
+evaluation of its own formulas and with sympy's derivatives (an
+independent oracle, test-only), and must never let a NaN or infinity
+through.  Printed expressions parse back to themselves.
 """
 
 import itertools
@@ -27,24 +29,38 @@ from ncgroupoid import (
     build_groupoid,
     from_expression,
     hausdorff_relation,
+    involution,
+    max_diff,
 )
-from ncgroupoid._expr import ExpressionError, ValueGradFn, coordinate_symbols
+from ncgroupoid._expr import ExpressionError, ValueGradFn, coordinate_symbols, format_expr, parse
 
-from conftest import int_poly
+from conftest import int_poly, sympy_coordinates
 
-# the four functions of the grammar, wrapped so their arguments stay in domain
+# the four functions of the grammar, then a quotient, a general power and
+# nested functions, over two random polynomials p and q, each wrapped so
+# its arguments stay in domain
 WRAPPERS = (
-    lambda p: p,
-    sympy.sin,
-    sympy.cos,
-    sympy.exp,
-    lambda p: sympy.log(1 + p ** 2),
+    "{p}",
+    "sin({p})",
+    "cos({p})",
+    "exp({p})",
+    "log(1 + ({p})**2)",
+    "({p})/(2 + cos({q}))",
+    "(1 + ({p})**2)**sin({q})",
+    "log(2 + sin(exp(cos({p}))))*({q})",
 )
 
 
-def _expression(seed, dim, wrap):
+def _expression(seed, dim, wrap, arrows=False):
+    """One expression as text, and the same expression as sympy builds it.
+
+    With ``arrows`` it is a function of x1..xn and y1..yn.
+    """
     rng = np.random.default_rng(seed)
-    return WRAPPERS[wrap](int_poly(rng, coordinate_symbols(dim)))
+    syms = sympy_coordinates(dim) + (sympy_coordinates(dim, prefix="y") if arrows else ())
+    p = int_poly(rng, syms)
+    text = WRAPPERS[wrap].format(p=p, q=int_poly(rng, syms))
+    return text, sympy.sympify(text)
 
 
 class _Rows:
@@ -55,6 +71,22 @@ class _Rows:
 
     def draw(self, strategy):
         return self.rows
+
+
+_TINY = np.finfo(float).tiny
+_MATH = {"sin": math.sin, "cos": math.cos, "exp": math.exp, "log": math.log}
+
+
+def _math_reference(exprs, syms):
+    """The expressions' own formulas, as printed, evaluated on floats by ``math``."""
+    code = [compile(format_expr(e).replace("^", "**"), "<expr>", "eval") for e in exprs]
+    names = [format_expr(s) for s in syms]
+
+    def reference(*row):
+        env = {**_MATH, **dict(zip(names, row))}
+        return [eval(c, env) for c in code]
+
+    return reference
 
 
 def _rounding_spread(reference, row, ulps=4):
@@ -88,24 +120,64 @@ def _rounding_spread(reference, row, ulps=4):
 )
 def test_batch_equals_rows_and_matches_math(seed, wrap, dim, data):
     syms = coordinate_symbols(dim)
-    expr = _expression(seed, dim, wrap)
+    text, expr = _expression(seed, dim, wrap)
     rows = data.draw(st.lists(
         st.lists(st.floats(-2.0, 2.0), min_size=dim, max_size=dim), min_size=1, max_size=40,
     ))
     X = np.array(rows)
-    bundle = ValueGradFn(expr, syms)
+    bundle = ValueGradFn(parse(text, syms), syms)
     values, partials = bundle(X)
     assert values.shape == (len(rows),) and partials.shape == (len(rows), dim)
 
-    reference = sympy.lambdify(syms, [expr, *bundle.partials], modules="math")
+    # the bundle's own formulas, printed and evaluated by math, within the
+    # rounding spread; then sympy's derivatives, an independent oracle
+    own = _math_reference([bundle.expr, *bundle.partials], syms)
+    ssyms = sympy_coordinates(dim)
+    oracle = sympy.lambdify(ssyms, [expr, *(sympy.diff(expr, s) for s in ssyms)],
+                            modules="math")
     for i, row in enumerate(rows):
         v, d = bundle(row)
         assert v.tobytes() == values[i].tobytes()
         assert d.tobytes() == partials[i].tobytes()
-        want = np.array([float(t) for t in reference(*row)])
         got = np.array([values[i], *partials[i]])
-        bound = 1e-14 * np.abs(want) + _rounding_spread(reference, row)
-        assert (np.abs(got - want) <= bound).all(), (expr, row, got, want, bound)
+        want = np.array([float(t) for t in own(*row)])
+        bound = 1e-14 * np.abs(want) + _rounding_spread(own, row)
+        assert (np.abs(got - want) <= bound).all(), (text, row, got, want, bound)
+        # two different exact formulas may round apart below the smallest
+        # normal float, where fewer bits are left: relative to no less than it
+        want = np.array([float(t) for t in oracle(*row)])
+        bound = 1e-14 * np.maximum(np.abs(want), _TINY) + _rounding_spread(oracle, row)
+        assert (np.abs(got - want) <= bound).all(), (text, row, got, want, bound)
+
+
+@settings(max_examples=40, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), wrap=st.integers(0, len(WRAPPERS) - 1),
+       dim=st.integers(1, 3))
+def test_printed_forms_parse_back_to_themselves(seed, wrap, dim):
+    syms = coordinate_symbols(dim)
+    bundle = ValueGradFn(parse(_expression(seed, dim, wrap)[0], syms), syms)
+    X = np.random.default_rng(seed).uniform(-2.0, 2.0, size=(20, dim))
+    for e in (bundle.expr, *bundle.partials):
+        again = parse(format_expr(e), syms)
+        assert again == e, (format_expr(e), format_expr(again))
+        assert ValueGradFn(again, syms)(X)[0].tobytes() == ValueGradFn(e, syms)(X)[0].tobytes()
+
+
+@settings(max_examples=20, deadline=None)
+@given(seed=st.integers(0, 2 ** 32 - 1), wrap=st.integers(0, len(WRAPPERS) - 1),
+       dim=st.integers(1, 2))
+def test_involution_form_is_the_source_destination_swap(seed, wrap, dim):
+    rng = np.random.default_rng(seed)
+    pts = [Point(id=k, coords=tuple(rng.uniform(-2.0, 2.0, size=dim)), weight=1.0)
+           for k in range(3)]
+    space = DiffSpace(pts, dim, (), constants_only=True)
+    g = build_groupoid(space, Partition.total(space.ids))
+    text = _expression(seed, dim, wrap, arrows=True)[0]
+    swapped = re.sub(r"\b([xy])(?=\d)", lambda m: "y" if m[1] == "x" else "x", text)
+    star = involution(from_expression(g, text))
+    syms = coordinate_symbols(dim) + coordinate_symbols(dim, prefix="y")
+    assert star.expr == parse(swapped, syms)
+    assert max_diff(star, from_expression(g, swapped)) == 0.0
 
 
 @settings(max_examples=40, deadline=None)
@@ -198,9 +270,39 @@ def test_quantized_key_that_overflows_is_refused():
 
 
 def test_evaluation_emits_no_warnings():
-    bundle = ValueGradFn(sympy.log(sympy.Symbol("x1")), coordinate_symbols(1))
+    bundle = ValueGradFn(parse("log(x1)", coordinate_symbols(1)), coordinate_symbols(1))
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         # a warning turned error would surface as "cannot evaluate" instead
         with pytest.raises(ExpressionError, match=r"is -inf at \(x1=0.0\)"):
             bundle(np.array([[0.0], [-1.0]]))
+
+
+def test_sums_and_products_of_any_length_are_one_level():
+    # a full degree-4 polynomial in 6 coordinates has 210 terms, nested 3 deep
+    syms = coordinate_symbols(6)
+    monomials = [m for d in range(5) for m in itertools.combinations_with_replacement(range(6), d)]
+    terms = ["*".join([str(k % 5 + 1), *(f"x{i + 1}" for i in m)]) for k, m in enumerate(monomials)]
+    cases = [
+        (" - ".join(terms), syms),
+        (" + ".join(["x1"] * 2000), syms[:1]),
+        ("*".join(["x1"] * 300), syms[:1]),
+    ]
+    rng = np.random.default_rng(7)
+    for text, xs in cases:
+        # integer points keep every term exact, so sympy's exact values are the reference
+        X = rng.integers(-2, 3, size=(5, len(xs))).astype(float)
+        values, partials = ValueGradFn(parse(text, xs), xs)(X)
+        oracle = sympy.sympify(text)
+        ss = sympy_coordinates(len(xs))
+        for row, v, d in zip(X, values, partials):
+            at = dict(zip(ss, (int(c) for c in row)))
+            assert v == float(oracle.subs(at))
+            assert list(d) == [float(sympy.diff(oracle, s).subs(at)) for s in ss]
+
+
+def test_nesting_deeper_than_the_limit_is_refused():
+    syms = coordinate_symbols(1)
+    assert ValueGradFn(parse("-" * 200 + "x1", syms), syms)(np.array([[3.0]]))[0][0] == 3.0
+    with pytest.raises(ExpressionError, match="nested deeper than 200 levels"):
+        parse("-" * 201 + "x1", syms)

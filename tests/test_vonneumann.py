@@ -399,6 +399,29 @@ def test_library_runs_without_scipy():
     assert proc.stdout.strip() == "[]"
 
 
+def test_runtime_runs_without_sympy(tmp_path):
+    # sympy is a test-only oracle: the command line and the README quick
+    # start run with its import blocked
+    root = Path(__file__).resolve().parents[1]
+    readme = (root / "README.md").read_text(encoding="utf-8")
+    quick_start = readme.split("## Quick start", 1)[1].split("```python\n", 1)[1].split("```", 1)[0]
+    code = (
+        "import sys\n"
+        "sys.modules['sympy'] = None\n"
+        "import ncgroupoid.cli\n"
+        f"code = ncgroupoid.cli.run(['verify', 'all', '--out', {str(tmp_path)!r}])\n"
+        f"exec({quick_start!r})\n"
+        "print(code, sorted(m for m, mod in sys.modules.items()\n"
+        "                   if m.split('.')[0] == 'sympy' and mod is not None))\n"
+    )
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=300, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert "94 checks: 93 passed, 0 failed, 1 skipped" in proc.stdout
+    assert proc.stdout.splitlines()[-1] == "0 []"
+
+
 def test_evaluation_loads_no_numpy_test_machinery():
     # lambdify with modules="numpy" runs `from numpy import *`, which loads
     # numpy.f2py, numpy.testing and unittest on the first expression
