@@ -14,10 +14,12 @@ derivatives of the arrow value with respect to the source coordinates
 involution and the module action all move jets along by the product
 rule, exactly (the weights do not depend on the coordinates).
 
-Values are complex128 by default.  Object-dtype arrays (for instance
-``fractions.Fraction`` entries) are accepted for values and flow through
-convolution, involution and the unit without rounding; jets are not
-supported in that mode.
+Real input is stored as float64 and complex input as complex128; numpy's
+promotion carries the dtype through, so a result is complex only when an
+operand was.  Single values read out are Python complex numbers.
+Object-dtype arrays (for instance ``fractions.Fraction`` entries) are
+accepted for values and flow through convolution, involution and the
+unit without rounding; jets are not supported in that mode.
 """
 
 from __future__ import annotations
@@ -30,7 +32,7 @@ import numpy as np
 
 from ._expr import ValueGradFn, coordinate_symbols, format_expr, parse
 from .diffspace import DiffSpace
-from .groupoid import Arrow, BlockStack, Groupoid
+from .groupoid import Arrow, BlockStack, Groupoid, promote
 from .reporting import write_csv
 
 
@@ -52,13 +54,13 @@ class BaseFunction:
 
     def __init__(self, space: DiffSpace, values, grads=None, expr=None):
         self.space = space
-        self.values = np.asarray(values, dtype=complex)
+        self.values = promote(np.array(values))
         if self.values.shape != (len(space.points),):
             raise ValueError(
                 f"need one value per point, got shape {self.values.shape}"
             )
         if grads is not None:
-            grads = np.asarray(grads, dtype=complex)
+            grads = promote(np.array(grads))
             if grads.shape != (len(space.points), space.dimension):
                 raise ValueError(f"bad gradient shape {grads.shape}")
         self.grads = grads
@@ -179,8 +181,8 @@ class AlgebraElement:
         _, j = self.groupoid.position(dst)
         return Jet(
             value=complex(self.values[b][i, j]),
-            d_src=tuple(self.d_src[b][i, j]),
-            d_dst=tuple(self.d_dst[b][i, j]),
+            d_src=tuple(map(complex, self.d_src[b][i, j])),
+            d_dst=tuple(map(complex, self.d_dst[b][i, j])),
         )
 
     def max_abs(self) -> float:
@@ -216,7 +218,7 @@ class AlgebraElement:
     def __mul__(self, scalar):
         if isinstance(scalar, AlgebraElement):
             raise TypeError("use convolve(a, b) for the algebra product")
-        return AlgebraElement.from_stack(self.stack.scale(complex(scalar)), self.has_jets)
+        return AlgebraElement.from_stack(self.stack.scale(scalar), self.has_jets)
 
     __rmul__ = __mul__
 
@@ -299,7 +301,7 @@ def from_expression(g: Groupoid, text) -> AlgebraElement:
     arrays = []
     for grp in g.groups:
         coords = g.space.coords[grp.index]  # (k, m, n)
-        arr = np.empty((len(grp.blocks), 1 + 2 * n, grp.m, grp.m), dtype=complex)
+        arr = np.empty((len(grp.blocks), 1 + 2 * n, grp.m, grp.m))
         arr[:, 0], _ = bundle(coords[:, :, None], coords[:, None, :],
                               out=np.moveaxis(arr[:, 1:], 1, -1))
         arrays.append(arr)
@@ -326,18 +328,19 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     jets = a.has_jets and b.has_jets
     n = a.groupoid.space.dimension
 
-    def product(X, Y, w):
+    def product(X, Y, grp):
+        w = grp.exact_weights if X.dtype == object else grp.weights
         # weight the summed-over point z: rows of the right factor, columns of the left
         WY = Y[:, :1] * w[:, None, :, None]
         if not jets:
             return X[:, :1] @ WY
-        out = np.empty(X.shape, dtype=complex)
+        out = np.empty(X.shape, dtype=np.result_type(X, WY))
         np.matmul(X[:, :n + 1], WY, out=out[:, :n + 1])
         np.matmul(X[:, :1] * w[:, None, None, :], Y[:, n + 1:], out=out[:, n + 1:])
         return out
 
     return AlgebraElement.from_stack(BlockStack(a.groupoid, map(
-        product, a.stack.arrays, b.stack.arrays, a.stack.weights())), jets)
+        product, a.stack.arrays, b.stack.arrays, a.groupoid.groups)), jets)
 
 
 def involution(a: AlgebraElement) -> AlgebraElement:
@@ -371,13 +374,8 @@ def unit(g: Groupoid) -> AlgebraElement:
     unit carries no jets: it is measure data, not a function of the
     coordinates.
     """
-    values = []
-    for grp in g.groups:
-        e = np.zeros((len(grp.blocks), 1, grp.m, grp.m), dtype=complex)
-        diag = np.arange(grp.m)
-        e[:, 0, diag, diag] = 1.0 / grp.weights
-        values.append(e)
-    return AlgebraElement.from_stack(BlockStack(g, values))
+    return AlgebraElement.from_stack(BlockStack(g, [
+        (np.eye(grp.m) / grp.weights[:, :, None])[:, None] for grp in g.groups]))
 
 
 def module_action(f: BaseFunction, a: AlgebraElement) -> AlgebraElement:
@@ -396,7 +394,10 @@ def module_action(f: BaseFunction, a: AlgebraElement) -> AlgebraElement:
         out = f.values[grp.index][:, None, :, None] * (arr if jets else arr[:, :1])
         if jets:
             # (k, n, m, 1): the gradient of f at the source point of every arrow
-            out[:, 1:n + 1] += np.moveaxis(f.grads[grp.index], -1, 1)[..., None] * arr[:, :1]
+            grad = np.moveaxis(f.grads[grp.index], -1, 1)[..., None]
+            # the update is in place, so the buffer takes the gradient's type too
+            out = out.astype(np.result_type(out, grad), copy=False)
+            out[:, 1:n + 1] += grad * arr[:, :1]
         arrays.append(out)
     expr = None
     if f.expr is not None and a.expr is not None:
@@ -423,13 +424,11 @@ def random_element(
     g: Groupoid, rng: np.random.Generator,
     with_jets: bool = False, real: bool = False,
 ) -> AlgebraElement:
-    """A random element with standard normal entries (complex by default)."""
+    """A random element with standard normal entries, complex unless ``real``."""
     n = g.space.dimension
 
     def draw(shape):
-        if real:
-            return rng.standard_normal(shape).astype(complex)
-        return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
+        return rng.standard_normal(shape) + (0 if real else 1j * rng.standard_normal(shape))
 
     values = [draw((len(b), len(b))) for b in g.blocks]
     if not with_jets:

@@ -24,7 +24,7 @@ import numpy as np
 from ._expr import ZERO, ExpressionError, ValueGradFn, coordinate_symbols, parse
 from .algebra import AlgebraElement, BaseFunction, convolve, max_diff, module_action
 from .diffspace import DiffSpace
-from .groupoid import BlockStack
+from .groupoid import BlockStack, promote
 
 
 class Derivation:
@@ -38,7 +38,7 @@ class Derivation:
     def __init__(self, space: DiffSpace, coeffs, exprs=None):
         self.space = space
         n = space.dimension
-        self.coeffs = np.asarray(coeffs, dtype=complex)
+        self.coeffs = promote(np.asarray(coeffs))
         if self.coeffs.shape != (len(space.points), n):
             raise ValueError(f"coefficient shape {self.coeffs.shape}, "
                              f"need ({len(space.points)}, {n})")
@@ -53,7 +53,7 @@ class Derivation:
             raise ExpressionError(f"need {n} coefficient expressions, got {len(texts)}")
         syms = coordinate_symbols(n)
         exprs = [parse(t, syms) for t in texts]
-        coeffs = np.empty((len(space.points), n), dtype=complex)
+        coeffs = np.empty((len(space.points), n))
         for i, e in enumerate(exprs):
             coeffs[:, i], _ = ValueGradFn(e, syms)(space.coords)
         return cls(space, coeffs, exprs=exprs)

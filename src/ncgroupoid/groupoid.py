@@ -16,6 +16,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from fractions import Fraction
+from functools import cached_property
 
 import numpy as np
 
@@ -41,6 +42,13 @@ class SizeGroup:
     blocks: np.ndarray
     index: np.ndarray
     weights: np.ndarray
+
+    @cached_property
+    def exact_weights(self) -> np.ndarray:
+        """``weights`` as Fractions, for object-dtype (exact) stacks; made once."""
+        w = np.frompyfunc(Fraction, 1, 1)(self.weights)
+        w.flags.writeable = False
+        return w
 
 
 class Groupoid:
@@ -172,8 +180,11 @@ def is_transitive(g: Groupoid) -> bool:
     return g.n_blocks == 1
 
 
-# exact weights for object-dtype (e.g. Fraction) stacks
-_FRACTION = np.frompyfunc(Fraction, 1, 1)
+def promote(arr: np.ndarray, exact: bool = False) -> np.ndarray:
+    """``arr`` as float64, or complex128 if it holds complex numbers, copied only to cast;
+    an object array (Fraction entries, say) stays object if ``exact``, else complex128."""
+    dtype = np.result_type(arr, np.float64)
+    return arr.astype(complex if dtype == object and not exact else dtype, copy=False)
 
 
 class BlockStack:
@@ -198,9 +209,10 @@ class BlockStack:
     def of(cls, g: Groupoid, data, lead=(), what="value", exact=False) -> "BlockStack":
         """A stack from one array per block (a stack passes through unchanged).
 
-        Shapes must be lead + (m, m).  Entries become complex128, except that
-        with ``exact`` an object-dtype group (Fraction entries, say) stays
-        object.  The input is copied, never referenced.
+        Shapes must be lead + (m, m).  Real entries become float64, complex
+        ones complex128, and with ``exact`` an object-dtype group (Fraction
+        entries, say) stays object (see :func:`promote`).  The input is
+        copied, never referenced.
         """
         if isinstance(data, BlockStack):
             return data
@@ -212,26 +224,18 @@ class BlockStack:
             need = tuple(lead) + (len(block), len(block))
             if arr.shape != need:
                 raise ValueError(f"block {b}: {what} shape {arr.shape}, need {need}")
-        arrays = []
-        for grp in g.groups:
-            arr = np.stack([blocks[b] for b in grp.blocks])
-            arrays.append(arr if exact and arr.dtype == object else arr.astype(complex))
-        return cls(g, arrays)
+        return cls(g, [promote(np.stack([blocks[b] for b in grp.blocks]), exact)
+                       for grp in g.groups])
 
     @classmethod
     def zeros(cls, g: Groupoid, lead=()) -> "BlockStack":
-        return cls(g, [np.zeros((len(grp.blocks),) + tuple(lead) + (grp.m, grp.m), dtype=complex)
+        return cls(g, [np.zeros((len(grp.blocks),) + tuple(lead) + (grp.m, grp.m))
                        for grp in g.groups])
 
     def per_block(self, view=None) -> tuple[np.ndarray, ...]:
         """One read-only view per block, in block order, of ``view(arrays[s])`` if given."""
         groups = self.arrays if view is None else [view(arr) for arr in self.arrays]
         return tuple(groups[s][r] for s, r in self.groupoid.slots.tolist())
-
-    def weights(self) -> list[np.ndarray]:
-        """Per group the (k, m) point weights, as Fractions for object-dtype groups."""
-        return [_FRACTION(grp.weights) if arr.dtype == object else grp.weights
-                for grp, arr in zip(self.groupoid.groups, self.arrays)]
 
     def map(self, fn, *others: "BlockStack") -> "BlockStack":
         """``fn`` applied group by group to this stack's arrays and the others'."""
@@ -248,7 +252,10 @@ class BlockStack:
         return self.map(np.subtract, other)
 
     def scale(self, c) -> "BlockStack":
-        return self.map(lambda arr: arr * c)
+        """Every entry times the number c: as it is for object groups (a Fraction stays
+        exact), else as a float or a complex number, so a real c keeps them real."""
+        num = complex(c) if np.iscomplexobj(c) else float(c)
+        return self.map(lambda arr: arr * (c if arr.dtype == object else num))
 
     def max_abs(self) -> float:
         return max(float(np.abs(arr).max()) for arr in self.arrays)

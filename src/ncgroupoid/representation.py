@@ -24,7 +24,7 @@ from functools import cached_property
 import numpy as np
 
 from .algebra import AlgebraElement, convolve, involution
-from .groupoid import BlockStack, Groupoid
+from .groupoid import BlockStack, Groupoid, promote
 
 
 @dataclass(frozen=True)
@@ -66,7 +66,7 @@ class RandomOperator:
 
     @classmethod
     def identity(cls, g: Groupoid) -> "RandomOperator":
-        return cls(g, BlockStack(g, [np.tile(np.eye(grp.m, dtype=complex), (len(grp.blocks), 1, 1))
+        return cls(g, BlockStack(g, [np.tile(np.eye(grp.m), (len(grp.blocks), 1, 1))
                                      for grp in g.groups]))
 
     @classmethod
@@ -92,7 +92,7 @@ class RandomOperator:
         return RandomOperator(self.groupoid, self.stack.map(np.matmul, other.stack))
 
     def __mul__(self, scalar):
-        return RandomOperator(self.groupoid, self.stack.scale(complex(scalar)))
+        return RandomOperator(self.groupoid, self.stack.scale(scalar))
 
     __rmul__ = __mul__
 
@@ -125,7 +125,7 @@ def represent(a: AlgebraElement) -> RandomOperator:
     """The regular representation M[i, j] = a(z_i, z_j) w(z_j), per class."""
     g = a.groupoid
     return RandomOperator(g, BlockStack(g, [
-        np.asarray(A[:, 0], dtype=complex) * grp.weights[:, None, :]
+        promote(A[:, 0]) * grp.weights[:, None, :]
         for grp, A in zip(g.groups, a.stack.arrays)
     ]))
 

@@ -32,7 +32,7 @@ from functools import cached_property
 
 import numpy as np
 
-from .groupoid import BlockStack, Groupoid
+from .groupoid import BlockStack, Groupoid, promote
 from .representation import RandomOperator
 
 MAX_TOTAL_DIM = 64
@@ -58,7 +58,7 @@ class DensityField:
     def __init__(self, groupoid: Groupoid, matrices):
         g = groupoid
         if not isinstance(matrices, BlockStack):
-            mats = [np.asarray(mat, dtype=complex) for mat in matrices]
+            mats = [promote(np.asarray(mat)) for mat in matrices]
             if len(mats) != len(g.space.points):
                 raise ValueError(f"need one density per point, got {len(mats)}")
             for x, mat in zip(g.space.ids, mats):
@@ -80,7 +80,7 @@ class DensityField:
     def uniform(cls, g: Groupoid) -> "DensityField":
         """Identity on every fiber, scaled to total mass one."""
         z = sum(grp.m * float(grp.weights.sum()) for grp in g.groups)
-        return cls(g, BlockStack(g, [np.tile(np.eye(grp.m, dtype=complex) / z,
+        return cls(g, BlockStack(g, [np.tile(np.eye(grp.m) / z,
                                              (len(grp.blocks), 1, 1, 1)) for grp in g.groups]))
 
     @cached_property

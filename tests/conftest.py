@@ -17,6 +17,15 @@ from ncgroupoid import DiffSpace, GeneratorFunction, Partition, Point, build_gro
 
 DYADIC_WEIGHTS = (0.5, 1.0, 1.0, 2.0)
 
+# numpy warns when a complex -> real cast drops imaginary parts; that is a
+# bug, so it fails the test (numpy.exceptions is numpy 1.25 and later)
+COMPLEX_WARNING = ("numpy.exceptions.ComplexWarning" if hasattr(np, "exceptions")
+                   else "numpy.ComplexWarning")
+
+
+def pytest_configure(config):
+    config.addinivalue_line("filterwarnings", f"error::{COMPLEX_WARNING}")
+
 
 @pytest.fixture
 def rng():

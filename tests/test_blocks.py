@@ -14,21 +14,27 @@ from ncgroupoid import (
     AlgebraElement,
     BaseFunction,
     DensityField,
+    Derivation,
     DiffSpace,
     Partition,
     Point,
     RandomOperator,
     build_groupoid,
+    commutator_apply,
     convolve,
     deformation_chain,
     expect,
+    from_expression,
     involution,
+    leibniz_defect,
+    lift_symmetrized,
     make_state,
     module_action,
     random_element,
     random_operator_report,
     represent,
     restrict,
+    unit,
 )
 
 from conftest import DYADIC_WEIGHTS
@@ -186,11 +192,15 @@ def test_module_action_without_gradients_drops_jets(g, rng):
     assert_same_element(got, module_action(f, AlgebraElement(g, a.values)))
 
 
-def test_restrict_and_involution_keep_fractions_exact(rng):
-    # x1 = x mod 3 splits the one level-0 class into classes of 4, 3 and 3 points
+def split_chain():
+    """x1 = x mod 3 splits the one level-0 class into classes of 4, 3 and 3 points."""
     pts = [Point(id=x, coords=(float(x % 3), float(x)), weight=DYADIC_WEIGHTS[x % 4])
            for x in ORDER]
-    chain = deformation_chain(DiffSpace(pts, 2, (), constants_only=True))
+    return deformation_chain(DiffSpace(pts, 2, (), constants_only=True))
+
+
+def test_restrict_and_involution_keep_fractions_exact(rng):
+    chain = split_chain()
     g0 = chain.level(0).groupoid
     a = fraction_element(g0, rng)
     star, low = involution(a), restrict(a, chain, 0)
@@ -288,3 +298,129 @@ def test_operator_report_matches_per_point_reference(g, rng):
         assert report.fiber_norms[x] == np.linalg.norm(R.fiber(x), 2)
     assert report.ess_sup == R.ess_sup() == max(report.fiber_norms.values())
     assert report.measurable and report.bounded
+
+
+# Real expressions in x1, x2 (source) and y1, y2 (destination); on the
+# fixture's points x1 = id and x2 = id mod 3.
+REAL_ELEMENTS = ("x1*y2 + 1", "sin(x1) - y1*y2")
+
+
+def stored_dtypes(*things):
+    """The dtypes of every array stored by elements, operator fields and densities."""
+    return {arr.dtype for t in things for arr in t.stack.arrays}
+
+
+def test_real_data_stays_float64(g, rng):
+    a, b = (from_expression(g, e) for e in REAL_ELEMENTS)
+    plain = AlgebraElement(g, a.values)
+    f = BaseFunction.from_expression(g.space, "x1^2 + x2")
+    P = Derivation.from_expressions(g.space, ["x2", "1"])
+    R = represent(a)
+    uniform = DensityField.uniform(g)
+    results = [
+        a, b, plain, convolve(a, b), convolve(plain, b), involution(a), unit(g),
+        convolve(unit(g), a), module_action(f, a), module_action(f, plain),
+        a + b, a - plain, -a, 2 * a, a * 0.5, a * Fraction(1, 3),
+        lift_symmetrized(P, a), commutator_apply(P, f, a),
+        random_element(g, rng, with_jets=True, real=True),
+        R, R.adjoint(), R.adjoint() @ R, R - RandomOperator.identity(g), 3 * R,
+        RandomOperator.zeros(g), uniform,
+    ]
+    assert stored_dtypes(*results) == {np.dtype(float)}
+    assert f.values.dtype == f.grads.dtype == P.coeffs.dtype == float
+    assert make_state(uniform).report.normalization == pytest.approx(1.0, abs=1e-14)
+    chain = split_chain()
+    top = from_expression(chain.level(0).groupoid, REAL_ELEMENTS[1])
+    assert stored_dtypes(top, restrict(top, chain, 0)) == {np.dtype(float)}
+
+
+def test_one_complex_operand_makes_the_result_complex128(g, rng):
+    a = from_expression(g, REAL_ELEMENTS[0])
+    z = random_element(g, rng, with_jets=True)
+    n, dim = len(g.space.points), g.space.dimension
+    complex_f = BaseFunction(g.space, rng.standard_normal(n) + 1j * rng.standard_normal(n),
+                             rng.standard_normal((n, dim)) + 1j * rng.standard_normal((n, dim)))
+    # real values, complex gradient: the jet update must still fit
+    complex_grad = BaseFunction(g.space, rng.standard_normal(n),
+                                1j * rng.standard_normal((n, dim)))
+    complex_P = Derivation(g.space, 1j * rng.standard_normal((n, dim)))
+    results = [
+        convolve(a, z), convolve(z, a), convolve(a.values_only(), z), a + z, z - a, a * 1j,
+        module_action(complex_f, a), module_action(complex_grad, a),
+        lift_symmetrized(complex_P, a), commutator_apply(complex_P, complex_f, a),
+        represent(a) @ represent(z), represent(z) @ represent(a), represent(a) * (1 + 2j),
+        DensityField(g, [M.astype(complex) for M in DensityField.uniform(g).matrices]),
+    ]
+    assert stored_dtypes(*results) == {np.dtype(complex)}
+    assert np.isfinite(leibniz_defect(complex_P, a, z))
+
+
+def test_object_dtype_stays_object(g, rng):
+    a, b = fraction_element(g, rng), fraction_element(g, rng)
+    for c in (convolve(a, b), involution(a), a + b, a - b, -a, a * Fraction(2, 3), 3 * a):
+        for u in c.values:
+            assert u.dtype == object and all(type(t) is Fraction for t in u.flat)
+    x, y = g.blocks[0][:2]
+    assert (a * Fraction(2, 3)).value_at(x, y) == a.value_at(x, y) * Fraction(2, 3)
+
+
+def test_exact_weights_are_made_once(g):
+    for grp in g.groups:
+        w = grp.exact_weights
+        assert w is grp.exact_weights and not w.flags.writeable
+        assert all(type(t) is Fraction and t == Fraction(v) for t, v in zip(w.flat, grp.weights.flat))
+
+
+def as_complex(a):
+    """The same element with every channel cast to complex128."""
+    return AlgebraElement.from_stack(a.stack.map(lambda arr: arr.astype(complex)), a.has_jets)
+
+
+def test_real_results_match_the_complex_cast_computation(g):
+    a, b = (from_expression(g, e) for e in REAL_ELEMENTS)
+    f = BaseFunction.from_expression(g.space, "x1^2 + x2")
+    P = Derivation.from_expressions(g.space, ["x2", "1"])
+    az, bz = as_complex(a), as_complex(b)
+    fz = BaseFunction(g.space, f.values.astype(complex), f.grads.astype(complex))
+    Pz = Derivation(g.space, P.coeffs.astype(complex))
+    uniform = DensityField.uniform(g)
+    uniform_z = DensityField(g, [M.astype(complex) for M in uniform.matrices])
+    pairs = [
+        (convolve(a, b), convolve(az, bz)),
+        (convolve(a.values_only(), b), convolve(az.values_only(), bz)),
+        (involution(a), involution(az)),
+        (module_action(f, a), module_action(fz, az)),
+        (lift_symmetrized(P, a), lift_symmetrized(Pz, az)),
+        (commutator_apply(P, f, a), commutator_apply(Pz, fz, az)),
+        (represent(a).adjoint() @ represent(b), represent(az).adjoint() @ represent(bz)),
+    ]
+    # each entry sums at most one class of products of two operands
+    mass = max(float(grp.weights.sum(axis=1).max()) for grp in g.groups)
+    largest = max(float(np.abs(x).max()) for x in (*a.stack.arrays, *b.stack.arrays,
+                                                    f.values, f.grads, P.coeffs))
+    scale = largest ** 2 * mass
+    for real, cplx in pairs:
+        for u, v in zip(real.stack.arrays, cplx.stack.arrays):
+            assert u.dtype == float and v.dtype == complex
+            np.testing.assert_allclose(u, v, rtol=0, atol=1e-14 * scale)
+    for u, v in zip(uniform.matrices, uniform_z.matrices):
+        assert u.dtype == float and v.dtype == complex
+        np.testing.assert_array_equal(u, v)
+    R = represent(a)
+    got = expect(make_state(uniform), R)
+    want = expect(make_state(uniform_z), represent(az))
+    assert abs(got - want) <= 1e-14 * R.ess_sup()
+
+
+def test_single_values_are_python_complex_on_real_stacks(g):
+    a = from_expression(g, REAL_ELEMENTS[0])
+    f = BaseFunction.from_expression(g.space, "x1^2 + x2")
+    x, y = g.blocks[0][:2]
+    jet = a.jet_at(x, y)
+    state = make_state(DensityField.uniform(g))
+    got = [a.value_at(x, y), f.value_at(x), expect(state, represent(a)),
+           jet.value, *jet.d_src, *jet.d_dst]
+    assert all(type(v) is complex for v in got)
+    assert a.value_at(x, y) == jet.value == x * (y % 3) + 1
+    assert jet.d_src == (y % 3, 0) and jet.d_dst == (0, x)
+    assert f.value_at(x) == x ** 2 + x % 3
