@@ -18,7 +18,7 @@ from ncgroupoid import (
 pts = [Point(0, (0.0,), 1.0), Point(1, (1.0,), 1.0)]
 space = DiffSpace(pts, 1, (), constants_only=True)
 g = build_groupoid(space, hausdorff_relation(space))
-print(f"{g}: arrows {[ (a.src, a.dst) for a in g.arrows() ]}")
+print(f"{g}: arrows {[(x, y) for block in g.blocks for x in block for y in block]}")
 
 a = from_expression(g, "x1 + 2*y1")
 b = from_expression(g, "x1*y1 + 1")

@@ -34,7 +34,6 @@ E = represent(unit(g))
 print(f"unit represents as the identity: {bool(np.all(E.fiber(0) == np.eye(3)))}")
 
 report = random_operator_report(R)
-print(f"measurable (class-constant): {report.measurable}")
 print(f"bounded: {report.bounded}, ess sup = {report.ess_sup:.6f}")
 
 # the all-ones element on a unit-weight pair has norm exactly 2

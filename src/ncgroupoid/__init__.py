@@ -65,20 +65,12 @@ from .diffspace import (
 )
 from .gallery import gallery, gallery_config
 from .groupoid import (
-    Arrow,
-    FiberReport,
     Groupoid,
     build_groupoid,
-    compose,
-    fibers,
-    inverse,
-    is_transitive,
 )
 from .representation import (
-    FiberSpace,
     RandomOperator,
     RandomOperatorReport,
-    fiber_space,
     homomorphism_defect,
     random_operator_report,
     represent,
@@ -88,7 +80,6 @@ from .vonneumann import (
     MAX_TOTAL_DIM,
     BicommutantReport,
     DensityField,
-    NCProbabilitySpace,
     OperatorBasis,
     State,
     StateReport,
@@ -101,7 +92,6 @@ from .vonneumann import (
 
 __all__ = [
     "AlgebraElement",
-    "Arrow",
     "BaseFunction",
     "BicommutantReport",
     "ChainLevel",
@@ -112,13 +102,10 @@ __all__ = [
     "DensityField",
     "Derivation",
     "DiffSpace",
-    "FiberReport",
-    "FiberSpace",
     "GeneratorFunction",
     "Groupoid",
     "Jet",
     "MAX_TOTAL_DIM",
-    "NCProbabilitySpace",
     "OperatorBasis",
     "Partition",
     "Point",
@@ -136,23 +123,18 @@ __all__ = [
     "commutant",
     "commutator_apply",
     "commutator_defect",
-    "compose",
     "consistent_family",
     "convolve",
     "deformation_chain",
     "double_commutant",
     "expect",
-    "fiber_space",
-    "fibers",
     "from_expression",
     "gallery",
     "gallery_config",
     "hausdorff_relation",
     "homomorphism_defect",
     "homomorphism_defect_chain",
-    "inverse",
     "involution",
-    "is_transitive",
     "leibniz_defect",
     "lift_horizontal",
     "lift_symmetrized",

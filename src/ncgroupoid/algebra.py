@@ -32,7 +32,7 @@ import numpy as np
 
 from ._expr import ValueGradFn, coordinate_symbols, format_expr, parse
 from .diffspace import DiffSpace
-from .groupoid import Arrow, BlockStack, Groupoid, promote
+from .groupoid import BlockStack, Groupoid, promote
 from .reporting import write_csv
 
 
@@ -166,24 +166,25 @@ class AlgebraElement:
             return self
         return AlgebraElement.from_stack(self.stack.map(lambda arr: arr[:, :1]), expr=self.expr)
 
-    def value_at(self, src: int, dst: int) -> complex:
-        b, i = self.groupoid.position(src)
-        b2, j = self.groupoid.position(dst)
+    def _channels_at(self, src: int, dst: int) -> np.ndarray:
+        """All channels stored at the arrow (src, dst); raises if it is not an arrow."""
+        g = self.groupoid
+        (b, i), (b2, j) = g.point_pos[[g.space.index_of(src), g.space.index_of(dst)]].tolist()
         if b != b2:
             raise ValueError(f"({src}, {dst}) is not an arrow of the groupoid")
-        v = self.values[b][i, j]
-        return v if self.values[b].dtype == object else complex(v)
+        s, r = g.slots[b]
+        return self.stack.arrays[s][r, :, i, j]
+
+    def value_at(self, src: int, dst: int) -> complex:
+        channels = self._channels_at(src, dst)
+        return channels[0] if channels.dtype == object else complex(channels[0])
 
     def jet_at(self, src: int, dst: int) -> Jet:
         if not self.has_jets:
             raise ValueError("element carries no jets")
-        b, i = self.groupoid.position(src)
-        _, j = self.groupoid.position(dst)
-        return Jet(
-            value=complex(self.values[b][i, j]),
-            d_src=tuple(map(complex, self.d_src[b][i, j])),
-            d_dst=tuple(map(complex, self.d_dst[b][i, j])),
-        )
+        n = self.groupoid.space.dimension
+        value, *partials = map(complex, self._channels_at(src, dst))
+        return Jet(value=value, d_src=tuple(partials[:n]), d_dst=tuple(partials[n:]))
 
     def max_abs(self) -> float:
         return self.values_only().stack.max_abs()
@@ -257,28 +258,34 @@ class AlgebraElement:
 
     @classmethod
     def from_csv(cls, g: Groupoid, path) -> "AlgebraElement":
-        n = g.space.dimension
+        """Read what :meth:`to_csv` wrote: one row per arrow, in any order."""
         with open(path, "r", encoding="utf-8", newline="") as fh:
-            reader = csv.reader(fh)
-            header = next(reader)
-            with_jets = len(header) > 4
-            expected = 4 + (4 * n if with_jets else 0)
-            if len(header) != expected:
-                raise ValueError(f"unexpected column count {len(header)}")
-            rows = list(reader)
-        # per arrow: value, then source and destination partials
-        table = {}
-        for row in rows:
-            src, dst = int(row[0]), int(row[1])
-            if not g.has_arrow(Arrow(src, dst)):
-                raise ValueError(f"({src}, {dst}) is not an arrow of the groupoid")
-            nums = [float(v) for v in row[2:]]
-            table[src, dst] = [complex(re, im) for re, im in zip(nums[::2], nums[1::2])]
-        if len(rows) != g.arrow_count or len(table) != len(rows):
-            raise ValueError(f"file has {len(rows)} arrows, groupoid has {g.arrow_count}")
-        cells = [np.moveaxis(np.array([[table[x, y] for y in block] for x in block]), -1, 0)
-                 for block in g.blocks]
-        return cls.from_stack(BlockStack.of(g, cells, ((len(header) - 2) // 2,)), with_jets)
+            header, *rows = csv.reader(fh)
+        with_jets = len(header) > 4
+        expected = 4 + (4 * g.space.dimension if with_jets else 0)
+        widths = sorted({len(row) for row in (header, *rows)})
+        if widths != [expected]:
+            raise ValueError(f"column counts {widths}, need {expected}")
+        pairs = [(int(row[0]), int(row[1])) for row in rows]
+        block_of = g.partition.block_of
+        for x, y in pairs:
+            if x not in block_of or block_of[x] != block_of.get(y):
+                raise ValueError(f"({x}, {y}) is not an arrow of the groupoid")
+        at = np.array([[g.space.index_of(x) for x in p] for p in pairs], dtype=int).reshape(-1, 2)
+        # the block and the positions in it of the source and destination of every row
+        (b, i), j = g.point_pos[at[:, 0]].T, g.point_pos[at[:, 1], 1]
+        distinct = len(set(pairs))
+        if distinct != len(rows) or len(rows) != g.arrow_count:
+            raise ValueError(f"file has {len(rows)} rows for {distinct} distinct arrows, "
+                             f"the groupoid has {g.arrow_count} arrows")
+        # per arrow: value, then source and destination partials, from re, im pairs
+        values = np.array([[float(v) for v in row[2:]] for row in rows]).view(complex)
+        s, r = g.slots[b].T
+        arrays = [np.empty((len(grp.blocks), values.shape[1], grp.m, grp.m), dtype=complex)
+                  for grp in g.groups]
+        for k, arr in enumerate(arrays):
+            arr[r[s == k], :, i[s == k], j[s == k]] = values[s == k]
+        return cls.from_stack(BlockStack(g, arrays), with_jets)
 
     def __repr__(self) -> str:
         sizes = [len(b) for b in self.groupoid.blocks]
@@ -354,8 +361,9 @@ def involution(a: AlgebraElement) -> AlgebraElement:
     order = np.r_[0, n + 1:2 * n + 1, 1:n + 1] if a.has_jets else [0]
 
     def star(arr):
-        out = arr[:, order].swapaxes(-1, -2)  # a fresh copy, conjugated in place
-        return np.conjugate(out, out=out)
+        out = arr[:, order].swapaxes(-1, -2)  # a fresh copy
+        # conjugation is the identity on real data; object entries may be complex
+        return out if arr.dtype == np.float64 else np.conjugate(out, out=out)
 
     expr = None
     if a.expr is not None:

@@ -79,8 +79,8 @@ class Partition:
 
     Blocks are stored sorted by smallest member, members sorted by id, so
     two partitions describing the same relation compare equal no matter how
-    they were produced.  The equivalence relation itself is recovered
-    through :meth:`relates` and :meth:`pairs`.
+    they were produced.  Two ids are related exactly when ``block_of``
+    maps them to the same block.
     """
 
     def __init__(self, blocks):
@@ -126,16 +126,6 @@ class Partition:
     @property
     def is_total(self) -> bool:
         return len(self.blocks) == 1
-
-    def relates(self, x: int, y: int) -> bool:
-        return self.block_of[x] == self.block_of[y]
-
-    def pairs(self):
-        """All related ordered pairs, diagonal included."""
-        for block in self.blocks:
-            for x in block:
-                for y in block:
-                    yield (x, y)
 
     def refines(self, other: "Partition") -> bool:
         """True when every block of self sits inside one block of other."""

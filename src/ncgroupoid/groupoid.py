@@ -1,9 +1,9 @@
 """The pair groupoid of an equivalence relation on a space.
 
-Arrows are the related ordered pairs (x, y).  Two arrows compose when the
-first ends where the second starts, (x, y) o (y, z) = (x, z); the inverse
-flips a pair and the units are the diagonal.  Everything is finite, so the
-arrow set is just the disjoint union of block x block squares.
+Arrows are the related ordered pairs (x, y), so the arrow set is the
+disjoint union of block x block squares: arrow (x, y) is entry (i, j) of
+its block, where ``point_pos`` gives the (block, position) of x and y.
+Arrows compose and invert only inside the convolution algebra.
 
 Array-valued layers (algebra elements, operator fields, densities) store
 m x m matrices per block.  :class:`BlockStack` is the one place that
@@ -17,16 +17,11 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
+from itertools import chain
 
 import numpy as np
 
 from .diffspace import DiffSpace, Partition
-
-
-@dataclass(frozen=True)
-class Arrow:
-    src: int
-    dst: int
 
 
 @dataclass(frozen=True, eq=False)
@@ -57,6 +52,8 @@ class Groupoid:
     Blocks, the positions of points inside them and the size groups are
     fixed at build time; all array-valued layers (convolution algebras,
     operators, densities) index fibers in this block order.
+    ``point_pos[p]`` is the (block, position inside the block) of the
+    point ``space.points[p]``.
     """
 
     def __init__(self, space: DiffSpace, partition: Partition):
@@ -65,23 +62,21 @@ class Groupoid:
         self.space = space
         self.partition = partition
         self.blocks = partition.blocks
-        # position of a point inside its block
-        self._pos = {
-            x: (b, i)
-            for b, block in enumerate(self.blocks)
-            for i, x in enumerate(block)
-        }
-        # the same (block, position) pairs as an array, by point index
-        self.point_pos = np.array([self._pos[x] for x in space.ids])
         sizes = np.array([len(b) for b in self.blocks])
+        # position in space.points of every member, blocks one after another
+        index = np.fromiter(map(space.index_of, chain(*self.blocks)), int, len(space.ids))
+        starts = np.cumsum(sizes) - sizes
+        block = np.repeat(np.arange(len(sizes)), sizes)
+        self.point_pos = np.empty((len(index), 2), dtype=int)
+        self.point_pos[index] = np.column_stack([block, np.arange(len(index)) - starts[block]])
         weights = np.array([p.weight for p in space.points])
         groups = []
         # (size group, row inside the group) of every block
         self.slots = np.empty((len(sizes), 2), dtype=int)
         for s, m in enumerate(np.unique(sizes)):
             rows = np.flatnonzero(sizes == m)
-            index = np.array([[space.index_of(x) for x in self.blocks[b]] for b in rows])
-            groups.append(SizeGroup(int(m), rows, index, weights[index]))
+            at = index[starts[rows, None] + np.arange(m)]
+            groups.append(SizeGroup(int(m), rows, at, weights[at]))
             self.slots[rows] = np.column_stack([np.full(len(rows), s), np.arange(len(rows))])
         self.groups: tuple[SizeGroup, ...] = tuple(groups)
         for arr in (self.point_pos, self.slots, *(a for grp in groups for a in
@@ -94,37 +89,10 @@ class Groupoid:
 
     @property
     def arrow_count(self) -> int:
-        return sum(len(b) ** 2 for b in self.blocks)
+        return sum(len(grp.blocks) * grp.m ** 2 for grp in self.groups)
 
     def block_index(self, x: int) -> int:
-        return self._pos[x][0]
-
-    def position(self, x: int) -> tuple[int, int]:
-        """(block index, position inside block) of a point."""
-        return self._pos[x]
-
-    def block_points(self, b: int) -> tuple[int, ...]:
-        return self.blocks[b]
-
-    def block_weights(self, b: int) -> np.ndarray:
-        return np.array([self.space.weight(x) for x in self.blocks[b]])
-
-    def has_arrow(self, a: Arrow) -> bool:
-        return (
-            a.src in self._pos
-            and a.dst in self._pos
-            and self._pos[a.src][0] == self._pos[a.dst][0]
-        )
-
-    def arrows(self):
-        for block in self.blocks:
-            for x in block:
-                for y in block:
-                    yield Arrow(x, y)
-
-    def units(self):
-        for x in self.partition.block_of:
-            yield Arrow(x, x)
+        return int(self.point_pos[self.space.index_of(x), 0])
 
     def same_structure(self, other: "Groupoid") -> bool:
         return self.space is other.space and self.partition == other.partition
@@ -137,47 +105,6 @@ class Groupoid:
 def build_groupoid(space: DiffSpace, rho: Partition) -> Groupoid:
     """Pair groupoid of (space, rho); rho must partition the space's ids."""
     return Groupoid(space, rho)
-
-
-def compose(g: Groupoid, a1: Arrow, a2: Arrow) -> Arrow:
-    """(x, y) o (y, z) = (x, z); raises on non-composable or foreign arrows."""
-    if not g.has_arrow(a1) or not g.has_arrow(a2):
-        raise ValueError(f"arrow not in groupoid: {a1} or {a2}")
-    if a1.dst != a2.src:
-        raise ValueError(f"non-composable arrows: {a1} then {a2}")
-    return Arrow(a1.src, a2.dst)
-
-
-def inverse(a: Arrow) -> Arrow:
-    return Arrow(a.dst, a.src)
-
-
-@dataclass(frozen=True)
-class FiberReport:
-    """The two fibers over a point and their intersection.
-
-    ``outgoing`` collects arrows starting at the point, ``incoming`` arrows
-    ending there.  For a pair groupoid the isotropy (their intersection) is
-    the single unit arrow; it is computed here, not assumed.
-    """
-
-    base: int
-    outgoing: tuple[Arrow, ...]
-    incoming: tuple[Arrow, ...]
-    isotropy: tuple[Arrow, ...]
-
-
-def fibers(g: Groupoid, x: int) -> FiberReport:
-    block = g.blocks[g.block_index(x)]
-    outgoing = tuple(Arrow(x, y) for y in block)
-    incoming = tuple(Arrow(y, x) for y in block)
-    isotropy = tuple(a for a in outgoing if a in set(incoming))
-    return FiberReport(base=x, outgoing=outgoing, incoming=incoming, isotropy=isotropy)
-
-
-def is_transitive(g: Groupoid) -> bool:
-    """True when the groupoid has a single orbit (the relation is total)."""
-    return g.n_blocks == 1
 
 
 def promote(arr: np.ndarray, exact: bool = False) -> np.ndarray:

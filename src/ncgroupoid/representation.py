@@ -3,6 +3,8 @@
 Over each point x sits a finite Hilbert space of functions on the arrows
 ending there, identified with functions on the points of its class, with
 the weighted inner product <psi, phi> = sum_z conj(psi(z)) phi(z) w(z).
+That space is not stored: its basis and weights are the class's row in
+its size group (``SizeGroup.index`` and ``SizeGroup.weights``).
 An algebra element a acts fiberwise by
 
     (a . psi)(z) = sum_u a(z, u) psi(u) w(u),
@@ -25,28 +27,6 @@ import numpy as np
 
 from .algebra import AlgebraElement, convolve, involution
 from .groupoid import BlockStack, Groupoid, promote
-
-
-@dataclass(frozen=True)
-class FiberSpace:
-    """The Hilbert space over one base point: its class, with quadrature weights."""
-
-    base: int
-    basis: tuple[int, ...]
-    weights: tuple[float, ...]
-
-    @property
-    def dim(self) -> int:
-        return len(self.basis)
-
-
-def fiber_space(g: Groupoid, x: int) -> FiberSpace:
-    b = g.block_index(x)
-    return FiberSpace(
-        base=x,
-        basis=g.block_points(b),
-        weights=tuple(g.block_weights(b)),
-    )
 
 
 class RandomOperator:
@@ -105,20 +85,20 @@ class RandomOperator:
 
     def ess_sup(self) -> float:
         """Largest fiber operator norm; see the module docstring."""
-        return _max_norm(self.stack)
+        return max(float(norms.max()) for norms in _block_norms(self.stack))
 
     def max_fiber_diff(self, other: "RandomOperator") -> float:
         """Largest operator-norm distance between corresponding fibers."""
-        return _max_norm(self.stack - other.stack)
+        return max(float(norms.max()) for norms in _block_norms(self.stack - other.stack))
 
     def __repr__(self) -> str:
         dims = [len(b) for b in self.groupoid.blocks]
         return f"RandomOperator(fiber dims {dims})"
 
 
-def _max_norm(stack: BlockStack) -> float:
-    """Largest spectral norm over all blocks of a stack."""
-    return max(float(np.linalg.norm(arr, 2, axis=(1, 2)).max()) for arr in stack.arrays)
+def _block_norms(stack: BlockStack) -> list[np.ndarray]:
+    """Per size group, the spectral norm of each of its blocks."""
+    return [np.linalg.norm(arr, 2, axis=(1, 2)) for arr in stack.arrays]
 
 
 def represent(a: AlgebraElement) -> RandomOperator:
@@ -156,32 +136,25 @@ def star_defect(a: AlgebraElement) -> float:
 
 @dataclass(frozen=True)
 class RandomOperatorReport:
-    """Structural and metric facts about one operator field."""
+    """Metric facts about one operator field."""
 
-    measurable: bool
-    measurable_note: str
     ess_sup: float
     bounded: bool
     fiber_norms: dict[int, float]
 
 
 def random_operator_report(R: RandomOperator) -> RandomOperatorReport:
-    """Report measurability and boundedness, and the essential supremum.
+    """Report the fiber norms per point, their essential supremum and boundedness.
 
-    Measurability asks that points of one class carry the same fiber
-    operator.  A ``RandomOperator`` stores one matrix per class, so that
-    holds by construction and ``measurable`` is always True.  Boundedness
-    is finiteness of the largest fiber norm.
+    Boundedness is finiteness of the largest fiber norm.  (Measurability
+    holds by construction; see the module docstring.)
     """
     g = R.groupoid
     norms = np.empty(len(g.space.points))
-    for grp, arr in zip(g.groups, R.stack.arrays):
-        norms[grp.index] = np.linalg.norm(arr, 2, axis=(1, 2))[:, None]
+    for grp, block_norms in zip(g.groups, _block_norms(R.stack)):
+        norms[grp.index] = block_norms[:, None]
     sup = float(norms.max())
     return RandomOperatorReport(
-        measurable=True,
-        measurable_note="fibers within each class are shared objects; on a finite atomic "
-                        "base every class-constant field is measurable",
         ess_sup=sup,
         bounded=bool(np.isfinite(sup)),
         fiber_norms=dict(zip(g.space.ids, norms.tolist())),

@@ -61,8 +61,8 @@ class DensityField:
             mats = [promote(np.asarray(mat)) for mat in matrices]
             if len(mats) != len(g.space.points):
                 raise ValueError(f"need one density per point, got {len(mats)}")
-            for x, mat in zip(g.space.ids, mats):
-                m = len(g.blocks[g.block_index(x)])
+            for x, b, mat in zip(g.space.ids, g.point_pos[:, 0].tolist(), mats):
+                m = len(g.blocks[b])
                 if mat.shape != (m, m):
                     raise ValueError(f"point {x}: density shape {mat.shape}, fiber dim is {m}")
             matrices = BlockStack(g, [
@@ -111,11 +111,9 @@ class DensityField:
 
 @dataclass(frozen=True)
 class StateReport:
-    """Outcome of the four state conditions plus the faithfulness flag."""
+    """What a validated state measured, plus the faithfulness flag."""
 
-    trace_class: bool
     integral: float
-    positive: bool
     min_eigenvalue: float
     normalization: float
     faithful: bool
@@ -189,9 +187,7 @@ def make_state(rho: DensityField) -> State:
     if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"density normalizes to {total!r}, not 1")
     report = StateReport(
-        trace_class=True,
         integral=integral,
-        positive=True,
         min_eigenvalue=min_eig,
         normalization=total,
         faithful=faithful,
@@ -211,19 +207,6 @@ def expect(state: State, R: RandomOperator) -> complex:
         np.einsum("kij,kji->", rb, M)
         for rb, M in zip(state.density.class_sums(), R.stack.arrays)
     ))
-
-
-@dataclass(frozen=True)
-class NCProbabilitySpace:
-    """A family of operator fields observed through one state."""
-
-    generators: tuple[RandomOperator, ...]
-    state: State
-
-    def __post_init__(self):
-        for G in self.generators:
-            if not G.groupoid.same_structure(self.state.groupoid):
-                raise ValueError("generators and state live on different groupoids")
 
 
 def big_matrix(R: RandomOperator) -> np.ndarray:

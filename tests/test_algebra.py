@@ -353,13 +353,50 @@ def test_scalar_and_addition():
 def test_csv_roundtrip(tmp_path, rng):
     g = random_groupoid(rng, dim=2)
     a = random_element(g, rng, with_jets=True)
-    path = tmp_path / "element.csv"
-    a.to_csv(path)
-    back = AlgebraElement.from_csv(g, path)
-    assert max_diff(a, back) == 0.0
-    for arrow_block, block in enumerate(g.blocks):
-        np.testing.assert_array_equal(a.d_src[arrow_block], back.d_src[arrow_block])
-        np.testing.assert_array_equal(a.d_dst[arrow_block], back.d_dst[arrow_block])
+    path, shuffled, again = (tmp_path / f"{name}.csv" for name in ("a", "shuffled", "again"))
+    # -0.0 where a is positive: the signs of zeros survive the round trip too
+    for element in (a, -0.0 * a):
+        element.to_csv(path)
+        header, *rows = path.read_text().splitlines()
+        shuffled.write_text("\n".join([header, *rows[::-1]]) + "\n")
+        for back in (AlgebraElement.from_csv(g, path), AlgebraElement.from_csv(g, shuffled)):
+            assert max_diff(element, back) == 0.0
+            for arrow_block, block in enumerate(g.blocks):
+                np.testing.assert_array_equal(element.d_src[arrow_block], back.d_src[arrow_block])
+                np.testing.assert_array_equal(element.d_dst[arrow_block], back.d_dst[arrow_block])
+            back.to_csv(again)
+            assert again.read_bytes() == path.read_bytes()
+
+
+def _replace_line(k, text):
+    def edit(lines):
+        lines[k] = text(lines)
+    return edit
+
+
+# the grid's arrows sorted by (src, dst): line 1 is (0, 0), line 2 is (0, 1)
+@pytest.mark.parametrize("edit, message", [
+    (_replace_line(2, lambda lines: "0,2," + lines[2].split(",", 2)[2]),
+     r"\(0, 2\) is not an arrow of the groupoid"),
+    (_replace_line(2, lambda lines: lines[1]), "8 rows for 7 distinct arrows"),
+    (lambda lines: lines.pop(2), "7 rows for 7 distinct arrows, the groupoid has 8"),
+    (_replace_line(2, lambda lines: "0,9," + lines[2].split(",", 2)[2]),
+     r"\(0, 9\) is not an arrow of the groupoid"),
+    (_replace_line(2, lambda lines: lines[2] + ",0"), r"column counts \[4, 5\], need 4"),
+    (_replace_line(0, lambda lines: "src,dst,re"), r"column counts \[3, 4\], need 4"),
+], ids=["not an arrow", "repeated row", "missing row", "unknown id", "row columns",
+        "header columns"])
+def test_from_csv_refuses_malformed_files(tmp_path, rng, edit, message):
+    space = grid_space()
+    g = build_groupoid(space, hausdorff_relation(space))
+    path = tmp_path / "a.csv"
+    random_element(g, rng).to_csv(path)
+    lines = path.read_text().splitlines()
+    assert lines[1].startswith("0,0,") and lines[2].startswith("0,1,")
+    edit(lines)
+    path.write_text("\n".join(lines) + "\n")
+    with pytest.raises(ValueError, match=message):
+        AlgebraElement.from_csv(g, path)
 
 
 def test_csv_text_is_deterministic(tmp_path, rng):

@@ -37,9 +37,9 @@ def test_space_analyze_writes_partition(tmp_path, capsys):
 def test_groupoid_build_writes_arrows(tmp_path, capsys):
     code, out = run_cli(tmp_path, "groupoid", "build", "--space", "grid_2x2")
     assert code == 0
-    lines = (out / "arrows.csv").read_text().splitlines()
-    assert lines[0] == "src,dst"
-    assert len(lines) - 1 == 8  # two classes of two points: 2*(2^2)
+    # two classes of two points, {0, 1} and {2, 3}: 2 * 2^2 arrows, sorted
+    assert (out / "arrows.csv").read_bytes() == (
+        b"src,dst\r\n0,0\r\n0,1\r\n1,0\r\n1,1\r\n2,2\r\n2,3\r\n3,2\r\n3,3\r\n")
 
 
 def test_algebra_conv_writes_product(tmp_path, capsys):

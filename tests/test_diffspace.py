@@ -219,9 +219,12 @@ def test_relation_is_an_equivalence(rng):
         rho = hausdorff_relation(space)
         ids = space.ids
         assert sorted(rho.block_of) == sorted(ids)
+        pairs = {(x, y) for x in ids for y in ids if rho.block_of[x] == rho.block_of[y]}
         for x in ids:
-            assert rho.relates(x, x)
-        pairs = set(rho.pairs())
+            assert (x, x) in pairs
+        # related exactly when every generator takes the same value at both points
+        vals = {x: tuple(space.generator_values[space.index_of(x)]) for x in ids}
+        assert pairs == {(x, y) for x in ids for y in ids if vals[x] == vals[y]}
         for (x, y) in pairs:
             assert (y, x) in pairs
         for (x, y) in pairs:
@@ -262,7 +265,7 @@ def test_partition_canonical_and_relates():
     p2 = Partition([[4, 0], [1, 3], [2]])
     assert p1 == p2
     assert p1.blocks == ((0, 4), (1, 3), (2,))
-    assert p1.relates(0, 4) and not p1.relates(0, 1)
+    assert p1.block_of[0] == p1.block_of[4] != p1.block_of[1]
 
 
 def test_partition_rejects_overlap_and_empty():
@@ -290,7 +293,7 @@ def test_partition_from_fibers_is_equivalence(labels):
     p = Partition(groups.values())
     for i in ids:
         for j in ids:
-            assert p.relates(i, j) == (labels[i] == labels[j])
+            assert (p.block_of[i] == p.block_of[j]) == (labels[i] == labels[j])
 
 
 # ------------------------------------------------------------ quotient

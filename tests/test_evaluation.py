@@ -200,7 +200,7 @@ def test_coincident_points_glue_wherever_they_sit(n, where, point, seed):
         GeneratorFunction("b", "log(1 + x1^2) - x2^3", 2),
     ]
     rho = hausdorff_relation(DiffSpace(pts, 2, gens))
-    assert rho.relates(i, j)
+    assert rho.block_of[i] == rho.block_of[j]
 
 
 # ------------------------------------------------------------ shapes

@@ -7,7 +7,6 @@ from ncgroupoid import (
     RandomOperator,
     build_groupoid,
     convolve,
-    fiber_space,
     from_expression,
     hausdorff_relation,
     homomorphism_defect,
@@ -30,11 +29,15 @@ def total_pair_groupoid(weights=(1.0, 1.0)):
 # ---------------------------------------------------------------- fibers
 
 def test_fiber_space_shape():
+    # the fiber over 0 is its class (0, 1) with weights (1, 2): its group row
     g = total_pair_groupoid(weights=(1.0, 2.0))
-    fs = fiber_space(g, 0)
-    assert fs.dim == 2
-    assert fs.basis == (0, 1)
-    np.testing.assert_array_equal(fs.weights, [1.0, 2.0])
+    b, _ = g.point_pos[g.space.index_of(0)]
+    s, r = g.slots[b]
+    grp = g.groups[s]
+    assert grp.m == 2
+    assert [g.space.points[p].id for p in grp.index[r]] == [0, 1]
+    np.testing.assert_array_equal(grp.weights[r], [1.0, 2.0])
+    assert represent(from_expression(g, "1")).fiber(0).shape == (2, 2)
 
 
 def test_represented_matrix_entries():
@@ -61,8 +64,8 @@ def test_action_matches_convolution_on_vectors(rng):
     g = random_groupoid(rng)
     a = random_element(g, rng)
     R = represent(a)
-    for bi, block in enumerate(g.blocks):
-        w = g.block_weights(bi)
+    for block in g.blocks:
+        w = np.array([g.space.weight(x) for x in block])
         psi = rng.standard_normal(len(block)) + 1j * rng.standard_normal(len(block))
         out = R.fiber(block[0]) @ psi
         for i, x in enumerate(block):
@@ -110,9 +113,9 @@ def test_adjoint_is_adjoint_for_weighted_inner_product(rng):
     g = random_groupoid(rng)
     R = represent(random_element(g, rng))
     S = R.adjoint()
-    for bi, block in enumerate(g.blocks):
+    for block in g.blocks:
         x = block[0]
-        w = g.block_weights(bi)
+        w = np.array([g.space.weight(y) for y in block])
         n = len(block)
         psi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
         phi = rng.standard_normal(n) + 1j * rng.standard_normal(n)
@@ -163,18 +166,8 @@ def test_ess_sup_is_submultiplicative(rng):
 def test_report_on_represented_element(rng):
     g = random_groupoid(rng)
     rep = random_operator_report(represent(random_element(g, rng)))
-    assert rep.measurable
     assert rep.bounded
     assert rep.ess_sup == max(rep.fiber_norms.values())
-
-
-def test_class_constancy_is_structural():
-    # One matrix is stored per class, so fibers over a class cannot differ;
-    # the report documents that rather than re-deriving it numerically.
-    g = total_pair_groupoid()
-    rep = random_operator_report(RandomOperator.identity(g))
-    assert rep.measurable
-    assert "class" in rep.measurable_note
 
 
 def test_constructor_rejects_wrong_fiber_shape():

@@ -14,7 +14,6 @@ import scipy.linalg
 from ncgroupoid import (
     DensityField,
     DiffSpace,
-    NCProbabilitySpace,
     Partition,
     Point,
     RandomOperator,
@@ -41,7 +40,7 @@ def total_pair_groupoid(weights=(1.0, 1.0)):
 
 
 def fiber_dim(g, x):
-    return len(g.block_points(g.block_index(x)))
+    return len(g.blocks[g.block_index(x)])
 
 
 def ambient_dim(g):
@@ -76,7 +75,7 @@ def test_uniform_state_is_valid_and_faithful():
     g = total_pair_groupoid(weights=(1.0, 2.0))
     state = make_state(DensityField.uniform(g))
     rep = state.report
-    assert rep.trace_class and rep.positive and rep.faithful
+    assert rep.faithful and rep.min_eigenvalue > 0
     assert rep.normalization == pytest.approx(1.0, abs=1e-12)
 
 
@@ -95,7 +94,7 @@ def test_rank_deficient_density_is_valid_but_not_faithful():
     p = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     z = sum(g.space.weight(x) for x in g.space.ids)
     state = make_state(DensityField(g, [p / z, p / z]))
-    assert state.report.positive
+    assert state.report.min_eigenvalue == 0.0
     assert not state.report.faithful
 
 
@@ -169,23 +168,14 @@ def test_positivity_on_squares_uniform_weights(rng):
         assert abs(val.imag) <= 1e-12
 
 
-def test_probability_space_bundles_parts():
-    g = total_pair_groupoid()
-    state = make_state(DensityField.uniform(g))
-    R = RandomOperator.identity(g)
-    ncps = NCProbabilitySpace(generators=(R,), state=state)
-    assert ncps.generators == (R,)
-    assert ncps.state is state
-
-
 def test_probability_space_rejects_mismatched_parts(rng):
     g1 = total_pair_groupoid()
     g2 = random_groupoid(rng, dim=2)
     if g1.same_structure(g2):
         pytest.skip("random structure happens to match")
     state = make_state(DensityField.uniform(g1))
-    with pytest.raises(ValueError):
-        NCProbabilitySpace(generators=(RandomOperator.identity(g2),), state=state)
+    with pytest.raises(ValueError, match="different groupoids"):
+        expect(state, RandomOperator.identity(g2))
 
 
 # ------------------------------------------------------------- commutant
