@@ -55,13 +55,13 @@ class BaseFunction:
     def __init__(self, space: DiffSpace, values, grads=None, expr=None):
         self.space = space
         self.values = promote(np.array(values))
-        if self.values.shape != (len(space.points),):
+        if self.values.shape != (len(space.id_array),):
             raise ValueError(
                 f"need one value per point, got shape {self.values.shape}"
             )
         if grads is not None:
             grads = promote(np.array(grads))
-            if grads.shape != (len(space.points), space.dimension):
+            if grads.shape != (len(space.id_array), space.dimension):
                 raise ValueError(f"bad gradient shape {grads.shape}")
         self.grads = grads
         self.expr = expr
@@ -230,10 +230,9 @@ class AlgebraElement:
         when the element carries jets.
         """
         g = self.groupoid
-        ids = np.array(g.space.ids)
         src, dst, channels = [], [], []
         for grp, arr in zip(g.groups, self.stack.arrays):
-            block_ids = ids[grp.index]  # (k, m)
+            block_ids = g.space.id_array[grp.index]  # (k, m)
             shape = block_ids.shape + (grp.m,)
             src.append(np.broadcast_to(block_ids[:, :, None], shape).ravel())
             dst.append(np.broadcast_to(block_ids[:, None, :], shape).ravel())
@@ -267,14 +266,22 @@ class AlgebraElement:
         if widths != [expected]:
             raise ValueError(f"column counts {widths}, need {expected}")
         pairs = [(int(row[0]), int(row[1])) for row in rows]
-        block_of = g.partition.block_of
-        for x, y in pairs:
-            if x not in block_of or block_of[x] != block_of.get(y):
-                raise ValueError(f"({x}, {y}) is not an arrow of the groupoid")
-        at = np.array([[g.space.index_of(x) for x in p] for p in pairs], dtype=int).reshape(-1, 2)
+        try:
+            ids = np.array(pairs, dtype=np.int64).reshape(-1, 2)
+        except OverflowError:  # no point id is past 64 bits
+            x, y = next(p for p in pairs if not all(-2 ** 63 <= v < 2 ** 63 for v in p))
+            raise ValueError(f"({x}, {y}) is not an arrow of the groupoid") from None
+        # each id's index among the partition's members, and whether it is that member
+        members, labels = g.partition.members, g.partition.labels
+        at = np.searchsorted(members, ids).clip(max=len(members) - 1)
+        arrow = (members[at] == ids).all(axis=1) & (labels[at[:, 0]] == labels[at[:, 1]])
+        if not arrow.all():
+            x, y = pairs[int(np.argmin(arrow))]
+            raise ValueError(f"({x}, {y}) is not an arrow of the groupoid")
         # the block and the positions in it of the source and destination of every row
-        (b, i), j = g.point_pos[at[:, 0]].T, g.point_pos[at[:, 1], 1]
-        distinct = len(set(pairs))
+        pos = g.space.id_order[at]
+        (b, i), j = g.point_pos[pos[:, 0]].T, g.point_pos[pos[:, 1], 1]
+        distinct = len(np.unique(at[:, 0] * len(members) + at[:, 1]))
         if distinct != len(rows) or len(rows) != g.arrow_count:
             raise ValueError(f"file has {len(rows)} rows for {distinct} distinct arrows, "
                              f"the groupoid has {g.arrow_count} arrows")
@@ -288,7 +295,7 @@ class AlgebraElement:
         return cls.from_stack(BlockStack(g, arrays), with_jets)
 
     def __repr__(self) -> str:
-        sizes = [len(b) for b in self.groupoid.blocks]
+        sizes = self.groupoid.partition.sizes.tolist()
         jets = "with jets" if self.has_jets else "no jets"
         return f"AlgebraElement(blocks {sizes}, {jets})"
 
@@ -417,8 +424,7 @@ def arrow_basis(g: Groupoid) -> list[AlgebraElement]:
     """Delta elements, one per arrow, in the groupoid's arrow order."""
     zeros = BlockStack.zeros(g, (1,)).arrays
     out = []
-    for b, (s, r) in enumerate(g.slots.tolist()):
-        m = len(g.blocks[b])
+    for (s, r), m in zip(g.slots.tolist(), g.partition.sizes.tolist()):
         for i in range(m):
             for j in range(m):
                 arrays = list(zeros)
@@ -438,11 +444,12 @@ def random_element(
     def draw(shape):
         return rng.standard_normal(shape) + (0 if real else 1j * rng.standard_normal(shape))
 
-    values = [draw((len(b), len(b))) for b in g.blocks]
+    sizes = g.partition.sizes.tolist()
+    values = [draw((m, m)) for m in sizes]
     if not with_jets:
         return AlgebraElement(g, values)
-    d_src = [draw((len(b), len(b), n)) for b in g.blocks]
-    d_dst = [draw((len(b), len(b), n)) for b in g.blocks]
+    d_src = [draw((m, m, n)) for m in sizes]
+    d_dst = [draw((m, m, n)) for m in sizes]
     return AlgebraElement(g, values, d_src=d_src, d_dst=d_dst)
 
 

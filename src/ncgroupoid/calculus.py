@@ -39,9 +39,9 @@ class Derivation:
         self.space = space
         n = space.dimension
         self.coeffs = promote(np.asarray(coeffs))
-        if self.coeffs.shape != (len(space.points), n):
+        if self.coeffs.shape != (len(space.id_array), n):
             raise ValueError(f"coefficient shape {self.coeffs.shape}, "
-                             f"need ({len(space.points)}, {n})")
+                             f"need ({len(space.id_array)}, {n})")
         self.exprs = tuple(exprs) if exprs is not None else None
 
     @classmethod
@@ -53,7 +53,7 @@ class Derivation:
             raise ExpressionError(f"need {n} coefficient expressions, got {len(texts)}")
         syms = coordinate_symbols(n)
         exprs = [parse(t, syms) for t in texts]
-        coeffs = np.empty((len(space.points), n))
+        coeffs = np.empty((len(space.id_array), n))
         for i, e in enumerate(exprs):
             coeffs[:, i], _ = ValueGradFn(e, syms)(space.coords)
         return cls(space, coeffs, exprs=exprs)

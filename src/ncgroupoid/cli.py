@@ -24,14 +24,12 @@ import numpy as np
 from . import __version__
 from ._expr import ValueGradFn, coordinate_symbols, parse
 from .algebra import (
-    AlgebraElement,
     BaseFunction,
     arrow_basis,
     convolve,
     from_expression,
     involution,
     max_diff,
-    module_action,
     random_element,
     unit,
 )
@@ -39,7 +37,6 @@ from .calculus import Derivation, commutator_apply, commutator_defect, leibniz_d
 from .deform import deformation_chain, homomorphism_defect_chain, step_n_pointwise_check
 from .diffspace import (
     ConfigError,
-    DiffSpace,
     GeneratorFunction,
     Partition,
     build_space,
@@ -91,14 +88,10 @@ def _space_and_groupoid(config: dict):
 
 def _cmd_space_analyze(args, space, g, report) -> None:
     rho = g.partition
-    report.note(
-        f"{len(space.points)} points, dimension {space.dimension}, "
-        f"{len(space.generators)} generators, compare={space.compare_mode}"
-    )
-    report.note(
-        f"relation: {rho.n_blocks} classes, sizes "
-        f"{[len(b) for b in rho.blocks]}, hausdorff={rho.is_identity}"
-    )
+    report.note(f"{len(space.id_array)} points, dimension {space.dimension}, "
+                f"{len(space.generators)} generators, compare={space.compare_mode}")
+    report.note(f"relation: {rho.n_blocks} classes, sizes {rho.sizes.tolist()}, "
+                f"hausdorff={rho.is_identity}")
     fam = consistent_family(space, rho)
     for r in fam.results:
         report.add(check_flag(
@@ -106,9 +99,7 @@ def _cmd_space_analyze(args, space, g, report) -> None:
             note=f"max spread {r.max_spread:.3g}",
         ))
     q = quotient(space, rho)
-    report.note(
-        f"quotient: {len(q.space.points)} points, dropped={list(q.dropped)}"
-    )
+    report.note(f"quotient: {len(q.space.id_array)} points, dropped={list(q.dropped)}")
     # pulling the pushed-down generators back along the projection must
     # reproduce the originals
     kept = [j for j, gen in enumerate(space.generators) if gen.name not in q.dropped]
@@ -117,11 +108,8 @@ def _cmd_space_analyze(args, space, g, report) -> None:
     worst = np.abs(pulled - space.generator_values[:, kept]).max(initial=0.0)
     report.add(check("quotient_roundtrip", float(worst), args.tol))
     if args.out:
-        write_csv(
-            os.path.join(args.out, "partition.csv"),
-            ["point", "class"],
-            [(x, rho.block_of[x]) for x in sorted(rho.block_of)],
-        )
+        write_csv(os.path.join(args.out, "partition.csv"), ["point", "class"],
+                  zip(rho.members.tolist(), rho.labels.tolist()))
         write_csv(
             os.path.join(args.out, "quotient_points.csv"),
             ["class", "weight"] + [f"coord{i+1}" for i in range(q.space.dimension)],
@@ -133,8 +121,8 @@ def _cmd_space_analyze(args, space, g, report) -> None:
 
 # relations other than the Hausdorff one, whose groupoid run() always builds
 _RELATIONS = {
-    "identity": lambda space: Partition.identity(space.ids),
-    "total": lambda space: Partition.total(space.ids),
+    "identity": lambda space: Partition.identity(space.id_array),
+    "total": lambda space: Partition.total(space.id_array),
 }
 
 
@@ -146,17 +134,11 @@ def _cmd_groupoid_build(args, space, g, report) -> None:
     else:
         # the classes must be exactly the fibers of the generator values
         record = check_flag("relation_matches_generators", classes_are_fibers(space, g.partition))
-    report.note(
-        f"{g.n_blocks} orbits, {g.arrow_count} arrows, "
-        f"transitive={g.partition.is_total}"
-    )
+    report.note(f"{g.n_blocks} orbits, {g.arrow_count} arrows, transitive={g.partition.is_total}")
     report.add(record)
     if args.out:
-        write_csv(
-            os.path.join(args.out, "arrows.csv"),
-            ["src", "dst"],
-            sorted((x, y) for block in g.blocks for x in block for y in block),
-        )
+        write_csv(os.path.join(args.out, "arrows.csv"), ["src", "dst"],
+                  sorted((x, y) for block in g.blocks for x in block for y in block))
 
 
 # -------------------------------------------------------------- algebra
@@ -205,7 +187,7 @@ def _cmd_algebra_check_laws(args, space, g, report) -> None:
     report.add(check("involution_antihom", anti, args.tol))
     report.add(check("involution_involutive", invol, 0.0))
     report.add(check("unit_law", unit_law, args.tol))
-    if all(len(b) == 1 for b in g.blocks):
+    if g.partition.is_identity:
         # diagonal groupoid: convolution collapses to the weighted
         # pointwise product on the units
         a = random_element(g, rng)
@@ -254,20 +236,15 @@ def _cmd_rep_build(args, space, g, report) -> None:
     report.add(check_flag("bounded", rep_report.bounded))
     if args.out:
         # per class its (row, col, re, im) entries, row-major; streamed once per point
-        ids = np.array(space.ids)
         entries = [None] * g.n_blocks
         for grp, M in zip(g.groups, R.stack.arrays):
-            pts = ids[grp.index]
+            pts = space.id_array[grp.index]
             cols = (np.repeat(pts, grp.m, axis=1), np.tile(pts, grp.m),
                     M.real.reshape(len(pts), -1), M.imag.reshape(len(pts), -1))
             for b, *col in zip(grp.blocks.tolist(), *(c.tolist() for c in cols)):
                 entries[b] = list(zip(*col))
-        rows = ((x, *e) for x in space.ids for e in entries[g.block_index(x)])
-        write_csv(
-            os.path.join(args.out, "fibers.csv"),
-            ["point", "row", "col", "re", "im"],
-            rows,
-        )
+        rows = ((x, *e) for x, b in zip(space.ids, g.point_pos[:, 0].tolist()) for e in entries[b])
+        write_csv(os.path.join(args.out, "fibers.csv"), ["point", "row", "col", "re", "im"], rows)
 
 
 def _cmd_rep_check(args, space, g, report) -> None:
@@ -282,11 +259,9 @@ def _cmd_rep_check(args, space, g, report) -> None:
         star = max(star, star_defect(a) / max(1.0, represent(a).ess_sup()))
     report.add(check("representation_homomorphism", hom, args.tol))
     report.add(check("representation_star", star, args.tol))
-    E = represent(unit(g))
-    worst = max(
-        float(np.abs(E.fiber(x) - np.eye(E.fiber(x).shape[0])).max())
-        for x in space.ids
-    )
+    # every fiber is its class's matrix
+    worst = max(float(np.abs(M - np.eye(grp.m)).max())
+                for grp, M in zip(g.groups, represent(unit(g)).stack.arrays))
     report.add(check("represent_unit_is_identity", worst, args.tol))
 
 
@@ -448,13 +423,8 @@ def _superposition_check(space, rng) -> CheckRecord:
     terms += [f"{int(c)}*{t}" for c, t in zip(coefs, gens)]
     terms += [f"{int(c)}*{t}*{t}" for c, t in zip(coefs[::-1], gens)]
     composed = " + ".join(terms)
-    bigger = DiffSpace(
-        space.points, space.dimension,
-        list(space.generators)
-        + [GeneratorFunction("superposed", composed, space.dimension)],
-        compare_mode=space.compare_mode, eps=space.eps,
-        constants_only=False,
-    )
+    bigger = space.with_generators(
+        [*space.generators, GeneratorFunction("superposed", composed, space.dimension)])
     after = hausdorff_relation(bigger)
     return check_flag("superposition_invariance", after == before)
 

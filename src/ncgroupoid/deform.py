@@ -82,19 +82,16 @@ class DeformationChain:
 
 
 def deformation_chain(space: DiffSpace) -> DeformationChain:
-    """Build levels 0..n for a space of dimension n.  See the module docstring."""
+    """Levels 0..n for a space of dimension n, all on the space's own point arrays."""
     n = space.dimension
     levels = []
     for k in range(n + 1):
         gens = [GeneratorFunction(f"pi{i}", f"x{i}", n) for i in range(1, k + 1)]
-        sk = DiffSpace(space.points, n, gens, compare_mode=space.compare_mode,
-                       eps=space.eps, constants_only=k == 0)
+        sk = space.with_generators(gens, constants_only=k == 0)
         rho = hausdorff_relation(sk)
         levels.append(ChainLevel(k=k, space=sk, partition=rho, groupoid=build_groupoid(sk, rho)))
 
-    refine = all(
-        levels[k + 1].partition.refines(levels[k].partition) for k in range(n)
-    )
+    refine = all(levels[k + 1].partition.refines(levels[k].partition) for k in range(n))
     report = ChainReport(
         block_counts=tuple(l.partition.n_blocks for l in levels),
         arrow_counts=tuple(l.groupoid.arrow_count for l in levels),
@@ -167,16 +164,12 @@ def step_n_pointwise_check(
     conv = convolve(a, b)
     weighted = plain = 0.0
     diag = top.partition.is_identity
-    unit_w = all(top.space.weight(x) == 1.0 for x in top.space.ids)
+    unit_w = bool((top.space.weights == 1.0).all())
     stacks = (a.stack.arrays, b.stack.arrays, conv.stack.arrays)
     for grp, A, B, C in zip(a.groupoid.groups, *stacks):
         if grp.m == 1:  # the singleton classes
             ab = A[:, 0, 0, 0] * B[:, 0, 0, 0]
             weighted = float(np.abs(C[:, 0, 0, 0] - ab * grp.weights[:, 0]).max())
             plain = float(np.abs(C[:, 0, 0, 0] - ab).max())
-    return StepNReport(
-        top_is_diagonal=diag,
-        unit_weights=unit_w,
-        weighted_defect=weighted,
-        plain_defect=plain,
-    )
+    return StepNReport(top_is_diagonal=diag, unit_weights=unit_w, weighted_defect=weighted,
+                       plain_defect=plain)

@@ -11,10 +11,13 @@ space itself is again a space of the same kind.
 
 from __future__ import annotations
 
+import copy
 import json
 import math
 import sys
 from dataclasses import dataclass, field
+from functools import cached_property
+from typing import NamedTuple
 
 import numpy as np
 
@@ -41,8 +44,7 @@ def _is_number(value) -> bool:
         and abs(value) <= sys.float_info.max
 
 
-@dataclass(frozen=True)
-class Point:
+class Point(NamedTuple):
     """One atom of the space: an id, coordinates in R^n, a positive weight."""
 
     id: int
@@ -75,71 +77,91 @@ class GeneratorFunction:
 
 
 class Partition:
-    """A partition of point ids, canonically ordered.
+    """A partition of point ids, stored as one label array.
 
-    Blocks are stored sorted by smallest member, members sorted by id, so
-    two partitions describing the same relation compare equal no matter how
-    they were produced.  Two ids are related exactly when ``block_of``
-    maps them to the same block.
+    ``members`` holds the ids in ascending order, ``labels[i]`` the block of
+    ``members[i]``, ``sizes`` the block sizes and ``order`` the members block
+    after block.  Blocks are numbered by their smallest member, so equal
+    relations have equal arrays however they were built: every constructor
+    goes through one canonicalizing path, which refuses an empty block, an
+    id in two blocks and an id repeated inside a block.  ``blocks`` (id
+    tuples) and ``block_of`` (id -> block) are views made on first use.
     """
 
     def __init__(self, blocks):
-        cleaned = []
-        seen: set[int] = set()
-        for block in blocks:
-            members = tuple(sorted(int(x) for x in block))
-            if not members:
-                raise ValueError("empty block in partition")
-            overlap = seen.intersection(members)
-            if overlap:
-                raise ValueError(f"ids {sorted(overlap)} appear in more than one block")
-            if len(set(members)) != len(members):
-                raise ValueError("repeated id inside a block")
-            seen.update(members)
-            cleaned.append(members)
-        cleaned.sort(key=lambda b: b[0])
-        self.blocks: tuple[tuple[int, ...], ...] = tuple(cleaned)
-        self.block_of: dict[int, int] = {
-            x: i for i, block in enumerate(self.blocks) for x in block
-        }
+        blocks = [[int(x) for x in block] for block in blocks]
+        self._settle(np.array([x for block in blocks for x in block], dtype=np.int64),
+                     np.repeat(np.arange(len(blocks)), [len(b) for b in blocks]), len(blocks))
+
+    @classmethod
+    def _of_labels(cls, ids, labels, n_labels: int) -> "Partition":
+        """The partition putting ids[i] into block labels[i], labels in range(n_labels)."""
+        p = cls.__new__(cls)
+        p._settle(np.asarray(ids, dtype=np.int64), np.asarray(labels, dtype=np.intp), n_labels)
+        return p
 
     @classmethod
     def identity(cls, ids) -> "Partition":
-        return cls([(x,) for x in ids])
+        return cls._of_labels(ids, np.arange(len(ids)), len(ids))
 
     @classmethod
     def total(cls, ids) -> "Partition":
-        return cls([tuple(ids)])
+        return cls._of_labels(ids, np.zeros(len(ids)), 1)
 
-    @property
-    def ids(self) -> tuple[int, ...]:
-        return tuple(sorted(self.block_of))
+    def _settle(self, ids: np.ndarray, labels: np.ndarray, n_labels: int) -> None:
+        # sorted stably, an id's blocks keep the order they were given in
+        order = np.argsort(ids, kind="stable")
+        ids, labels = ids[order], labels[order]
+        sizes = np.bincount(labels, minlength=n_labels)
+        repeated = ids[1:] == ids[:-1]
+        if not sizes.all():
+            raise ValueError("empty block in partition")
+        if repeated.any():
+            shared = set(ids[1:][repeated & (labels[1:] != labels[:-1])].tolist())
+            raise ValueError(f"ids {sorted(shared)} appear in more than one block" if shared
+                             else "repeated id inside a block")
+        # number the blocks by first appearance in id order, i.e. by smallest member
+        first = np.full(n_labels, len(ids))
+        np.minimum.at(first, labels, np.arange(len(ids)))
+        self.members, self.labels = ids, np.argsort(np.argsort(first))[labels]
+        self.sizes, self.n_blocks = np.bincount(self.labels, minlength=n_labels), n_labels
+        self.order = np.argsort(self.labels, kind="stable")
+        for arr in (self.members, self.labels, self.sizes, self.order):
+            arr.flags.writeable = False
 
-    @property
-    def n_blocks(self) -> int:
-        return len(self.blocks)
+    @cached_property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        flat, ends = self.members[self.order].tolist(), np.cumsum(self.sizes).tolist()
+        return tuple(tuple(flat[end - m:end]) for end, m in zip(ends, self.sizes.tolist()))
+
+    @cached_property
+    def block_of(self) -> dict[int, int]:
+        return dict(zip(self.members.tolist(), self.labels.tolist()))
 
     @property
     def is_identity(self) -> bool:
-        return all(len(b) == 1 for b in self.blocks)
+        return self.n_blocks == len(self.members)
 
     @property
     def is_total(self) -> bool:
-        return len(self.blocks) == 1
+        return self.n_blocks == 1
 
     def refines(self, other: "Partition") -> bool:
         """True when every block of self sits inside one block of other."""
-        if set(self.block_of) != set(other.block_of):
+        if not np.array_equal(self.members, other.members):
             raise ValueError("partitions cover different id sets")
-        return all(
-            len({other.block_of[x] for x in block}) == 1 for block in self.blocks
-        )
+        # other's label at some member of each block of self; all members must agree
+        outer = np.empty(self.n_blocks, dtype=np.intp)
+        outer[self.labels] = other.labels
+        return bool((outer[self.labels] == other.labels).all())
 
     def __eq__(self, other) -> bool:
-        return isinstance(other, Partition) and self.blocks == other.blocks
+        return self is other or (isinstance(other, Partition)
+                                 and np.array_equal(self.members, other.members)
+                                 and np.array_equal(self.labels, other.labels))
 
     def __hash__(self) -> int:
-        return hash(self.blocks)
+        return hash((self.members.tobytes(), self.labels.tobytes()))
 
     def __repr__(self) -> str:
         return f"Partition({list(self.blocks)!r})"
@@ -147,6 +169,12 @@ class Partition:
 
 class DiffSpace:
     """A finite measured point set together with its generating functions.
+
+    The points are read-only arrays in point order: ``id_array`` (int64),
+    ``coords`` (a row of n coordinates per point) and ``weights``;
+    ``id_order`` lists the positions by ascending id.  ``ids`` (ints),
+    ``points`` (:class:`Point` views) and the lookups by id (``point``,
+    ``index_of``, ``weight``) are made on first use.
 
     ``compare_mode`` fixes how generator values are compared when points are
     glued: ``"exact"`` uses bitwise equality of the evaluated floats,
@@ -164,40 +192,48 @@ class DiffSpace:
     single constant generator named ``one`` is stored.
     """
 
-    def __init__(
-        self,
-        points,
-        dimension: int,
-        generators,
-        compare_mode: str = "exact",
-        eps: float | None = None,
-        constants_only: bool = False,
-    ):
+    def __init__(self, points, dimension: int, generators, compare_mode: str = "exact",
+                 eps: float | None = None, constants_only: bool = False):
+        """``points`` are :class:`Point` objects or any (id, coords, weight) triples."""
         self.dimension = _whole(dimension, "dimension", minimum=0)
-        self.points: tuple[Point, ...] = tuple(points)
-        if not self.points:
+        points = tuple(points)
+        if not points:
             raise ConfigError("a space needs at least one point")
-        self._index: dict[int, int] = {}
-        for i, p in enumerate(self.points):
-            if p.id in self._index:
-                raise ConfigError(f"duplicate point id {p.id}")
-            if len(p.coords) != self.dimension:
-                raise ConfigError(
-                    f"point {p.id}: got {len(p.coords)} coordinates, "
-                    f"expected {self.dimension}"
-                )
-            if not 0 < p.weight < math.inf:
-                raise ConfigError(f"point {p.id}: weight must be positive and finite, "
-                                  f"got {p.weight!r}")
-            self._index[p.id] = i
+        ids, coords, weights = zip(*points)
+        wrong = np.fromiter(map(len, coords), int, len(ids)) != self.dimension
+        if wrong.any():
+            i = int(np.argmax(wrong))
+            raise ConfigError(f"point {ids[i]}: got {len(coords[i])} coordinates, "
+                              f"expected {self.dimension}")
+        try:
+            ids = np.array(ids, dtype=np.int64)
+        except OverflowError:
+            raise ConfigError("point ids must fit in 64 bits") from None
+        weights = np.array(weights, dtype=float)
+        order = np.argsort(ids, kind="stable")
+        # a later occurrence of an id, flagged where it stands
+        repeated = np.zeros(len(ids), dtype=bool)
+        repeated[order[1:]] = ids[order[1:]] == ids[order[:-1]]
+        bad = repeated | ~((weights > 0) & (weights < math.inf))
+        if bad.any():
+            i = int(np.argmax(bad))
+            if repeated[i]:
+                raise ConfigError(f"duplicate point id {ids[i]}")
+            raise ConfigError(f"point {ids[i]}: weight must be positive and finite, "
+                              f"got {float(weights[i])!r}")
+        self.id_array, self.id_order, self.weights = ids, order, weights
+        self.coords = np.array(coords, dtype=float).reshape(len(ids), self.dimension)
+        for arr in (ids, order, weights, self.coords):
+            arr.flags.writeable = False
+        self._measure(generators, compare_mode, eps, constants_only)
 
+    def _measure(self, generators, compare_mode, eps, constants_only) -> None:
+        """Evaluate and store the generator family and its comparison keys."""
         gens = tuple(generators)
         if not gens:
             if not constants_only:
-                raise ConfigError(
-                    "empty generator family (pass constants_only=True for the "
-                    "trivial structure)"
-                )
+                raise ConfigError("empty generator family (pass constants_only=True for the "
+                                  "trivial structure)")
             gens = (GeneratorFunction("one", "1", self.dimension),)
         self.constants_only = bool(constants_only)
         names = [g.name for g in gens]
@@ -205,25 +241,18 @@ class DiffSpace:
             raise ConfigError(f"duplicate generator names in {names}")
         for g in gens:
             if g.dimension != self.dimension:
-                raise ConfigError(
-                    f"generator {g.name}: dimension {g.dimension} != {self.dimension}"
-                )
+                raise ConfigError(f"generator {g.name}: dimension {g.dimension} "
+                                  f"!= {self.dimension}")
         self.generators: tuple[GeneratorFunction, ...] = gens
 
         if compare_mode not in ("exact", "quantized"):
             raise ConfigError(f"unknown compare_mode {compare_mode!r}")
-        if compare_mode == "quantized":
-            if not (_is_number(eps) and eps > 0):
-                raise ConfigError(f"quantized eps must be a positive number, got {eps!r}")
-            eps = float(eps)
-        else:
-            eps = None
+        if compare_mode == "quantized" and not (_is_number(eps) and eps > 0):
+            raise ConfigError(f"quantized eps must be a positive number, got {eps!r}")
         self.compare_mode = compare_mode
-        self.eps = eps
+        self.eps = eps = float(eps) if compare_mode == "quantized" else None
 
-        self.coords = np.array([p.coords for p in self.points], dtype=float).reshape(
-            len(self.points), self.dimension)
-        values = np.empty((len(self.points), len(gens)))
+        values = np.empty((len(self.id_array), len(gens)))
         for j, g in enumerate(gens):
             try:
                 values[:, j] = g._bundle(self.coords)[0]
@@ -235,32 +264,49 @@ class DiffSpace:
             i, j = np.argwhere(~np.isfinite(keys))[0]
             raise ConfigError(
                 f"generator {gens[j].name!r}: {float(values[i, j])!r} / eps {eps!r} is "
-                f"not finite at point {self.points[i].id}, coordinates {self.coords[i].tolist()}"
+                f"not finite at point {self.id_array[i]}, coordinates {self.coords[i].tolist()}"
             )
-        self.generator_values = values
-        self.generator_keys = keys
-        for arr in (self.coords, values, keys):
+        self.generator_values, self.generator_keys = values, keys
+        for arr in (values, keys):
             arr.flags.writeable = False
 
-    @property
+    def with_generators(self, generators, constants_only: bool = False) -> "DiffSpace":
+        """The same points (arrays shared, not validated again) with other generators."""
+        space = copy.copy(self)
+        space._measure(generators, self.compare_mode, self.eps, constants_only)
+        return space
+
+    @cached_property
     def ids(self) -> tuple[int, ...]:
-        return tuple(p.id for p in self.points)
+        return tuple(self.id_array.tolist())
+
+    @cached_property
+    def points(self) -> tuple[Point, ...]:
+        return tuple(map(Point, self.ids, map(tuple, self.coords.tolist()), self.weights.tolist()))
+
+    @cached_property
+    def _position(self) -> dict[int, int]:
+        return dict(zip(self.ids, range(len(self.ids))))
 
     def point(self, pid: int) -> Point:
-        return self.points[self._index[pid]]
+        return self.points[self._position[pid]]
 
     def index_of(self, pid: int) -> int:
-        return self._index[pid]
+        return self._position[pid]
 
     def weight(self, pid: int) -> float:
-        return self.point(pid).weight
+        return float(self.weights[self._position[pid]])
 
     def __repr__(self) -> str:
-        return (
-            f"DiffSpace({len(self.points)} points, dim={self.dimension}, "
-            f"generators={[g.name for g in self.generators]}, "
-            f"compare={self.compare_mode})"
-        )
+        return (f"DiffSpace({len(self.id_array)} points, dim={self.dimension}, "
+                f"generators={[g.name for g in self.generators]}, compare={self.compare_mode})")
+
+
+def _class_order(space: DiffSpace, rho: Partition) -> np.ndarray:
+    """Positions of the points class by class (as ``rho.order``); refuses other ids."""
+    if not np.array_equal(rho.members, space.id_array[space.id_order]):
+        raise ValueError("partition does not cover the space's point ids")
+    return space.id_order[rho.order]
 
 
 def hausdorff_relation(space: DiffSpace) -> Partition:
@@ -271,28 +317,22 @@ def hausdorff_relation(space: DiffSpace) -> Partition:
     construction.  The space is Hausdorff precisely when the result is the
     identity partition.
     """
-    labels = _fiber_labels(space)
-    order = np.argsort(labels, kind="stable")
-    bounds = np.flatnonzero(np.diff(labels[order])) + 1
-    return Partition(np.split(np.array(space.ids)[order], bounds))
-
-
-def _fiber_labels(space: DiffSpace) -> np.ndarray:
-    """Per point, the index of its row of comparison keys among the distinct rows."""
-    _, labels = np.unique(space.generator_keys, axis=0, return_inverse=True)
-    return labels.reshape(-1)
+    # a label per point, shared exactly by the points whose key rows agree
+    labels, count = np.zeros(len(space.id_array), dtype=np.intp), 1
+    for col in space.generator_keys.T:
+        values, at = np.unique(col, return_inverse=True)
+        if count > 1:
+            # each (label, value) pair as one integer, renumbered from 0 so none overflows
+            values, at = np.unique(labels * len(values) + at, return_inverse=True)
+        labels, count = at, len(values)
+    return Partition._of_labels(space.id_array, labels, count)
 
 
 def classes_are_fibers(space: DiffSpace, rho: Partition) -> bool:
-    """True when the classes of ``rho`` are exactly the generator fibers.
-
-    Each class must carry a single tuple of comparison keys, and distinct
-    classes distinct tuples.
-    """
-    labels = _fiber_labels(space)
-    blocks = [rho.block_of[x] for x in space.ids]
-    pairs = np.unique(np.column_stack([labels, blocks]), axis=0)
-    return len(pairs) == rho.n_blocks == labels.max() + 1
+    """True when the classes of ``rho`` are exactly the generator fibers: ``rho`` and
+    the gluing relation refine each other."""
+    fibers = hausdorff_relation(space)
+    return rho.refines(fibers) and fibers.refines(rho)
 
 
 @dataclass(frozen=True)
@@ -324,11 +364,9 @@ def consistent_family(space: DiffSpace, rho: Partition) -> ConsistencyReport:
     member of its first split class together with the first member whose
     key differs.
     """
-    if set(rho.block_of) != set(space.ids):
-        raise ValueError("partition does not cover the space's point ids")
     # the table's rows in class order; classes start at ``starts``
-    order = [space.index_of(x) for block in rho.blocks for x in block]
-    starts = np.cumsum([0] + [len(b) for b in rho.blocks[:-1]])
+    order = _class_order(space, rho)
+    starts = np.cumsum(rho.sizes) - rho.sizes
     vals, keys = space.generator_values[order], space.generator_keys[order]
     spread = (np.maximum.reduceat(vals, starts) - np.minimum.reduceat(vals, starts)).max(axis=0)
     split = np.maximum.reduceat(keys, starts) != np.minimum.reduceat(keys, starts)
@@ -336,10 +374,10 @@ def consistent_family(space: DiffSpace, rho: Partition) -> ConsistencyReport:
     for j, g in enumerate(space.generators):
         witness = None
         if split[:, j].any():
-            b = int(np.argmax(split[:, j]))
-            block = rho.blocks[b]
-            col = keys[starts[b]:starts[b] + len(block), j]
-            witness = (block[0], block[int(np.argmax(col != col[0]))])
+            start = starts[int(np.argmax(split[:, j]))]
+            col = keys[start:, j]
+            at = order[[start, start + int(np.argmax(col != col[0]))]]
+            witness = tuple(space.id_array[at].tolist())
         results.append(GeneratorConsistency(g.name, witness is None, float(spread[j]), witness))
     return ConsistencyReport(tuple(results), all(r.consistent for r in results))
 
@@ -371,18 +409,15 @@ def quotient(space: DiffSpace, rho: Partition) -> QuotientResult:
     """
     report = consistent_family(space, rho)
     kept = [j for j, r in enumerate(report.results) if r.consistent]
-    projection = {pid: rho.block_of[pid] for pid in space.ids}
-    reps = [space.index_of(block[0]) for block in rho.blocks]
-    coords = space.generator_values[np.ix_(reps, kept)].tolist()
-    new_points = [
-        Point(id=b, coords=tuple(coords[b]), weight=sum(space.point(x).weight for x in block))
-        for b, block in enumerate(rho.blocks)
-    ]
+    # the smallest member of each class, and the class masses summed in id order
+    reps = space.id_order[rho.order[np.cumsum(rho.sizes) - rho.sizes]]
+    masses = np.bincount(rho.labels, weights=space.weights[space.id_order])
     new_gens = [GeneratorFunction(space.generators[j].name, f"x{i + 1}", len(kept))
                 for i, j in enumerate(kept)]
-    q = DiffSpace(new_points, len(kept), new_gens, compare_mode=space.compare_mode,
-                  eps=space.eps, constants_only=not kept)
-    return QuotientResult(space=q, dropped=report.dropped_names, projection=projection)
+    coords = space.generator_values[np.ix_(reps, kept)]
+    q = DiffSpace(zip(range(rho.n_blocks), coords.tolist(), masses.tolist()), len(kept), new_gens,
+                  space.compare_mode, space.eps, constants_only=not kept)
+    return QuotientResult(space=q, dropped=report.dropped_names, projection=dict(rho.block_of))
 
 
 _POINT_KEYS = {"id", "coords", "weight"}
@@ -441,7 +476,7 @@ def build_space(config: dict) -> DiffSpace:
             raise ConfigError(f"point {pid}: got {len(coords)} coordinates, expected {dimension}")
         if not _is_number(weight):
             raise ConfigError(f"point {pid}: weight must be a finite number, got {weight!r}")
-        points.append(Point(id=pid, coords=tuple(map(float, coords)), weight=float(weight)))
+        points.append((pid, list(map(float, coords)), float(weight)))
 
     raw_gens = config["generators"]
     if not isinstance(raw_gens, list):
@@ -453,9 +488,7 @@ def build_space(config: dict) -> DiffSpace:
         if "name" not in entry or "expr" not in entry:
             raise ConfigError(f"generator entry needs name and expr: {entry!r}")
         try:
-            generators.append(
-                GeneratorFunction(str(entry["name"]), entry["expr"], dimension)
-            )
+            generators.append(GeneratorFunction(str(entry["name"]), entry["expr"], dimension))
         except ExpressionError as exc:
             raise ConfigError(f"generator {entry.get('name')!r}: {exc}")
 
@@ -467,11 +500,7 @@ def build_space(config: dict) -> DiffSpace:
         eps = mode["quantized"]
         mode = "quantized"
 
-    return DiffSpace(
-        points, dimension, generators,
-        compare_mode=mode, eps=eps,
-        constants_only=not generators,
-    )
+    return DiffSpace(points, dimension, generators, mode, eps, constants_only=not generators)
 
 
 def load_config(path) -> dict:

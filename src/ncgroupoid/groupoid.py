@@ -17,11 +17,10 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from itertools import chain
 
 import numpy as np
 
-from .diffspace import DiffSpace, Partition
+from .diffspace import DiffSpace, Partition, _class_order
 
 
 @dataclass(frozen=True, eq=False)
@@ -29,7 +28,7 @@ class SizeGroup:
     """All blocks of one size m, in block order.
 
     Row r of the group is block ``blocks[r]``; ``index[r, i]`` is the
-    position in ``space.points`` of that block's i-th point and
+    position in the space's arrays of that block's i-th point and
     ``weights[r, i]`` its weight.
     """
 
@@ -49,34 +48,30 @@ class SizeGroup:
 class Groupoid:
     """Pair groupoid of a partition of a space's points.
 
-    Blocks, the positions of points inside them and the size groups are
-    fixed at build time; all array-valued layers (convolution algebras,
-    operators, densities) index fibers in this block order.
-    ``point_pos[p]`` is the (block, position inside the block) of the
-    point ``space.points[p]``.
+    The positions of points inside their blocks and the size groups are
+    fixed at build time, from the partition's labels; all array-valued
+    layers (convolution algebras, operators, densities) index fibers in
+    the partition's block order.  ``point_pos[p]`` is the (block, position
+    inside the block) of the point at position p of the space's arrays.
+    ``blocks`` is the partition's view of the blocks as id tuples.
     """
 
     def __init__(self, space: DiffSpace, partition: Partition):
-        if set(partition.block_of) != set(space.ids):
-            raise ValueError("partition does not cover the space's point ids")
-        self.space = space
-        self.partition = partition
-        self.blocks = partition.blocks
-        sizes = np.array([len(b) for b in self.blocks])
-        # position in space.points of every member, blocks one after another
-        index = np.fromiter(map(space.index_of, chain(*self.blocks)), int, len(space.ids))
+        self.space, self.partition, sizes = space, partition, partition.sizes
+        # position of every member in the space, blocks one after another
+        index = _class_order(space, partition)
         starts = np.cumsum(sizes) - sizes
         block = np.repeat(np.arange(len(sizes)), sizes)
         self.point_pos = np.empty((len(index), 2), dtype=int)
         self.point_pos[index] = np.column_stack([block, np.arange(len(index)) - starts[block]])
-        weights = np.array([p.weight for p in space.points])
         groups = []
         # (size group, row inside the group) of every block
         self.slots = np.empty((len(sizes), 2), dtype=int)
-        for s, m in enumerate(np.unique(sizes)):
-            rows = np.flatnonzero(sizes == m)
+        ms, counts = np.unique(sizes, return_counts=True)
+        by_size = np.split(np.argsort(sizes, kind="stable"), np.cumsum(counts)[:-1])
+        for s, (m, rows) in enumerate(zip(ms.tolist(), by_size)):
             at = index[starts[rows, None] + np.arange(m)]
-            groups.append(SizeGroup(int(m), rows, at, weights[at]))
+            groups.append(SizeGroup(m, rows, at, space.weights[at]))
             self.slots[rows] = np.column_stack([np.full(len(rows), s), np.arange(len(rows))])
         self.groups: tuple[SizeGroup, ...] = tuple(groups)
         for arr in (self.point_pos, self.slots, *(a for grp in groups for a in
@@ -84,8 +79,12 @@ class Groupoid:
             arr.flags.writeable = False
 
     @property
+    def blocks(self) -> tuple[tuple[int, ...], ...]:
+        return self.partition.blocks
+
+    @property
     def n_blocks(self) -> int:
-        return len(self.blocks)
+        return self.partition.n_blocks
 
     @property
     def arrow_count(self) -> int:
@@ -98,8 +97,7 @@ class Groupoid:
         return self.space is other.space and self.partition == other.partition
 
     def __repr__(self) -> str:
-        sizes = [len(b) for b in self.blocks]
-        return f"Groupoid({len(sizes)} orbits, block sizes {sizes})"
+        return f"Groupoid({self.n_blocks} orbits, block sizes {self.partition.sizes.tolist()})"
 
 
 def build_groupoid(space: DiffSpace, rho: Partition) -> Groupoid:
@@ -147,8 +145,8 @@ class BlockStack:
             raise ValueError(f"need one {what} array per block: got {len(data)}, "
                              f"the groupoid has {g.n_blocks}")
         blocks = [np.asarray(x) for x in data]
-        for b, (arr, block) in enumerate(zip(blocks, g.blocks)):
-            need = tuple(lead) + (len(block), len(block))
+        for b, (arr, m) in enumerate(zip(blocks, g.partition.sizes.tolist())):
+            need = tuple(lead) + (m, m)
             if arr.shape != need:
                 raise ValueError(f"block {b}: {what} shape {arr.shape}, need {need}")
         return cls(g, [promote(np.stack([blocks[b] for b in grp.blocks]), exact)

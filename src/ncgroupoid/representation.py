@@ -92,8 +92,7 @@ class RandomOperator:
         return max(float(norms.max()) for norms in _block_norms(self.stack - other.stack))
 
     def __repr__(self) -> str:
-        dims = [len(b) for b in self.groupoid.blocks]
-        return f"RandomOperator(fiber dims {dims})"
+        return f"RandomOperator(fiber dims {self.groupoid.partition.sizes.tolist()})"
 
 
 def _block_norms(stack: BlockStack) -> list[np.ndarray]:
@@ -150,7 +149,7 @@ def random_operator_report(R: RandomOperator) -> RandomOperatorReport:
     holds by construction; see the module docstring.)
     """
     g = R.groupoid
-    norms = np.empty(len(g.space.points))
+    norms = np.empty(len(g.space.id_array))
     for grp, block_norms in zip(g.groups, _block_norms(R.stack)):
         norms[grp.index] = block_norms[:, None]
     sup = float(norms.max())

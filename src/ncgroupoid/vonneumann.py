@@ -59,10 +59,10 @@ class DensityField:
         g = groupoid
         if not isinstance(matrices, BlockStack):
             mats = [promote(np.asarray(mat)) for mat in matrices]
-            if len(mats) != len(g.space.points):
+            if len(mats) != len(g.space.id_array):
                 raise ValueError(f"need one density per point, got {len(mats)}")
-            for x, b, mat in zip(g.space.ids, g.point_pos[:, 0].tolist(), mats):
-                m = len(g.blocks[b])
+            dims = g.partition.sizes[g.point_pos[:, 0]].tolist()
+            for x, m, mat in zip(g.space.ids, dims, mats):
                 if mat.shape != (m, m):
                     raise ValueError(f"point {x}: density shape {mat.shape}, fiber dim is {m}")
             matrices = BlockStack(g, [
@@ -87,7 +87,7 @@ class DensityField:
     def matrices(self) -> tuple[np.ndarray, ...]:
         """One read-only matrix per point, in point order, made on first use;
         points that share a stored matrix get the same object."""
-        out = [None] * len(self.groupoid.space.points)
+        out = [None] * len(self.groupoid.space.id_array)
         for grp, stack in zip(self.groupoid.groups, self.stacks):
             k, c = stack.shape[:2]
             views = list(stack.reshape(k * c, grp.m, grp.m))
@@ -171,7 +171,7 @@ def make_state(rho: DensityField) -> State:
         failed = np.select([~finite, ~hermitian, negative], [1, 2, 3], 0)
         if failed.any():
             u = int(np.flatnonzero(failed)[0])
-            x = g.space.points[grp.index[u // c, u % c]].id
+            x = g.space.id_array[grp.index[u // c, u % c]]
             raise ValueError(f"point {x}: " + (
                 "density has non-finite entries",
                 "density is not Hermitian",
@@ -215,12 +215,13 @@ def big_matrix(R: RandomOperator) -> np.ndarray:
     Points of one class repeat their class matrix; the ambient dimension
     is the sum of all fiber dimensions.
     """
-    blocks = [R.fiber(x) for x in R.groupoid.space.ids]
-    ends = np.cumsum([len(B) for B in blocks])
-    out = np.zeros((ends[-1], ends[-1]), dtype=complex)
-    for B, end in zip(blocks, ends):
-        out[end - len(B):end, end - len(B):end] = B
-    return out
+    g = R.groupoid
+    out = np.zeros((1, g.arrow_count, g.arrow_count), dtype=complex)
+    offsets = _offsets(g)
+    for grp, M in zip(g.groups, R.stack.arrays):
+        # every point of the class gets the class matrix on its own diagonal block
+        _embed(out, np.zeros(1, dtype=int), grp.index, grp.index, M[:, None], offsets)
+    return out[0]
 
 
 def ambient_dim(g: Groupoid) -> int:
@@ -229,7 +230,7 @@ def ambient_dim(g: Groupoid) -> int:
     Raises ValueError when the commutant machinery would not accept the
     groupoid, before any generator is built.
     """
-    D = sum(len(b) ** 2 for b in g.blocks)
+    D = g.arrow_count
     if D > MAX_TOTAL_DIM:
         raise ValueError(f"ambient dimension {D} exceeds MAX_TOTAL_DIM={MAX_TOTAL_DIM}")
     return D
@@ -334,7 +335,7 @@ def _embed(out: np.ndarray, k, P, Q, Y, offsets: np.ndarray) -> None:
 
 def _offsets(g: Groupoid) -> np.ndarray:
     """First ambient row of each point's block, by point index, as in big_matrix."""
-    m = np.array([len(g.blocks[b]) for b in g.point_pos[:, 0]])
+    m = g.partition.sizes[g.point_pos[:, 0]]
     return np.cumsum(m) - m
 
 

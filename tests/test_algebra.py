@@ -382,10 +382,14 @@ def _replace_line(k, text):
     (lambda lines: lines.pop(2), "7 rows for 7 distinct arrows, the groupoid has 8"),
     (_replace_line(2, lambda lines: "0,9," + lines[2].split(",", 2)[2]),
      r"\(0, 9\) is not an arrow of the groupoid"),
+    (_replace_line(2, lambda lines: "0,-1," + lines[2].split(",", 2)[2]),
+     r"\(0, -1\) is not an arrow of the groupoid"),
+    (_replace_line(2, lambda lines: f"0,{2 ** 64}," + lines[2].split(",", 2)[2]),
+     rf"\(0, {2 ** 64}\) is not an arrow of the groupoid"),
     (_replace_line(2, lambda lines: lines[2] + ",0"), r"column counts \[4, 5\], need 4"),
     (_replace_line(0, lambda lines: "src,dst,re"), r"column counts \[3, 4\], need 4"),
-], ids=["not an arrow", "repeated row", "missing row", "unknown id", "row columns",
-        "header columns"])
+], ids=["not an arrow", "repeated row", "missing row", "unknown id", "unknown id below all",
+        "id past 64 bits", "row columns", "header columns"])
 def test_from_csv_refuses_malformed_files(tmp_path, rng, edit, message):
     space = grid_space()
     g = build_groupoid(space, hausdorff_relation(space))

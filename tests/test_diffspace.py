@@ -131,6 +131,7 @@ _FAR = [Point(0, (1e300,), 1.0), Point(1, (1.0,), 1.0)]
     ("eps", (_ONE, 1, ()), {**_CONST, "compare_mode": "quantized", "eps": 0.0}),
     ("eps", (_FAR, 1, [GeneratorFunction("f", "x1", 1)]),
      {"compare_mode": "quantized", "eps": 1e-300}),
+    ("64 bits", ([Point(2 ** 63, (0.0,), 1.0)], 1, ()), _CONST),
 ])
 def test_every_space_refusal_is_a_config_error(field, args, kwargs):
     with pytest.raises(ConfigError, match=field):
@@ -153,6 +154,7 @@ def test_one_refusal_type():
     ("coords", {"points": [{"id": 0, "coords": [math.nan]}]}),
     ("weight", {"points": [{"id": 0, "coords": [0.0], "weight": "2"}]}),
     ("eps", {"compare_mode": {"quantized": None}}),
+    ("64 bits", {"points": [{"id": -2 ** 63 - 1, "coords": [0.0]}]}),
 ])
 def test_build_space_refuses_instead_of_converting(field, change):
     config = {"dimension": 1, "points": [{"id": 0, "coords": [0.0]}], "generators": []}
@@ -254,7 +256,7 @@ def test_inconsistency_witnessed_on_coarser_relation():
 
 def test_consistency_needs_matching_ids():
     space = line_space()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not cover the space's point ids"):
         consistent_family(space, Partition.total([10, 11]))
 
 
@@ -269,10 +271,19 @@ def test_partition_canonical_and_relates():
 
 
 def test_partition_rejects_overlap_and_empty():
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match=r"ids \[1\] appear in more than one block"):
         Partition([(0, 1), (1, 2)])
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="empty block in partition"):
         Partition([(), (0,)])
+    with pytest.raises(ValueError, match="repeated id inside a block"):
+        Partition([(5, 0, 5)])
+    # the other constructors take the same path
+    with pytest.raises(ValueError, match=r"ids \[4\] appear in more than one block"):
+        Partition.identity([4, 4])
+    with pytest.raises(ValueError, match="repeated id inside a block"):
+        Partition.total([4, -4, 4])
+    with pytest.raises(ValueError, match="empty block in partition"):
+        Partition.total([])
 
 
 def test_refinement():
@@ -390,3 +401,5 @@ def test_classes_are_fibers_only_for_the_gluing_relation():
     assert classes_are_fibers(space, hausdorff_relation(space))
     assert not classes_are_fibers(space, Partition.total(space.ids))
     assert not classes_are_fibers(space, Partition.identity(space.ids))
+    with pytest.raises(ValueError, match="different id sets"):
+        classes_are_fibers(space, Partition([(0, 1), (2, 3, 4)]))

@@ -152,7 +152,7 @@ def test_orbit_decomposition_partitions_arrows(rng):
 
 def test_partition_space_mismatch_raises():
     space = line_space()
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not cover the space's point ids"):
         build_groupoid(space, Partition([(0, 1)]))
-    with pytest.raises(ValueError):
+    with pytest.raises(ValueError, match="does not cover the space's point ids"):
         build_groupoid(space, Partition([(0, 1, 2), (3, 4, 9)]))
