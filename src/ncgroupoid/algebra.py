@@ -19,20 +19,30 @@ promotion carries the dtype through, so a result is complex only when an
 operand was.  Single values read out are Python complex numbers.
 Object-dtype arrays (for instance ``fractions.Fraction`` entries) are
 accepted for values and flow through convolution, involution and the
-unit without rounding; jets are not supported in that mode.
+unit without rounding; jets are not supported in that mode.  When every
+entry of both factors is rational (an int, a Fraction or a numpy
+integer), convolution runs on Python ints: each block becomes integer
+numerators over the lcm of its denominators (the weights by their exact
+integer ratios), the weighted sum is one integer matmul per size group,
+and every result entry is a Fraction in lowest terms, equal to what
+entry-wise Fraction arithmetic gives.  The involution only transposes
+such a stack.  Other object entries (Python complex numbers or floats,
+say) take the generic path: Fraction weights, object matmul, conjugation.
 """
 
 from __future__ import annotations
 
 import csv
 from dataclasses import dataclass
+from fractions import Fraction
 from functools import cached_property
+from operator import attrgetter
 
 import numpy as np
 
 from ._expr import ValueGradFn, coordinate_symbols, format_expr, parse
 from .diffspace import DiffSpace
-from .groupoid import BlockStack, Groupoid, promote
+from .groupoid import BlockStack, Groupoid, SizeGroup, over_lcm, promote
 from .reporting import write_csv
 
 
@@ -343,6 +353,8 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     n = a.groupoid.space.dimension
 
     def product(X, Y, grp):
+        if X.dtype == Y.dtype == object and _rational(X) and _rational(Y):
+            return _exact_product(X, Y, grp)
         w = grp.exact_weights if X.dtype == object else grp.weights
         # weight the summed-over point z: rows of the right factor, columns of the left
         WY = Y[:, :1] * w[:, None, :, None]
@@ -357,6 +369,34 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         product, a.stack.arrays, b.stack.arrays, a.groupoid.groups)), jets)
 
 
+# entries whose products and sums are exact Fractions; bool is an int
+_RATIONAL = (int, Fraction, np.integer)
+_fraction = np.frompyfunc(Fraction, 2, 1)
+
+
+def _rational(arr: np.ndarray) -> bool:
+    """True when every entry of the object array is an int, a Fraction or a numpy integer."""
+    return all(issubclass(t, _RATIONAL) for t in set(map(type, arr.flat)))
+
+
+def _integer_parts(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """A rational (k, c, m, m) stack as Python-int numerators (k, c, m, m) over the lcm of
+    each block's denominators (k, c, 1, 1)."""
+    # int(): the parts of a numpy integer are numpy integers, which would wrap
+    num, den = (np.array(list(map(int, map(attrgetter(part), arr.flat))), dtype=object)
+                .reshape(arr.shape[:-2] + (-1,)) for part in ("numerator", "denominator"))
+    num, common = over_lcm(num, den)
+    return num.reshape(arr.shape), common[..., None]
+
+
+def _exact_product(X: np.ndarray, Y: np.ndarray, grp: SizeGroup) -> np.ndarray:
+    """X @ (Y * w) for rational stacks, as one matmul on Python ints: the sum over z of
+    x(i, z) w(z) y(z, j) has the denominator of its block, every entry a Fraction."""
+    (x, dx), (y, dy) = _integer_parts(X), _integer_parts(Y)
+    w, dw = grp.integer_weights
+    return _fraction(x @ (y * w[:, None, :, None]), dx * dy * dw[:, None, :, None])
+
+
 def involution(a: AlgebraElement) -> AlgebraElement:
     """The star operation a^*(x, y) = conj(a(y, x)).
 
@@ -369,8 +409,10 @@ def involution(a: AlgebraElement) -> AlgebraElement:
 
     def star(arr):
         out = arr[:, order].swapaxes(-1, -2)  # a fresh copy
-        # conjugation is the identity on real data; object entries may be complex
-        return out if arr.dtype == np.float64 else np.conjugate(out, out=out)
+        # conjugation is the identity on real data; other object entries may be complex
+        if arr.dtype == np.float64 or arr.dtype == object and _rational(arr):
+            return out
+        return np.conjugate(out, out=out)
 
     expr = None
     if a.expr is not None:

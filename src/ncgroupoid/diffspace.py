@@ -17,6 +17,8 @@ import math
 import sys
 from dataclasses import dataclass, field
 from functools import cached_property
+from itertools import chain
+from operator import itemgetter
 from typing import NamedTuple
 
 import numpy as np
@@ -195,16 +197,32 @@ class DiffSpace:
     def __init__(self, points, dimension: int, generators, compare_mode: str = "exact",
                  eps: float | None = None, constants_only: bool = False):
         """``points`` are :class:`Point` objects or any (id, coords, weight) triples."""
-        self.dimension = _whole(dimension, "dimension", minimum=0)
+        dimension = _whole(dimension, "dimension", minimum=0)
         points = tuple(points)
         if not points:
             raise ConfigError("a space needs at least one point")
         ids, coords, weights = zip(*points)
-        wrong = np.fromiter(map(len, coords), int, len(ids)) != self.dimension
+        wrong = np.fromiter(map(len, coords), int, len(ids)) != dimension
         if wrong.any():
             i = int(np.argmax(wrong))
             raise ConfigError(f"point {ids[i]}: got {len(coords[i])} coordinates, "
-                              f"expected {self.dimension}")
+                              f"expected {dimension}")
+        self._settle(ids, np.array(coords, dtype=float).reshape(len(ids), dimension), weights)
+        self._measure(generators, compare_mode, eps, constants_only)
+
+    @classmethod
+    def _of_arrays(cls, ids, coords: np.ndarray, weights, generators, compare_mode, eps,
+                   constants_only) -> "DiffSpace":
+        """The space of the points with these ids, (n, dimension) coordinates and weights,
+        checked and measured as by the constructor."""
+        space = cls.__new__(cls)
+        space._settle(ids, coords, weights)
+        space._measure(generators, compare_mode, eps, constants_only)
+        return space
+
+    def _settle(self, ids, coords: np.ndarray, weights) -> None:
+        """Check and store the point arrays: ids fit in 64 bits and appear once, weights
+        are positive and finite."""
         try:
             ids = np.array(ids, dtype=np.int64)
         except OverflowError:
@@ -222,10 +240,9 @@ class DiffSpace:
             raise ConfigError(f"point {ids[i]}: weight must be positive and finite, "
                               f"got {float(weights[i])!r}")
         self.id_array, self.id_order, self.weights = ids, order, weights
-        self.coords = np.array(coords, dtype=float).reshape(len(ids), self.dimension)
+        self.coords, self.dimension = np.asarray(coords, dtype=float), coords.shape[1]
         for arr in (ids, order, weights, self.coords):
             arr.flags.writeable = False
-        self._measure(generators, compare_mode, eps, constants_only)
 
     def _measure(self, generators, compare_mode, eps, constants_only) -> None:
         """Evaluate and store the generator family and its comparison keys."""
@@ -415,8 +432,8 @@ def quotient(space: DiffSpace, rho: Partition) -> QuotientResult:
     new_gens = [GeneratorFunction(space.generators[j].name, f"x{i + 1}", len(kept))
                 for i, j in enumerate(kept)]
     coords = space.generator_values[np.ix_(reps, kept)]
-    q = DiffSpace(zip(range(rho.n_blocks), coords.tolist(), masses.tolist()), len(kept), new_gens,
-                  space.compare_mode, space.eps, constants_only=not kept)
+    q = DiffSpace._of_arrays(np.arange(rho.n_blocks), coords, masses, new_gens,
+                             space.compare_mode, space.eps, constants_only=not kept)
     return QuotientResult(space=q, dropped=report.dropped_names, projection=dict(rho.block_of))
 
 
@@ -458,25 +475,8 @@ def build_space(config: dict) -> DiffSpace:
     raw_points = config["points"]
     if not isinstance(raw_points, list) or not raw_points:
         raise ConfigError("points must be a non-empty list")
-    points = []
-    for entry in raw_points:
-        if not isinstance(entry, dict):
-            raise ConfigError(f"point entry must be an object, got {entry!r}")
-        unknown = set(entry) - _POINT_KEYS
-        if unknown:
-            raise ConfigError(f"unknown point key(s): {sorted(unknown)}")
-        if "id" not in entry or "coords" not in entry:
-            raise ConfigError(f"point entry needs id and coords: {entry!r}")
-        pid = _whole(entry["id"], "point id")
-        coords, weight = entry["coords"], entry.get("weight", 1.0)
-        if not (isinstance(coords, list) and all(map(_is_number, coords))):
-            raise ConfigError(f"point {pid}: coords must be a list of finite numbers, "
-                              f"got {coords!r}")
-        if len(coords) != dimension:
-            raise ConfigError(f"point {pid}: got {len(coords)} coordinates, expected {dimension}")
-        if not _is_number(weight):
-            raise ConfigError(f"point {pid}: weight must be a finite number, got {weight!r}")
-        points.append((pid, list(map(float, coords)), float(weight)))
+    ids, coords, weights = (_points_at_once(raw_points, dimension)
+                            or _points_one_by_one(raw_points, dimension))
 
     raw_gens = config["generators"]
     if not isinstance(raw_gens, list):
@@ -500,7 +500,61 @@ def build_space(config: dict) -> DiffSpace:
         eps = mode["quantized"]
         mode = "quantized"
 
-    return DiffSpace(points, dimension, generators, mode, eps, constants_only=not generators)
+    return DiffSpace._of_arrays(ids, coords, weights, generators, mode, eps,
+                                constants_only=not generators)
+
+
+def _points_at_once(raw_points: list, dimension: int):
+    """(ids, coords, weights) of point entries in the common layout, checked in bulk: dicts
+    with the point keys, int ids, lists of ``dimension`` finite int or float coordinates
+    and such weights.  None when any check fails; :func:`_points_one_by_one` then names
+    the first bad entry."""
+    if set(map(type, raw_points)) != {dict}:
+        return None
+    if not all(_POINT_KEYS >= set(keys) >= {"id", "coords"} for keys in set(map(tuple, raw_points))):
+        return None
+    ids, coords = (list(map(itemgetter(key), raw_points)) for key in ("id", "coords"))
+    weights = [entry.get("weight", 1.0) for entry in raw_points]
+    if not (set(map(type, ids)) == {int} and set(map(type, coords)) == {list}
+            and set(map(len, coords)) == {dimension}):
+        return None
+    numbers = list(chain.from_iterable(coords)) + weights
+    if not set(map(type, numbers)) <= {int, float}:
+        return None
+    try:
+        values = np.array(numbers, dtype=float)
+    except OverflowError:  # an int past the float range
+        return None
+    # strictly inside the float range: an int at its edge is left to the exact check
+    if not (np.abs(values) < sys.float_info.max).all():
+        return None
+    return ids, values[:-len(ids)].reshape(len(ids), dimension), values[-len(ids):]
+
+
+def _points_one_by_one(raw_points: list, dimension: int):
+    """(ids, coords, weights) of the point entries, checked entry by entry; the first bad
+    entry is refused by name."""
+    ids, coords, weights = [], [], []
+    for entry in raw_points:
+        if not isinstance(entry, dict):
+            raise ConfigError(f"point entry must be an object, got {entry!r}")
+        unknown = set(entry) - _POINT_KEYS
+        if unknown:
+            raise ConfigError(f"unknown point key(s): {sorted(unknown)}")
+        if "id" not in entry or "coords" not in entry:
+            raise ConfigError(f"point entry needs id and coords: {entry!r}")
+        pid = _whole(entry["id"], "point id")
+        xs, weight = entry["coords"], entry.get("weight", 1.0)
+        if not (isinstance(xs, list) and all(map(_is_number, xs))):
+            raise ConfigError(f"point {pid}: coords must be a list of finite numbers, got {xs!r}")
+        if len(xs) != dimension:
+            raise ConfigError(f"point {pid}: got {len(xs)} coordinates, expected {dimension}")
+        if not _is_number(weight):
+            raise ConfigError(f"point {pid}: weight must be a finite number, got {weight!r}")
+        ids.append(pid)
+        coords.append(list(map(float, xs)))
+        weights.append(float(weight))
+    return ids, np.array(coords, dtype=float).reshape(len(ids), dimension), weights
 
 
 def load_config(path) -> dict:

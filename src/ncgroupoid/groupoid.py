@@ -39,10 +39,31 @@ class SizeGroup:
 
     @cached_property
     def exact_weights(self) -> np.ndarray:
-        """``weights`` as Fractions, for object-dtype (exact) stacks; made once."""
+        """``weights`` as Fractions, for object-dtype stacks of other entries; made once."""
         w = np.frompyfunc(Fraction, 1, 1)(self.weights)
         w.flags.writeable = False
         return w
+
+    @cached_property
+    def integer_weights(self) -> tuple[np.ndarray, np.ndarray]:
+        """``weights`` over one denominator per block, for rational stacks; made once.
+
+        Python-int numerators (k, m) and denominators (k, 1), from the
+        exact ``float.as_integer_ratio``.
+        """
+        ratios = zip(*map(float.as_integer_ratio, self.weights.ravel().tolist()))
+        parts = over_lcm(*(np.array(part, dtype=object).reshape(self.weights.shape)
+                           for part in ratios))
+        for arr in parts:
+            arr.flags.writeable = False
+        return parts
+
+
+def over_lcm(num: np.ndarray, den: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """The rationals num / den (object arrays of Python ints) over one denominator per
+    row of the last axis, the lcm of the row's: numerators, and (..., 1) denominators."""
+    common = np.lcm.reduce(den, axis=-1, keepdims=True)
+    return num * (common // den), common
 
 
 class Groupoid:

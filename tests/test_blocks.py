@@ -5,6 +5,7 @@ the size groups interleave, and its points are listed out of id order,
 so point positions differ from point ids.
 """
 
+import math
 from fractions import Fraction
 
 import numpy as np
@@ -36,6 +37,7 @@ from ncgroupoid import (
     restrict,
     unit,
 )
+from ncgroupoid.algebra import _integer_parts
 
 from conftest import DYADIC_WEIGHTS
 
@@ -147,28 +149,88 @@ def test_expect_matches_pointwise_reference(g, rng):
 
 
 def test_fraction_associativity_is_exact_on_mixed_sizes(g, rng):
-    def element():
-        return AlgebraElement(g, [
-            np.array([[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
-                       for _ in block] for _ in block], dtype=object)
-            for block in g.blocks
-        ])
-
-    a, b, c = element(), element(), element()
-    lhs = convolve(convolve(a, b), c)
-    rhs = convolve(a, convolve(b, c))
-    for u, v in zip(lhs.values, rhs.values):
-        assert u.dtype == object
-        assert all(type(t) is Fraction for t in u.flat)
-        assert np.array_equal(u, v)
+    for kind in EXACT_KINDS:
+        a, b, c = (exact_element(g, rng, kind) for _ in range(3))
+        lhs = convolve(convolve(a, b), c)
+        rhs = convolve(a, convolve(b, c))
+        for u, v in zip(lhs.values, rhs.values):
+            assert u.dtype == object
+            assert all(type(t) is Fraction for t in u.flat)
+            assert np.array_equal(u, v)
 
 
-def fraction_element(g, rng):
+# rational entries the exact kernel multiplies as integers
+EXACT_KINDS = ("fraction", "int", "int64", "mixed")
+
+
+def exact_entry(rng, kind):
+    """One entry: a small Fraction, a small int (zero and negatives included), a numpy
+    int64 near 2**62 of either sign, or any of these."""
+    if kind == "mixed":
+        kind = EXACT_KINDS[int(rng.integers(0, 3))]
+    if kind == "fraction":
+        return Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
+    if kind == "int":
+        return int(rng.integers(-3, 4))
+    return np.int64(int(rng.choice((-1, 1))) * (2 ** 62 - int(rng.integers(0, 1000))))
+
+
+def exact_element(g, rng, kind="fraction"):
     return AlgebraElement(g, [
-        np.array([[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 10)))
-                   for _ in block] for _ in block], dtype=object)
+        np.array([[exact_entry(rng, kind) for _ in block] for _ in block], dtype=object)
         for block in g.blocks
     ])
+
+
+@pytest.fixture
+def g_exact():
+    """Blocks of sizes 3, 1, 48, 2, 1, 3, 5 with weights 0.1 and 1/3 among them: as
+    floats these have denominators 2**55 and 2**54."""
+    sizes, awkward = (3, 1, 48, 2, 1, 3, 5), (0.1, 1 / 3, 1.0, 2.5, 0.7)
+    ids = np.arange(sum(sizes))
+    pts = [Point(id=int(x), coords=(float(x),), weight=awkward[x % len(awkward)]) for x in ids]
+    space = DiffSpace(pts, 1, (), constants_only=True)
+    return build_groupoid(space, Partition(np.split(ids, np.cumsum(sizes)[:-1])))
+
+
+@pytest.mark.parametrize("kind", EXACT_KINDS)
+def test_exact_convolution_matches_per_entry_fractions(g_exact, rng, kind):
+    a, b = exact_element(g_exact, rng, kind), exact_element(g_exact, rng, kind)
+    got = convolve(a, b)
+    for blk, block in enumerate(g_exact.blocks):
+        # every entry as a Fraction of Python ints, so the reference cannot wrap
+        x, y = ([[Fraction(int(t.numerator), int(t.denominator)) for t in row] for row in
+                 el.values[blk]] for el in (a, b))
+        w = [Fraction(g_exact.space.weight(z)) for z in block]
+        m = len(block)
+        for i in range(m):
+            for j in range(m):
+                want = sum(x[i][z] * w[z] * y[z][j] for z in range(m))
+                t = got.values[blk][i, j]
+                assert type(t) is Fraction and type(t.numerator) is int
+                assert (t.numerator, t.denominator) == (want.numerator, want.denominator)
+
+
+def test_integer_parts_use_one_denominator_per_block(g_exact, rng):
+    a = exact_element(g_exact, rng, "mixed")
+    for grp, arr in zip(g_exact.groups, a.stack.arrays):
+        num, den = _integer_parts(arr)
+        assert den.shape == arr.shape[:-2] + (1, 1)
+        for r in range(len(grp.blocks)):
+            block, n, d = arr[r, 0], num[r, 0], den[r, 0, 0, 0]
+            assert d == math.lcm(*(int(t.denominator) for t in block.flat))
+            assert all(type(p) is int and Fraction(p, d) == t for p, t in zip(n.flat, block.flat))
+
+
+def test_involution_of_rational_stacks_only_transposes(g, rng):
+    a = exact_element(g, rng, "mixed")
+    s = involution(a)
+    for u, v in zip(s.values, a.values):
+        # the very same entry objects, transposed: nothing was conjugated or rebuilt
+        assert u.dtype == object and all(p is q for p, q in zip(u.flat, v.T.flat))
+    z = AlgebraElement(g, [np.array(v, dtype=object) for v in random_element(g, rng).values])
+    for u, v in zip(involution(z).values, z.values):
+        assert all(type(p) is complex and p == q.conjugate() for p, q in zip(u.flat, v.T.flat))
 
 
 def assert_same_element(got, want):
@@ -213,7 +275,7 @@ def split_chain():
 def test_restrict_and_involution_keep_fractions_exact(rng):
     chain = split_chain()
     g0 = chain.level(0).groupoid
-    a = fraction_element(g0, rng)
+    a = exact_element(g0, rng)
     star, low = involution(a), restrict(a, chain, 0)
     for u, v in zip(star.values, a.values):
         assert u.dtype == object and all(type(t) is Fraction for t in u.flat)
@@ -367,19 +429,33 @@ def test_one_complex_operand_makes_the_result_complex128(g, rng):
 
 
 def test_object_dtype_stays_object(g, rng):
-    a, b = fraction_element(g, rng), fraction_element(g, rng)
+    a, b = exact_element(g, rng), exact_element(g, rng)
     for c in (convolve(a, b), involution(a), a + b, a - b, -a, a * Fraction(2, 3), 3 * a):
         for u in c.values:
             assert u.dtype == object and all(type(t) is Fraction for t in u.flat)
     x, y = g.blocks[0][:2]
     assert (a * Fraction(2, 3)).value_at(x, y) == a.value_at(x, y) * Fraction(2, 3)
+    # integer entries convolve to Fractions and stay what they are under the involution
+    for kind in ("int", "int64"):
+        i, j = exact_element(g, rng, kind), exact_element(g, rng, kind)
+        for u in convolve(i, j).values + convolve(a, i).values:
+            assert u.dtype == object and all(type(t) is Fraction for t in u.flat)
+        for u, v in zip(involution(i).values, i.values):
+            assert u.dtype == object and [type(t) for t in u.flat] == [type(t) for t in v.T.flat]
 
 
-def test_exact_weights_are_made_once(g):
-    for grp in g.groups:
+def test_exact_weights_are_made_once(g_exact):
+    for grp in g_exact.groups:
         w = grp.exact_weights
         assert w is grp.exact_weights and not w.flags.writeable
         assert all(type(t) is Fraction and t == Fraction(v) for t, v in zip(w.flat, grp.weights.flat))
+        parts = grp.integer_weights
+        num, den = parts
+        assert parts is grp.integer_weights and not (num.flags.writeable or den.flags.writeable)
+        assert num.shape == grp.weights.shape and den.shape == (len(grp.blocks), 1)
+        for n, d, v in zip(num, den[:, 0], grp.weights):
+            assert d == math.lcm(*(Fraction(x).denominator for x in v))
+            assert all(type(p) is int and Fraction(p, d) == Fraction(x) for p, x in zip(n, v))
 
 
 def as_complex(a):

@@ -155,11 +155,32 @@ def test_one_refusal_type():
     ("weight", {"points": [{"id": 0, "coords": [0.0], "weight": "2"}]}),
     ("eps", {"compare_mode": {"quantized": None}}),
     ("64 bits", {"points": [{"id": -2 ** 63 - 1, "coords": [0.0]}]}),
+    ("unknown point key", {"points": [{"id": 0, "coords": [0.0], "colour": 1}]}),
+    ("needs id and coords", {"points": [{"id": 0}]}),
+    ("must be an object", {"points": [[0, [0.0]]]}),
+    ("point 0: weight", {"points": [{"id": 0, "coords": [0.0], "weight": True}]}),
+    ("point 1: coords", {"points": [{"id": 0, "coords": [0.0]}, {"id": 1, "coords": [True]},
+                                    {"id": 2, "coords": ["2"]}]}),
 ])
 def test_build_space_refuses_instead_of_converting(field, change):
     config = {"dimension": 1, "points": [{"id": 0, "coords": [0.0]}], "generators": []}
     with pytest.raises(ConfigError, match=field):
         build_space({**config, **change})
+
+
+def test_build_space_reads_points_as_the_constructor_does():
+    entries = [{"id": 7, "coords": [1, -2.5]}, {"coords": [0.5, 3], "weight": 2, "id": -4},
+               {"id": 2, "weight": 0.1, "coords": [2 ** 70, -0.0]}]
+    points = [Point(7, (1.0, -2.5), 1.0), Point(-4, (0.5, 3.0), 2.0),
+              Point(2, (float(2 ** 70), -0.0), 0.1)]
+    want = DiffSpace(points, 2, (), constants_only=True)
+    # the same entries, then with a whole float id, which is read one entry at a time
+    for last_id in (2, 2.0):
+        entries[-1]["id"] = last_id
+        got = build_space({"dimension": 2, "points": entries, "generators": []})
+        for field in ("id_array", "coords", "weights"):
+            u, v = getattr(got, field), getattr(want, field)
+            assert u.dtype == v.dtype and u.tobytes() == v.tobytes()
 
 
 def test_whole_floats_are_whole_numbers():
