@@ -6,18 +6,22 @@ and exits 0 when all checks pass, 1 when any fails, 2 on malformed input.
 With --out DIR, a report.txt and the command's CSV outputs are written
 deterministically (fixed column order, fixed float formatting).
 
-A subcommand's handler is the one definition of the checks it reports.
-It receives the space and its Hausdorff groupoid already built and fills
-in a report.  ``verify all`` runs every handler on every bundled config
-and adds only the checks that no single command reports.
+Each subcommand is one entry of ``COMMANDS``, which the parser and
+``verify all`` both read.  A handler is the one definition of the checks
+its subcommand reports: it receives the space and its Hausdorff groupoid
+already built and fills in a report.  ``verify all`` runs every handler on
+every bundled config and adds only the checks that no single command
+reports.
 """
 
 from __future__ import annotations
 
 import argparse
+import math
 import os
 import sys
-from dataclasses import replace
+from collections.abc import Callable
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -101,11 +105,11 @@ def _cmd_space_analyze(args, space, g, report) -> None:
     q = quotient(space, rho)
     report.note(f"quotient: {len(q.space.id_array)} points, dropped={list(q.dropped)}")
     # pulling the pushed-down generators back along the projection must
-    # reproduce the originals
+    # reproduce the originals, up to the comparison mode: their keys agree
     kept = [j for j, gen in enumerate(space.generators) if gen.name not in q.dropped]
     down = [q.space.index_of(q.projection[x]) for x in space.ids]
-    pulled = q.space.generator_values[down, :len(kept)]
-    worst = np.abs(pulled - space.generator_values[:, kept]).max(initial=0.0)
+    pulled = q.space.generator_keys[down, :len(kept)]
+    worst = np.abs(pulled - space.generator_keys[:, kept]).max(initial=0.0)
     report.add(check("quotient_roundtrip", float(worst), args.tol))
     if args.out:
         write_csv(os.path.join(args.out, "partition.csv"), ["point", "class"],
@@ -327,9 +331,6 @@ def _cmd_vn_expect(args, space, g, report) -> None:
 
 # -------------------------------------------------------------- deform
 
-_NOT_DIAGONAL = "top level is not the diagonal (coincident coordinates)"
-
-
 def _cmd_deform_sweep(args, space, g, report) -> None:
     chain = deformation_chain(space)
     rep = chain.report
@@ -340,7 +341,7 @@ def _cmd_deform_sweep(args, space, g, report) -> None:
     report.add(check_flag("partitions_refine", rep.partitions_refine))
     report.add(check_flag("classes_are_fibers", rep.fibers_exact))
     if not rep.top_is_diagonal:
-        report.note(_NOT_DIAGONAL)
+        report.note("top level is not the diagonal (coincident coordinates)")
     defects = []
     for k in range(chain.top):
         gk = chain.level(k).groupoid
@@ -349,9 +350,9 @@ def _cmd_deform_sweep(args, space, g, report) -> None:
         defects.append(d)
         report.note(f"restriction defect level {k}->{k + 1} on constants: {d:.6g}")
     top_g = chain.level(chain.top).groupoid
-    a = from_expression(top_g, "1 + x1*y1")
-    b = from_expression(top_g, "2 - x1")
-    step = step_n_pointwise_check(chain, a, b)
+    # a space of dimension 0 has no coordinates to build from
+    a, b = ("1 + x1*y1", "2 - x1") if space.dimension else ("1", "2")
+    step = step_n_pointwise_check(chain, from_expression(top_g, a), from_expression(top_g, b))
     report.add(check("top_level_weighted_pointwise", step.weighted_defect,
                      args.tol))
     if step.unit_weights:
@@ -371,27 +372,6 @@ def _cmd_deform_sweep(args, space, g, report) -> None:
 
 
 # -------------------------------------------------------------- verify
-
-def _suite(space, seed: int) -> list[list[str]]:
-    """The subcommands ``verify all`` runs on a config, with their arguments."""
-    a, b = "x1*y1 + 2", "x1 + y1 + 1"
-    deriv = ",".join(f"x{i} + {i}" for i in range(1, space.dimension + 1))
-    seeded = ["--seed", str(seed), "--trials", "5"]
-    return [
-        ["space", "analyze"],
-        ["groupoid", "build"],
-        ["algebra", "conv", "--a", a, "--b", b],
-        ["algebra", "check-laws", *seeded],
-        ["calculus", "leibniz", "--deriv", deriv, "--a", a, "--b", b],
-        ["calculus", "commutator", "--deriv", deriv, "--func", "x1^2", "--a", a],
-        ["rep", "build", "--a", a],
-        ["rep", "check", *seeded],
-        ["vn", "commutant"],
-        ["vn", "state-check", *seeded],
-        ["vn", "expect", "--a", a],
-        ["deform", "sweep"],
-    ]
-
 
 def _fd_jet_check(g, tol) -> CheckRecord:
     """Jets of an expression element against central finite differences of its values."""
@@ -429,7 +409,7 @@ def _superposition_check(space, rng) -> CheckRecord:
     return check_flag("superposition_invariance", after == before)
 
 
-def _suite_only_checks(space, g, rng, top_is_diagonal: bool) -> list[CheckRecord]:
+def _suite_only_checks(space, g, rng) -> list[CheckRecord]:
     """The properties ``verify all`` checks that no subcommand reports."""
     q = quotient(space, g.partition)
     a = from_expression(g, "x1*y1 + 2")
@@ -445,7 +425,7 @@ def _suite_only_checks(space, g, rng, top_is_diagonal: bool) -> list[CheckRecord
         _fd_jet_check(g, 1e-6),
         # deform sweep states this as a note: coincident coordinates are
         # legitimate input there, but no bundled config has them
-        check_flag("top_level_diagonal", top_is_diagonal),
+        check_flag("top_level_diagonal", deformation_chain(space).report.top_is_diagonal),
     ]
 
 
@@ -467,40 +447,113 @@ def _cmd_verify_all(args) -> RunReport:
     rng = np.random.default_rng(args.seed)
     for name in names:
         space, g = _space_and_groupoid(gallery_config(name))
-        for argv in _suite(space, args.seed):
-            sub = parser.parse_args([*argv, "--space", name, "--tol", repr(args.tol)])
-            part = RunReport(f"{sub.group} {sub.command}", report.input_digest)
-            sub.handler(sub, space, g, part)
-            _adopt(report, f"{name}:{sub.group}.{sub.command}:", part.checks, part.notes)
-        # the last part is deform sweep's
-        checks = _suite_only_checks(space, g, rng, _NOT_DIAGONAL not in part.notes)
-        _adopt(report, f"{name}:verify.all:", checks)
+        deriv = ",".join(f"x{i} + {i}" for i in range(1, space.dimension + 1))
+        for cmd in COMMANDS:
+            suite = [text.format(deriv=deriv, seed=args.seed) for text in cmd.suite]
+            sub = parser.parse_args([cmd.group, cmd.name, *suite,
+                                     "--space", name, "--tol", repr(args.tol)])
+            part = RunReport(f"{cmd.group} {cmd.name}", report.input_digest)
+            cmd.handler(sub, space, g, part)
+            _adopt(report, f"{name}:{cmd.group}.{cmd.name}:", part.checks, part.notes)
+        _adopt(report, f"{name}:verify.all:", _suite_only_checks(space, g, rng))
     return report
 
 
 # ------------------------------------------------------------- wiring
 
-def _seed(text: str) -> int:
-    """A nonnegative integer, as numpy's random generators need."""
-    seed = int(text)
-    if seed < 0:
-        raise argparse.ArgumentTypeError(f"must be nonnegative, got {seed}")
-    return seed
+def _bounded(convert, accept, rule: str):
+    """An argparse type: ``convert`` the text, then refuse a value ``accept`` rejects."""
+    def parse(text: str):
+        value = convert(text)
+        if not accept(value):
+            raise argparse.ArgumentTypeError(f"must be {rule}, got {text}")
+        return value
+    parse.__name__ = convert.__name__  # argparse names it in "invalid int value"
+    return parse
 
 
-def _add_common(p, space=True, seed=False, trials=None):
-    if space:
-        p.add_argument("--space", required=True,
-                       help="path to a space config JSON, or a gallery name")
-    p.add_argument("--out", default=None, help="directory for report.txt and CSVs")
-    p.add_argument("--tol", type=float, default=DEFAULT_TOL,
-                   help=f"tolerance for defect checks (default {DEFAULT_TOL})")
-    if seed:
-        p.add_argument("--seed", type=_seed, default=0,
-                       help="seed for randomized checks (default 0)")
-    if trials is not None:
-        p.add_argument("--trials", type=int, default=trials,
-                       help=f"number of random trials (default {trials})")
+def _arg(flag: str, **options) -> tuple[str, dict]:
+    return flag, options
+
+
+_EXPR = "expression in x1..xn, y1..yn"
+_SPACE = _arg("--space", required=True, help="path to a space config JSON, or a gallery name")
+_COMMON = (
+    _arg("--out", default=None, help="directory for report.txt and CSVs"),
+    _arg("--tol", type=_bounded(float, lambda v: 0 <= v < math.inf, "finite and nonnegative"),
+         default=DEFAULT_TOL, help=f"tolerance for defect checks (default {DEFAULT_TOL})"),
+)
+# numpy's random generators need a nonnegative seed
+_SEED = _arg("--seed", type=_bounded(int, lambda v: v >= 0, "nonnegative"), default=0,
+             help="seed for randomized checks (default 0)")
+_SEEDED = (_SEED, _arg("--trials", type=_bounded(int, lambda v: v >= 1, "at least 1"),
+                       default=20, help="number of random trials (default 20)"))
+
+
+@dataclass(frozen=True)
+class Command:
+    """One subcommand: its parser entry, its handler and how ``verify all`` runs it.
+
+    ``arguments`` follow ``--space`` and the common ``--out`` and ``--tol``, as
+    (flag, ``add_argument`` keywords).  ``suite`` is what ``verify all`` passes
+    besides ``--space`` and ``--tol``; ``{deriv}`` and ``{seed}`` are filled in
+    per config.
+    """
+
+    group: str
+    name: str
+    help: str
+    handler: Callable
+    arguments: tuple = ()
+    suite: tuple = ()
+
+
+GROUPS = {
+    "space": "spaces, relations, quotients",
+    "groupoid": "pair groupoids of relations",
+    "algebra": "the convolution algebra",
+    "calculus": "lifted derivations",
+    "rep": "the regular representation",
+    "vn": "states and commutants",
+    "deform": "the level-by-level deformation chain",
+    "verify": "property suites",
+}
+
+_SUITE_A, _SUITE_B = ("--a", "x1*y1 + 2"), ("--b", "x1 + y1 + 1")
+_SUITE_SEEDED = ("--seed", "{seed}", "--trials", "5")
+
+COMMANDS = (
+    Command("space", "analyze", "relation, consistency, quotient of a space",
+            _cmd_space_analyze),
+    Command("groupoid", "build", "build the groupoid and check its laws", _cmd_groupoid_build,
+            (_arg("--relation", default="hausdorff", choices=["hausdorff", *_RELATIONS]),)),
+    Command("algebra", "conv", "convolve two expression elements", _cmd_algebra_conv,
+            (_arg("--a", required=True, help=_EXPR), _arg("--b", required=True, help=_EXPR)),
+            (*_SUITE_A, *_SUITE_B)),
+    Command("algebra", "check-laws", "algebra laws on random elements",
+            _cmd_algebra_check_laws, _SEEDED, _SUITE_SEEDED),
+    Command("calculus", "leibniz", "generalized Leibniz rule defect", _cmd_calculus_leibniz,
+            (_arg("--deriv", required=True,
+                  help="comma-separated coefficient expressions, one per coordinate"),
+             _arg("--a", required=True), _arg("--b", required=True)),
+            ("--deriv", "{deriv}", *_SUITE_A, *_SUITE_B)),
+    Command("calculus", "commutator", "[P, Q(f)] against Q(Pf)", _cmd_calculus_commutator,
+            (_arg("--deriv", required=True),
+             _arg("--func", required=True, help="expression in x1..xn"),
+             _arg("--a", required=True)),
+            ("--deriv", "{deriv}", "--func", "x1^2", *_SUITE_A)),
+    Command("rep", "build", "represent an element, report its field", _cmd_rep_build,
+            (_arg("--a", default="1", help=_EXPR),), _SUITE_A),
+    Command("rep", "check", "homomorphism and star properties", _cmd_rep_check,
+            _SEEDED, _SUITE_SEEDED),
+    Command("vn", "commutant", "commutant and bicommutant dimensions", _cmd_vn_commutant),
+    Command("vn", "state-check", "state axioms for the uniform density",
+            _cmd_vn_state_check, _SEEDED, _SUITE_SEEDED),
+    Command("vn", "expect", "expectation of a represented element", _cmd_vn_expect,
+            (_arg("--a", default="1", help=_EXPR),), _SUITE_A),
+    Command("deform", "sweep", "walk all levels, measure restriction defects",
+            _cmd_deform_sweep),
+)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -510,82 +563,17 @@ def build_parser() -> argparse.ArgumentParser:
     )
     parser.add_argument("--version", action="version", version=__version__)
     groups = parser.add_subparsers(dest="group", required=True)
-
-    sp = groups.add_parser("space", help="spaces, relations, quotients")
-    sub = sp.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("analyze", help="relation, consistency, quotient of a space")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_space_analyze)
-
-    gp = groups.add_parser("groupoid", help="pair groupoids of relations")
-    sub = gp.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("build", help="build the groupoid and check its laws")
-    _add_common(p)
-    p.add_argument("--relation", default="hausdorff",
-                   choices=["hausdorff", *_RELATIONS])
-    p.set_defaults(handler=_cmd_groupoid_build)
-
-    ap = groups.add_parser("algebra", help="the convolution algebra")
-    sub = ap.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("conv", help="convolve two expression elements")
-    _add_common(p)
-    p.add_argument("--a", required=True, help="expression in x1..xn, y1..yn")
-    p.add_argument("--b", required=True, help="expression in x1..xn, y1..yn")
-    p.set_defaults(handler=_cmd_algebra_conv)
-    p = sub.add_parser("check-laws", help="algebra laws on random elements")
-    _add_common(p, seed=True, trials=20)
-    p.set_defaults(handler=_cmd_algebra_check_laws)
-
-    cp = groups.add_parser("calculus", help="lifted derivations")
-    sub = cp.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("leibniz", help="generalized Leibniz rule defect")
-    _add_common(p)
-    p.add_argument("--deriv", required=True,
-                   help="comma-separated coefficient expressions, one per coordinate")
-    p.add_argument("--a", required=True)
-    p.add_argument("--b", required=True)
-    p.set_defaults(handler=_cmd_calculus_leibniz)
-    p = sub.add_parser("commutator", help="[P, Q(f)] against Q(Pf)")
-    _add_common(p)
-    p.add_argument("--deriv", required=True)
-    p.add_argument("--func", required=True, help="expression in x1..xn")
-    p.add_argument("--a", required=True)
-    p.set_defaults(handler=_cmd_calculus_commutator)
-
-    rp = groups.add_parser("rep", help="the regular representation")
-    sub = rp.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("build", help="represent an element, report its field")
-    _add_common(p)
-    p.add_argument("--a", default="1", help="expression in x1..xn, y1..yn")
-    p.set_defaults(handler=_cmd_rep_build)
-    p = sub.add_parser("check", help="homomorphism and star properties")
-    _add_common(p, seed=True, trials=20)
-    p.set_defaults(handler=_cmd_rep_check)
-
-    vp = groups.add_parser("vn", help="states and commutants")
-    sub = vp.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("commutant", help="commutant and bicommutant dimensions")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_vn_commutant)
-    p = sub.add_parser("state-check", help="state axioms for the uniform density")
-    _add_common(p, seed=True, trials=20)
-    p.set_defaults(handler=_cmd_vn_state_check)
-    p = sub.add_parser("expect", help="expectation of a represented element")
-    _add_common(p)
-    p.add_argument("--a", default="1", help="expression in x1..xn, y1..yn")
-    p.set_defaults(handler=_cmd_vn_expect)
-
-    dp = groups.add_parser("deform", help="the level-by-level deformation chain")
-    sub = dp.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("sweep", help="walk all levels, measure restriction defects")
-    _add_common(p)
-    p.set_defaults(handler=_cmd_deform_sweep)
-
-    wp = groups.add_parser("verify", help="property suites")
-    sub = wp.add_subparsers(dest="command", required=True)
-    p = sub.add_parser("all", help="full property suite over the bundled configs")
-    _add_common(p, space=False, seed=True)
-
+    subs = {name: groups.add_parser(name, help=text).add_subparsers(dest="command",
+                                                                    required=True)
+            for name, text in GROUPS.items()}
+    for cmd in COMMANDS:
+        p = subs[cmd.group].add_parser(cmd.name, help=cmd.help)
+        for flag, options in (_SPACE, *_COMMON, *cmd.arguments):
+            p.add_argument(flag, **options)
+        p.set_defaults(handler=cmd.handler)
+    p = subs["verify"].add_parser("all", help="full property suite over the bundled configs")
+    for flag, options in (*_COMMON, _SEED):
+        p.add_argument(flag, **options)
     return parser
 
 

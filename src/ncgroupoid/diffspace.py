@@ -186,8 +186,9 @@ class DiffSpace:
     The generators are evaluated once, at construction, into the read-only
     ``generator_values`` table (a row per point, a column per generator).
     ``generator_keys`` holds the comparison keys of its cells: v + 0.0 (so
-    -0.0 equals 0.0), or v / eps rounded half to even.  A value, partial or
-    key that is not finite is refused.  Every refusal is a ConfigError.
+    -0.0 equals 0.0), or v / eps rounded half to even.  A coordinate, value,
+    partial or key that is not finite is refused.  Every refusal is a
+    ConfigError.
 
     An empty generator family is only meaningful for the constants-only
     structure; pass ``constants_only=True`` to get it, in which case a
@@ -221,26 +222,30 @@ class DiffSpace:
         return space
 
     def _settle(self, ids, coords: np.ndarray, weights) -> None:
-        """Check and store the point arrays: ids fit in 64 bits and appear once, weights
-        are positive and finite."""
+        """Check and store the point arrays: ids fit in 64 bits and appear once,
+        coordinates are finite, weights are positive and finite."""
         try:
             ids = np.array(ids, dtype=np.int64)
         except OverflowError:
             raise ConfigError("point ids must fit in 64 bits") from None
-        weights = np.array(weights, dtype=float)
+        coords, weights = np.asarray(coords, dtype=float), np.array(weights, dtype=float)
         order = np.argsort(ids, kind="stable")
         # a later occurrence of an id, flagged where it stands
         repeated = np.zeros(len(ids), dtype=bool)
         repeated[order[1:]] = ids[order[1:]] == ids[order[:-1]]
-        bad = repeated | ~((weights > 0) & (weights < math.inf))
+        non_finite = ~np.isfinite(coords).all(axis=1)
+        bad = repeated | non_finite | ~((weights > 0) & (weights < math.inf))
         if bad.any():
             i = int(np.argmax(bad))
             if repeated[i]:
                 raise ConfigError(f"duplicate point id {ids[i]}")
+            if non_finite[i]:
+                raise ConfigError(f"point {ids[i]}: coordinates must be finite, "
+                                  f"got {coords[i].tolist()}")
             raise ConfigError(f"point {ids[i]}: weight must be positive and finite, "
                               f"got {float(weights[i])!r}")
         self.id_array, self.id_order, self.weights = ids, order, weights
-        self.coords, self.dimension = np.asarray(coords, dtype=float), coords.shape[1]
+        self.coords, self.dimension = coords, coords.shape[1]
         for arr in (ids, order, weights, self.coords):
             arr.flags.writeable = False
 
@@ -421,8 +426,8 @@ def quotient(space: DiffSpace, rho: Partition) -> QuotientResult:
     members agree up to the comparison mode), and those generators push
     down to plain coordinate projections carrying the original names.  The
     composition (pushed-down generator) o (projection) reproduces the
-    original generator on the nose, which is the sense in which nothing is
-    lost.
+    original generator's comparison keys (its values, in exact mode), which
+    is the sense in which nothing is lost.
     """
     report = consistent_family(space, rho)
     kept = [j for j, r in enumerate(report.results) if r.consistent]

@@ -1,5 +1,6 @@
 """Command line driver: exit codes, reports, CSV outputs, determinism."""
 
+import argparse
 import json
 import shlex
 import subprocess
@@ -9,7 +10,7 @@ from pathlib import Path
 import pytest
 
 from ncgroupoid import build_space, gallery, gallery_config
-from ncgroupoid.cli import run
+from ncgroupoid.cli import COMMANDS, GROUPS, build_parser, run
 
 
 def run_cli(tmp_path, *args):
@@ -256,7 +257,49 @@ def test_negative_seed_exits_2(tmp_path, capsys):
     assert "--seed: must be nonnegative" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize("option, value", [
+    ("--trials", "0"), ("--trials", "-3"), ("--tol", "nan"), ("--tol", "inf"), ("--tol", "-1"),
+])
+def test_bad_trials_or_tol_exits_2(tmp_path, capsys, option, value):
+    code, _ = run_cli(tmp_path, "rep", "check", "--space", "grid_2x2", option, value)
+    assert code == 2
+    rule = {"--trials": "at least 1", "--tol": "finite and nonnegative"}[option]
+    assert f"{option}: must be {rule}, got {value}" in capsys.readouterr().err
+
+
+def test_zero_tol_runs(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "rep", "check", "--space", "grid_2x2", "--tol", "0")
+    assert code in (0, 1)
+    assert "tol=0\n" in (out / "report.txt").read_text()
+
+
 # ---------------------------------------------------------- custom config
+
+def test_quantized_quotient_roundtrip_compares_keys(tmp_path, capsys):
+    # the second point's value differs from the first's by 6e-12, inside eps
+    cfg = {
+        "dimension": 1,
+        "points": [{"id": 0, "coords": [1.0]}, {"id": 1, "coords": [1.000000000003]},
+                   {"id": 2, "coords": [2.0]}],
+        "generators": [{"name": "f", "expr": "x1^2 + 1"}],
+        "compare_mode": {"quantized": 1e-9},
+    }
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(cfg))
+    code, _ = run_cli(tmp_path, "space", "analyze", "--space", str(path))
+    assert "[PASS] quotient_roundtrip" in capsys.readouterr().out
+    assert code == 0
+
+
+def test_deform_sweep_runs_on_dimension_0(tmp_path, capsys):
+    cfg = {"dimension": 0, "generators": [],
+           "points": [{"id": 0, "coords": []}, {"id": 1, "coords": [], "weight": 2.0}]}
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(cfg))
+    code, _ = run_cli(tmp_path, "deform", "sweep", "--space", str(path))
+    assert code in (0, 1)
+    assert "error" not in capsys.readouterr().err
+
 
 def test_user_config_roundtrip(tmp_path, capsys):
     cfg = {
@@ -328,6 +371,11 @@ def test_readme_command_examples_run(tmp_path, capsys, argv):
     assert (tmp_path / "report.txt").exists()
 
 
+def test_readme_shows_every_command():
+    shown = {tuple(argv[1:3]) for argv in _readme_commands()}
+    assert {(cmd.group, cmd.name) for cmd in COMMANDS} <= shown
+
+
 def test_readme_quick_start_runs(capsys):
     text = README.read_text(encoding="utf-8").split("## Quick start", 1)[1]
     exec(text.split("```python\n", 1)[1].split("```", 1)[0], {})
@@ -361,6 +409,18 @@ def test_verify_all_runs_every_command_once_per_config(tmp_path, capsys):
     suite_only = {n.split(":", 2)[2] for n in names if n.split(":")[1] == "verify.all"}
     reported = {n.split(":", 2)[2] for n in names if n.split(":")[1] != "verify.all"}
     assert len(suite_only) == 6 and not suite_only & reported
+
+
+def test_parser_commands_are_the_table():
+    def choices(parser):
+        (action,) = (a for a in parser._actions if isinstance(a, argparse._SubParsersAction))
+        return action.choices
+
+    groups = choices(build_parser())
+    assert list(groups) == list(GROUPS)
+    parsed = {(group, name) for group, sub in groups.items() for name in choices(sub)}
+    assert parsed == {(cmd.group, cmd.name) for cmd in COMMANDS} | {("verify", "all")}
+    assert len(COMMANDS) == len(parsed) - 1
 
 
 def test_groupoid_build_checks_relation_against_generators(tmp_path, capsys):

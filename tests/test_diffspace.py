@@ -132,6 +132,9 @@ _FAR = [Point(0, (1e300,), 1.0), Point(1, (1.0,), 1.0)]
     ("eps", (_FAR, 1, [GeneratorFunction("f", "x1", 1)]),
      {"compare_mode": "quantized", "eps": 1e-300}),
     ("64 bits", ([Point(2 ** 63, (0.0,), 1.0)], 1, ()), _CONST),
+    *(("point 1: coordinates must be finite",
+       ([Point(0, (0.0,), 1.0), Point(1, (x,), 1.0)], 1, [GeneratorFunction("f", "1", 1)]), {})
+      for x in (math.nan, math.inf, -math.inf)),
 ])
 def test_every_space_refusal_is_a_config_error(field, args, kwargs):
     with pytest.raises(ConfigError, match=field):
