@@ -26,7 +26,10 @@ numerators over the lcm of its denominators (the weights by their exact
 integer ratios), the weighted sum is one integer matmul per size group,
 and every result entry is a Fraction in lowest terms, equal to what
 entry-wise Fraction arithmetic gives.  The involution only transposes
-such a stack.  Other object entries (Python complex numbers or floats,
+such a stack.  An element splits its entries into integers at most once:
+a product hands on the integers it built, divided by each block's gcd,
+and the involution the transposed ones, so chained products split no
+Fraction again.  Other object entries (Python complex numbers or floats,
 say) take the generic path: Fraction weights, object matmul, conjugation.
 """
 
@@ -169,6 +172,13 @@ class AlgebraElement:
     @cached_property
     def d_dst(self) -> tuple[np.ndarray, ...] | None:
         return self._jet_blocks(slice(self.groupoid.space.dimension + 1, None))
+
+    @cached_property
+    def _integers(self) -> tuple:
+        """Per size group, the integer parts (see :func:`_integer_parts`) of an object
+        stack whose entries are all rational, else None; made at most once."""
+        return tuple(_integer_parts(arr) if arr.dtype == object and _rational(arr) else None
+                     for arr in self.stack.arrays)
 
     def values_only(self) -> "AlgebraElement":
         """This element without its jets, sharing the stored values."""
@@ -351,22 +361,30 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         raise ValueError("elements live on different groupoids")
     jets = a.has_jets and b.has_jets
     n = a.groupoid.space.dimension
-
-    def product(X, Y, grp):
-        if X.dtype == Y.dtype == object and _rational(X) and _rational(Y):
-            return _exact_product(X, Y, grp)
+    arrays, integers = [], []
+    for s, (X, Y, grp) in enumerate(zip(a.stack.arrays, b.stack.arrays, a.groupoid.groups)):
+        parts = X.dtype == Y.dtype == object and (a._integers[s], b._integers[s])
+        if parts and None not in parts:
+            num, den = _exact_product(*parts, grp)
+            arrays.append(_fraction(num, den))
+            integers.append((num, den))
+            continue
+        integers.append(None)
         w = grp.exact_weights if X.dtype == object else grp.weights
         # weight the summed-over point z: rows of the right factor, columns of the left
         WY = Y[:, :1] * w[:, None, :, None]
         if not jets:
-            return X[:, :1] @ WY
-        out = np.empty(X.shape, dtype=np.result_type(X, WY))
-        np.matmul(X[:, :n + 1], WY, out=out[:, :n + 1])
-        np.matmul(X[:, :1] * w[:, None, None, :], Y[:, n + 1:], out=out[:, n + 1:])
-        return out
-
-    return AlgebraElement.from_stack(BlockStack(a.groupoid, map(
-        product, a.stack.arrays, b.stack.arrays, a.groupoid.groups)), jets)
+            arrays.append(X[:, :1] @ WY)
+            continue
+        prod = np.empty(X.shape, dtype=np.result_type(X, WY))
+        np.matmul(X[:, :n + 1], WY, out=prod[:, :n + 1])
+        np.matmul(X[:, :1] * w[:, None, None, :], Y[:, n + 1:], out=prod[:, n + 1:])
+        arrays.append(prod)
+    out = AlgebraElement.from_stack(BlockStack(a.groupoid, arrays), jets)
+    # other object results may hold rationals too; those are split when first used
+    if all(p is not None or arr.dtype != object for p, arr in zip(integers, arrays)):
+        out._integers = tuple(integers)
+    return out
 
 
 # entries whose products and sums are exact Fractions; bool is an int
@@ -389,12 +407,16 @@ def _integer_parts(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     return num.reshape(arr.shape), common[..., None]
 
 
-def _exact_product(X: np.ndarray, Y: np.ndarray, grp: SizeGroup) -> np.ndarray:
-    """X @ (Y * w) for rational stacks, as one matmul on Python ints: the sum over z of
-    x(i, z) w(z) y(z, j) has the denominator of its block, every entry a Fraction."""
-    (x, dx), (y, dy) = _integer_parts(X), _integer_parts(Y)
+def _exact_product(xs, ys, grp: SizeGroup) -> tuple[np.ndarray, np.ndarray]:
+    """X @ (Y * w) for rational stacks, from their integer parts xs and ys, as one matmul
+    on Python ints: the sum over z of x(i, z) w(z) y(z, j) has the denominator of its
+    block.  Returns the result's own integer parts: dividing the numerators and the
+    denominator by their gcd makes it the lcm of the entries' reduced denominators."""
+    (x, dx), (y, dy) = xs, ys
     w, dw = grp.integer_weights
-    return _fraction(x @ (y * w[:, None, :, None]), dx * dy * dw[:, None, :, None])
+    num, den = x @ (y * w[:, None, :, None]), dx * dy * dw[:, None, :, None]
+    common = np.gcd(np.gcd.reduce(num.reshape(num.shape[:-2] + (-1,)), axis=-1), den[..., 0, 0])
+    return num // common[..., None, None], den // common[..., None, None]
 
 
 def involution(a: AlgebraElement) -> AlgebraElement:
@@ -421,7 +443,12 @@ def involution(a: AlgebraElement) -> AlgebraElement:
         swap = {**dict(zip(xs, ys)), **dict(zip(ys, xs))}
         # expressions are real-valued, so conjugation is a no-op here
         expr = a.expr.subs(swap)
-    return AlgebraElement.from_stack(a.stack.map(star), a.has_jets, expr)
+    out = AlgebraElement.from_stack(a.stack.map(star), a.has_jets, expr)
+    known = a.__dict__.get("_integers")  # the integer parts, if made already
+    if known is not None:
+        out._integers = tuple(None if p is None else
+                              (p[0][:, order].swapaxes(-1, -2), p[1][:, order]) for p in known)
+    return out
 
 
 def unit(g: Groupoid) -> AlgebraElement:

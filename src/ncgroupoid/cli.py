@@ -105,11 +105,11 @@ def _cmd_space_analyze(args, space, g, report) -> None:
     q = quotient(space, rho)
     report.note(f"quotient: {len(q.space.id_array)} points, dropped={list(q.dropped)}")
     # pulling the pushed-down generators back along the projection must
-    # reproduce the originals, up to the comparison mode: their keys agree
+    # reproduce the originals, up to the comparison mode: their keys agree.
+    # Point ids ascending: the quotient point of each is its class label.
     kept = [j for j, gen in enumerate(space.generators) if gen.name not in q.dropped]
-    down = [q.space.index_of(q.projection[x]) for x in space.ids]
-    pulled = q.space.generator_keys[down, :len(kept)]
-    worst = np.abs(pulled - space.generator_keys[:, kept]).max(initial=0.0)
+    pulled = q.space.generator_keys[rho.labels, :len(kept)]
+    worst = np.abs(pulled - space.generator_keys[space.id_order][:, kept]).max(initial=0.0)
     report.add(check("quotient_roundtrip", float(worst), args.tol))
     if args.out:
         write_csv(os.path.join(args.out, "partition.csv"), ["point", "class"],

@@ -166,12 +166,17 @@ class BlockStack:
             raise ValueError(f"need one {what} array per block: got {len(data)}, "
                              f"the groupoid has {g.n_blocks}")
         blocks = [np.asarray(x) for x in data]
-        for b, (arr, m) in enumerate(zip(blocks, g.partition.sizes.tolist())):
-            need = tuple(lead) + (m, m)
-            if arr.shape != need:
-                raise ValueError(f"block {b}: {what} shape {arr.shape}, need {need}")
-        return cls(g, [promote(np.stack([blocks[b] for b in grp.blocks]), exact)
-                       for grp in g.groups])
+        groups = [[blocks[b] for b in grp.blocks.tolist()] for grp in g.groups]
+        shapes = [tuple(lead) + (grp.m, grp.m) for grp in g.groups]
+        if [[arr.shape for arr in group] for group in groups] != [
+                [shape] * len(group) for shape, group in zip(shapes, groups)]:
+            # name the first bad block in block order
+            need = [tuple(lead) + (m, m) for m in g.partition.sizes.tolist()]
+            b = next(b for b, arr in enumerate(blocks) if arr.shape != need[b])
+            raise ValueError(f"block {b}: {what} shape {blocks[b].shape}, need {need[b]}")
+        # concatenating and reshaping stacks the blocks, with np.stack's dtype rules
+        return cls(g, [promote(np.concatenate(group).reshape((len(group),) + shape), exact)
+                       for shape, group in zip(shapes, groups)])
 
     @classmethod
     def zeros(cls, g: Groupoid, lead=()) -> "BlockStack":

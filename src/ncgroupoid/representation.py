@@ -13,9 +13,13 @@ i.e. by the matrix M[i, j] = a(z_i, z_j) w(z_j) in the point basis of the
 class.  The assignment x -> M is constant on classes by construction (the
 fibers of one class share a single matrix object), which at a finite
 number of points is exactly what measurability of the field amounts to.
-The operator field is bounded by its largest fiber norm, the essential
-supremum with respect to the atomic measure (every point has positive
-weight, so no fiber is negligible).
+The fiber norm is the operator norm on the weighted space: with W the
+class's weight diagonal, the spectral norm of W^1/2 M W^-1/2, which is
+the plain ||M||_2 only when the class's weights are equal.  It makes
+||R^dagger R|| = ||R||^2 hold for the weighted adjoint.  The operator
+field is bounded by its largest fiber norm, the essential supremum with
+respect to the atomic measure (every point has positive weight, so no
+fiber is negligible).
 """
 
 from __future__ import annotations
@@ -83,21 +87,34 @@ class RandomOperator:
             for grp, A in zip(self.groupoid.groups, self.stack.arrays)
         ]))
 
+    @cached_property
+    def norms(self) -> tuple[np.ndarray, ...]:
+        """Per size group, each class matrix's operator norm; made once.
+
+        That is the spectral norm of S = W^1/2 M W^-1/2, the square root of
+        the largest eigenvalue of S^H S, from one batched ``eigvalsh``.
+        S[i, j] is M[i, j] sqrt(w_i / w_j), so a 1 x 1 block's norm is |M|.
+        """
+        norms = []
+        for grp, M in zip(self.groupoid.groups, self.stack.arrays):
+            S = M * np.sqrt(grp.weights[:, :, None] / grp.weights[:, None, :])
+            # divided by its largest entry, so S^H S neither overflows nor underflows
+            top = np.abs(S).max(axis=(1, 2), keepdims=True)
+            S = S / np.where(top > 0, top, 1.0)
+            largest = np.linalg.eigvalsh(S.conj().swapaxes(1, 2) @ S)[:, -1]
+            norms.append(top[:, 0, 0] * np.sqrt(largest.clip(min=0.0)))
+        return tuple(norms)
+
     def ess_sup(self) -> float:
         """Largest fiber operator norm; see the module docstring."""
-        return max(float(norms.max()) for norms in _block_norms(self.stack))
+        return max(float(norms.max()) for norms in self.norms)
 
     def max_fiber_diff(self, other: "RandomOperator") -> float:
         """Largest operator-norm distance between corresponding fibers."""
-        return max(float(norms.max()) for norms in _block_norms(self.stack - other.stack))
+        return (self - other).ess_sup()
 
     def __repr__(self) -> str:
         return f"RandomOperator(fiber dims {self.groupoid.partition.sizes.tolist()})"
-
-
-def _block_norms(stack: BlockStack) -> list[np.ndarray]:
-    """Per size group, the spectral norm of each of its blocks."""
-    return [np.linalg.norm(arr, 2, axis=(1, 2)) for arr in stack.arrays]
 
 
 def represent(a: AlgebraElement) -> RandomOperator:
@@ -150,7 +167,7 @@ def random_operator_report(R: RandomOperator) -> RandomOperatorReport:
     """
     g = R.groupoid
     norms = np.empty(len(g.space.id_array))
-    for grp, block_norms in zip(g.groups, _block_norms(R.stack)):
+    for grp, block_norms in zip(g.groups, R.norms):
         norms[grp.index] = block_norms[:, None]
     sup = float(norms.max())
     return RandomOperatorReport(

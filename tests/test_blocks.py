@@ -38,6 +38,7 @@ from ncgroupoid import (
     unit,
 )
 from ncgroupoid.algebra import _integer_parts
+from ncgroupoid.groupoid import BlockStack, promote
 
 from conftest import DYADIC_WEIGHTS
 
@@ -123,7 +124,10 @@ def test_operators_match_per_block_reference(g, rng):
             S.class_matrices[blk], np.diag(1 / w) @ M.conj().T @ np.diag(w), rtol=1e-13)
         for x in block:
             assert R.fiber(x) is R.class_matrices[blk]
-        norms.append(np.linalg.norm(M, 2))
+        # the operator norm for <psi, phi> = sum conj(psi) phi w: the plain spectral
+        # norm, by SVD, of W^1/2 M W^-1/2
+        root = np.sqrt(w)
+        norms.append(np.linalg.norm(root[:, None] * M / root[None, :], 2))
     assert R.ess_sup() == pytest.approx(max(norms), rel=1e-13)
 
 
@@ -363,12 +367,106 @@ def test_shape_errors_name_the_block_or_point(g):
         DensityField(g, mats)
 
 
+def test_shape_errors_name_the_first_bad_block_in_block_order(g):
+    def shapes(lead, bad):
+        return [np.zeros(lead + ((4, 4) if b in bad else (len(block), len(block))))
+                for b, block in enumerate(g.blocks)]
+
+    # blocks 2 (size 2) and 3 (size 1) sit in different size groups, and block 3's
+    # group comes first; so do blocks 3 and 4 (size 3)
+    with pytest.raises(ValueError, match=r"^block 2: value shape \(4, 4\), need \(2, 2\)$"):
+        BlockStack.of(g, shapes((), {2, 3}))
+    with pytest.raises(ValueError, match=r"^block 3: value shape \(4, 4\), need \(1, 1\)$"):
+        BlockStack.of(g, shapes((), {3, 4}))
+    # a wrong lead shape fails every block: the first one is named
+    with pytest.raises(ValueError, match=r"^block 0: jet shape \(3, 3, 3\), need \(2, 3, 3\)$"):
+        BlockStack.of(g, shapes((3,), set()), (2,), "jet")
+
+
+@pytest.mark.parametrize("exact", [False, True])
+def test_stacking_promotes_as_np_stack_and_copies(g, rng, exact):
+    kinds = {
+        "float": lambda m: rng.standard_normal((m, m)),
+        "complex": lambda m: rng.standard_normal((m, m)) + 1j * rng.standard_normal((m, m)),
+        "int": lambda m: rng.integers(-5, 5, (m, m)),
+        "int32": lambda m: rng.integers(-5, 5, (m, m)).astype(np.int32),
+        "float32": lambda m: rng.standard_normal((m, m)).astype(np.float32),
+        "object": lambda m: np.array([[Fraction(int(rng.integers(-9, 9)), 7)] * m] * m,
+                                     dtype=object),
+        "list": lambda m: rng.integers(-5, 5, (m, m)).tolist(),
+    }
+    names = list(kinds)
+    for _ in range(40):
+        picks = [names[int(rng.integers(0, len(names)))] for _ in g.blocks]
+        data = [kinds[k](len(block)) for k, block in zip(picks, g.blocks)]
+        stack = BlockStack.of(g, data, exact=exact)
+        for grp, arr in zip(g.groups, stack.arrays):
+            want = promote(np.stack([np.asarray(data[b]) for b in grp.blocks]), exact)
+            assert arr.dtype == want.dtype and np.array_equal(arr, want)
+            for b in grp.blocks:
+                assert not np.shares_memory(arr, np.asarray(data[b]))
+    arrays = [rng.standard_normal((len(b), len(b))) for b in g.blocks]
+    stack = BlockStack.of(g, arrays)
+    arrays[0][0, 0] += 1.0
+    s, r = g.slots[0]
+    assert stack.arrays[s][r, 0, 0] == arrays[0][0, 0] - 1.0
+
+
+def assert_integer_form_is_the_split(el):
+    """The integer parts an element carries are those of its entries, array by array."""
+    assert "_integers" in el.__dict__, "the integer parts were not passed on"
+    for parts, arr in zip(el._integers, el.stack.arrays):
+        num, den = _integer_parts(arr)
+        got_num, got_den = parts
+        assert got_num.shape == num.shape and got_den.shape == den.shape
+        assert all(type(p) is int and p == q for p, q in zip(got_num.flat, num.flat))
+        assert all(type(p) is int and p == q for p, q in zip(got_den.flat, den.flat))
+
+
+@pytest.mark.parametrize("kind", EXACT_KINDS + ("zeros",))
+def test_integer_parts_passed_on_are_those_of_the_result(g_exact, rng, kind):
+    if kind == "zeros":
+        # zero blocks (the even ones) and zero entries in the others
+        values = [np.array(v) * (blk % 2) for blk, v in
+                  enumerate(exact_element(g_exact, rng).values)]
+        for v in values:
+            v.flat[::3] = 0
+        a, b = AlgebraElement(g_exact, values), exact_element(g_exact, rng, "int")
+    else:
+        a, b = exact_element(g_exact, rng, kind), exact_element(g_exact, rng, kind)
+    for c in (convolve(a, b), convolve(b, a), involution(convolve(a, b)), convolve(a, a)):
+        assert_integer_form_is_the_split(c)
+        assert all(type(t) is Fraction for u in c.values for t in u.flat)
+    # the operand's own parts, made by the first convolve, go to its involution
+    assert None not in a._integers
+    assert_integer_form_is_the_split(involution(a))
+
+
+def test_integer_parts_stay_reduced_along_a_chain_of_unit_products(g_exact, rng):
+    # the unit exactly, 1/w on the diagonal
+    e = AlgebraElement(g_exact, [
+        np.diag(np.array([1 / Fraction(g_exact.space.weight(x)) for x in block], dtype=object))
+        for block in g_exact.blocks])
+    a = exact_element(g_exact, rng, "mixed")
+    c = a
+    for step in range(30):
+        c = convolve(e, c) if step % 2 else convolve(c, e)
+        assert_integer_form_is_the_split(c)
+    for u, v in zip(c.values, a.values):
+        assert all(type(t) is Fraction for t in u.flat)
+        assert np.array_equal(u, v)
+
+
 def test_operator_report_matches_per_point_reference(g, rng):
     R = represent(random_element(g, rng))
     report = random_operator_report(R)
     assert list(report.fiber_norms) == list(g.space.ids)
     for x in g.space.ids:
-        assert report.fiber_norms[x] == np.linalg.norm(R.fiber(x), 2)
+        # the weighted norm squared is the largest eigenvalue of R^dagger R = W^-1 M^H W M
+        # (not symmetric, but similar to a positive semidefinite matrix)
+        M, w = R.fiber(x), weights(g, g.block_index(x))
+        evals = np.linalg.eigvals(np.diag(1 / w) @ M.conj().T @ np.diag(w) @ M)
+        assert report.fiber_norms[x] == pytest.approx(np.sqrt(evals.real.max()), rel=1e-12)
     assert report.ess_sup == R.ess_sup() == max(report.fiber_norms.values())
     assert report.bounded
 

@@ -291,6 +291,20 @@ def test_quantized_quotient_roundtrip_compares_keys(tmp_path, capsys):
     assert code == 0
 
 
+def test_quotient_roundtrip_with_points_out_of_id_order(tmp_path, capsys):
+    # listed out of id order, with the classes {1, 3} and {7, 9} interleaved
+    xs = {7: 1.0, 3: 0.0, 9: 1.0, 1: 0.0, 5: 2.0}
+    cfg = {"dimension": 2, "generators": [{"name": "h", "expr": "x1"}],
+           "points": [{"id": i, "coords": [x, float(i)]} for i, x in xs.items()]}
+    path = tmp_path / "space.json"
+    path.write_text(json.dumps(cfg))
+    code, _ = run_cli(tmp_path, "space", "analyze", "--space", str(path))
+    out = capsys.readouterr().out
+    assert "quotient: 3 points" in out
+    assert "[PASS] quotient_roundtrip  defect=0 " in out
+    assert code == 0
+
+
 def test_deform_sweep_runs_on_dimension_0(tmp_path, capsys):
     cfg = {"dimension": 0, "generators": [],
            "points": [{"id": 0, "coords": []}, {"id": 1, "coords": [], "weight": 2.0}]}

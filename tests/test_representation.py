@@ -2,8 +2,11 @@
 
 import numpy as np
 import pytest
+import scipy.linalg
 
 from ncgroupoid import (
+    DiffSpace,
+    Point,
     RandomOperator,
     build_groupoid,
     convolve,
@@ -18,7 +21,7 @@ from ncgroupoid import (
     unit,
 )
 
-from conftest import random_groupoid, total_pair_space
+from conftest import random_groupoid, random_partition, total_pair_space
 
 
 def total_pair_groupoid(weights=(1.0, 1.0)):
@@ -147,8 +150,10 @@ def test_ess_sup_matches_eigenvalue_oracle(rng):
     best = 0.0
     for block in g.blocks:
         m = R.fiber(block[0])
-        # ||m||_2^2 = max eigenvalue of m^H m
-        evals = np.linalg.eigvalsh(m.conj().T @ m)
+        W = np.diag([g.space.weight(x) for x in block])
+        # the squared operator norm for <psi, phi> = psi^H W phi is the largest
+        # eigenvalue of the pencil (m^H W m, W)
+        evals = scipy.linalg.eigh(m.conj().T @ W @ m, W, eigvals_only=True)
         best = max(best, float(np.sqrt(max(evals[-1], 0.0))))
     assert R.ess_sup() == pytest.approx(best, rel=1e-10, abs=1e-12)
 
@@ -159,6 +164,51 @@ def test_ess_sup_is_submultiplicative(rng):
         R = represent(random_element(g, rng))
         S = represent(random_element(g, rng))
         assert (R @ S).ess_sup() <= R.ess_sup() * S.ess_sup() + 1e-10
+
+
+def random_weight_groupoid(rng):
+    """Random classes of up to 6 of 12 points with weights drawn from [0.1, 5]."""
+    pts = [Point(id=i, coords=(float(i),), weight=float(w))
+           for i, w in enumerate(rng.uniform(0.1, 5.0, size=12))]
+    space = DiffSpace(pts, 1, (), constants_only=True)
+    return build_groupoid(space, random_partition(rng, space.ids))
+
+
+def test_ess_sup_is_a_c_star_norm_for_non_unit_weights(rng):
+    # ||R^dagger R|| = ||R||^2 holds for the norm of the weighted fiber space only
+    for _ in range(20):
+        R = represent(random_element(random_weight_groupoid(rng), rng))
+        assert (R.adjoint() @ R).ess_sup() == pytest.approx(R.ess_sup() ** 2, rel=1e-12)
+    # weights 1 and 2, a = 1: the plain norm of [[1, 2], [1, 2]] would be sqrt(10)
+    R = represent(from_expression(total_pair_groupoid(weights=(1.0, 2.0)), "1"))
+    assert R.ess_sup() == pytest.approx(3.0, rel=1e-15)
+    assert (R.adjoint() @ R).ess_sup() == pytest.approx(9.0, rel=1e-15)
+
+
+def test_ess_sup_of_all_ones_is_the_largest_class_mass(rng):
+    # a = 1 acts on a class as psi -> <1, psi>_w 1, of norm ||1||_w^2 = the class mass
+    for _ in range(20):
+        g = random_weight_groupoid(rng)
+        mass = max(sum(g.space.weight(x) for x in block) for block in g.blocks)
+        R = represent(from_expression(g, "1"))
+        assert R.ess_sup() == pytest.approx(mass, rel=1e-13)
+
+
+def test_fiber_norms_are_computed_once(rng):
+    R = represent(random_element(random_weight_groupoid(rng), rng))
+    norms = R.norms
+    assert R.norms is norms
+    rep = random_operator_report(R)
+    assert R.norms is norms and rep.ess_sup == R.ess_sup()
+
+
+def test_huge_and_tiny_fibers_keep_their_norms():
+    # S^H S is formed after dividing each block by its largest entry
+    g = total_pair_groupoid(weights=(1.0, 2.0))
+    for c in (1e200, 1e-200):
+        R = represent(from_expression(g, "1")) * c
+        assert R.ess_sup() == pytest.approx(3.0 * c, rel=1e-14)
+    assert RandomOperator.zeros(g).ess_sup() == 0.0
 
 
 # ---------------------------------------------------------------- report
