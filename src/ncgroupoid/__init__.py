@@ -70,9 +70,7 @@ from .groupoid import (
 )
 from .representation import (
     RandomOperator,
-    RandomOperatorReport,
     homomorphism_defect,
-    random_operator_report,
     represent,
     star_defect,
 )
@@ -111,7 +109,6 @@ __all__ = [
     "Point",
     "QuotientResult",
     "RandomOperator",
-    "RandomOperatorReport",
     "State",
     "StateReport",
     "StepNReport",
@@ -146,7 +143,6 @@ __all__ = [
     "module_action",
     "quotient",
     "random_element",
-    "random_operator_report",
     "represent",
     "restrict",
     "star_defect",

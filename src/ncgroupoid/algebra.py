@@ -17,20 +17,20 @@ rule, exactly (the weights do not depend on the coordinates).
 Real input is stored as float64 and complex input as complex128; numpy's
 promotion carries the dtype through, so a result is complex only when an
 operand was.  Single values read out are Python complex numbers.
-Object-dtype arrays (for instance ``fractions.Fraction`` entries) are
-accepted for values and flow through convolution, involution and the
-unit without rounding; jets are not supported in that mode.  When every
-entry of both factors is rational (an int, a Fraction or a numpy
-integer), convolution runs on Python ints: each block becomes integer
-numerators over the lcm of its denominators (the weights by their exact
-integer ratios), the weighted sum is one integer matmul per size group,
-and every result entry is a Fraction in lowest terms, equal to what
-entry-wise Fraction arithmetic gives.  The involution only transposes
-such a stack.  An element splits its entries into integers at most once:
-a product hands on the integers it built, divided by each block's gcd,
-and the involution the transposed ones, so chained products split no
-Fraction again.  Other object entries (Python complex numbers or floats,
-say) take the generic path: Fraction weights, object matmul, conjugation.
+Object dtype means exact: every entry of an object block is rational (an
+int, a Fraction or a numpy integer).  The constructor refuses any other
+object entry, naming its block; convolution and the involution refuse an
+operand no longer all rational (scaled by a float, say) and an exact
+operand paired with a numeric one.  Jets are float-only.  Exact
+convolution runs on Python ints: each block becomes integer numerators
+over the lcm of its denominators (the weights by their exact integer
+ratios), the weighted sum is one integer matmul per size group, and every
+result entry is a Fraction in lowest terms, equal to what entry-wise
+Fraction arithmetic gives.  The involution only transposes such a stack.
+An element splits its entries into integers at most once: a product
+hands on the integers it built, divided by each block's gcd, and the
+involution the transposed ones, so chained products split no Fraction
+again.
 """
 
 from __future__ import annotations
@@ -147,6 +147,7 @@ class AlgebraElement:
         self.stack = BlockStack(groupoid, arrays)
         self.has_jets = d_src is not None
         self.expr = expr
+        self._integers  # split object entries now, refusing any that are not rational
 
     @classmethod
     def from_stack(cls, stack: BlockStack, has_jets: bool = False, expr=None) -> "AlgebraElement":
@@ -176,8 +177,15 @@ class AlgebraElement:
     @cached_property
     def _integers(self) -> tuple:
         """Per size group, the integer parts (see :func:`_integer_parts`) of an object
-        stack whose entries are all rational, else None; made at most once."""
-        return tuple(_integer_parts(arr) if arr.dtype == object and _rational(arr) else None
+        stack, else None; made at most once.  Object dtype means rational: any other
+        entry is refused, naming the first block, in block order, that holds one."""
+        groups = zip(self.groupoid.groups, self.stack.arrays)
+        bad = [min(b for b, block in zip(grp.blocks.tolist(), arr) if not _rational(block))
+               for grp, arr in groups if arr.dtype == object and not _rational(arr)]
+        if bad:
+            raise ValueError(f"block {min(bad)}: object entries must be rational "
+                             "(int, Fraction or numpy integer)")
+        return tuple(_integer_parts(arr) if arr.dtype == object else None
                      for arr in self.stack.arrays)
 
     def values_only(self) -> "AlgebraElement":
@@ -362,28 +370,27 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     jets = a.has_jets and b.has_jets
     n = a.groupoid.space.dimension
     arrays, integers = [], []
-    for s, (X, Y, grp) in enumerate(zip(a.stack.arrays, b.stack.arrays, a.groupoid.groups)):
-        parts = X.dtype == Y.dtype == object and (a._integers[s], b._integers[s])
-        if parts and None not in parts:
-            num, den = _exact_product(*parts, grp)
+    for X, Y, xs, ys, grp in zip(a.stack.arrays, b.stack.arrays, a._integers, b._integers,
+                                 a.groupoid.groups):
+        if xs is not None and ys is not None:
+            num, den = _exact_product(xs, ys, grp)
             arrays.append(_fraction(num, den))
             integers.append((num, den))
             continue
+        if xs is not None or ys is not None:
+            raise ValueError("an exact element convolves only with an exact one")
         integers.append(None)
-        w = grp.exact_weights if X.dtype == object else grp.weights
         # weight the summed-over point z: rows of the right factor, columns of the left
-        WY = Y[:, :1] * w[:, None, :, None]
+        WY = Y[:, :1] * grp.weights[:, None, :, None]
         if not jets:
             arrays.append(X[:, :1] @ WY)
             continue
         prod = np.empty(X.shape, dtype=np.result_type(X, WY))
         np.matmul(X[:, :n + 1], WY, out=prod[:, :n + 1])
-        np.matmul(X[:, :1] * w[:, None, None, :], Y[:, n + 1:], out=prod[:, n + 1:])
+        np.matmul(X[:, :1] * grp.weights[:, None, None, :], Y[:, n + 1:], out=prod[:, n + 1:])
         arrays.append(prod)
     out = AlgebraElement.from_stack(BlockStack(a.groupoid, arrays), jets)
-    # other object results may hold rationals too; those are split when first used
-    if all(p is not None or arr.dtype != object for p, arr in zip(integers, arrays)):
-        out._integers = tuple(integers)
+    out._integers = tuple(integers)
     return out
 
 
@@ -431,10 +438,8 @@ def involution(a: AlgebraElement) -> AlgebraElement:
 
     def star(arr):
         out = arr[:, order].swapaxes(-1, -2)  # a fresh copy
-        # conjugation is the identity on real data; other object entries may be complex
-        if arr.dtype == np.float64 or arr.dtype == object and _rational(arr):
-            return out
-        return np.conjugate(out, out=out)
+        # conjugation is the identity on real and on rational data
+        return np.conjugate(out, out=out) if arr.dtype == complex else out
 
     expr = None
     if a.expr is not None:
@@ -444,10 +449,8 @@ def involution(a: AlgebraElement) -> AlgebraElement:
         # expressions are real-valued, so conjugation is a no-op here
         expr = a.expr.subs(swap)
     out = AlgebraElement.from_stack(a.stack.map(star), a.has_jets, expr)
-    known = a.__dict__.get("_integers")  # the integer parts, if made already
-    if known is not None:
-        out._integers = tuple(None if p is None else
-                              (p[0][:, order].swapaxes(-1, -2), p[1][:, order]) for p in known)
+    out._integers = tuple(None if p is None else
+                          (p[0][:, order].swapaxes(-1, -2), p[1][:, order]) for p in a._integers)
     return out
 
 

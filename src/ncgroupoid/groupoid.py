@@ -15,7 +15,6 @@ array operation per distinct block size.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 from functools import cached_property
 
 import numpy as np
@@ -36,13 +35,6 @@ class SizeGroup:
     blocks: np.ndarray
     index: np.ndarray
     weights: np.ndarray
-
-    @cached_property
-    def exact_weights(self) -> np.ndarray:
-        """``weights`` as Fractions, for object-dtype stacks of other entries; made once."""
-        w = np.frompyfunc(Fraction, 1, 1)(self.weights)
-        w.flags.writeable = False
-        return w
 
     @cached_property
     def integer_weights(self) -> tuple[np.ndarray, np.ndarray]:
@@ -209,7 +201,8 @@ class BlockStack:
         return self.map(lambda arr: arr * (c if arr.dtype == object else num))
 
     def max_abs(self) -> float:
-        return max(float(np.abs(arr).max()) for arr in self.arrays)
+        # np.max, unlike max, keeps a NaN wherever it is
+        return float(np.max([float(np.abs(arr).max()) for arr in self.arrays]))
 
     def restrict(self, finer: Groupoid) -> "BlockStack":
         """The sub-blocks over the blocks of a finer groupoid on the same points.

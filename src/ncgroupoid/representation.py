@@ -24,7 +24,6 @@ fiber is negligible).
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from functools import cached_property
 
 import numpy as np
@@ -98,16 +97,20 @@ class RandomOperator:
         norms = []
         for grp, M in zip(self.groupoid.groups, self.stack.arrays):
             S = M * np.sqrt(grp.weights[:, :, None] / grp.weights[:, None, :])
-            # divided by its largest entry, so S^H S neither overflows nor underflows
-            top = np.abs(S).max(axis=(1, 2), keepdims=True)
-            S = S / np.where(top > 0, top, 1.0)
+            top = np.abs(S).max(axis=(1, 2))
+            # a block holding a NaN or an infinity has that as its norm; the others are
+            # divided by their largest entry, so S^H S neither overflows nor underflows
+            finite = np.isfinite(top)
+            scale = np.where(finite & (top > 0), top, 1.0)
+            S = np.where(finite[:, None, None], S, 0.0) / scale[:, None, None]
             largest = np.linalg.eigvalsh(S.conj().swapaxes(1, 2) @ S)[:, -1]
-            norms.append(top[:, 0, 0] * np.sqrt(largest.clip(min=0.0)))
+            norms.append(np.where(finite, scale * np.sqrt(largest.clip(min=0.0)), top))
         return tuple(norms)
 
     def ess_sup(self) -> float:
         """Largest fiber operator norm; see the module docstring."""
-        return max(float(norms.max()) for norms in self.norms)
+        # np.max, unlike max, keeps a NaN wherever it is
+        return float(np.max([norms.max() for norms in self.norms]))
 
     def max_fiber_diff(self, other: "RandomOperator") -> float:
         """Largest operator-norm distance between corresponding fibers."""
@@ -148,30 +151,3 @@ def star_defect(a: AlgebraElement) -> float:
     lhs = represent(involution(a))
     rhs = represent(a).adjoint()
     return lhs.max_fiber_diff(rhs)
-
-
-@dataclass(frozen=True)
-class RandomOperatorReport:
-    """Metric facts about one operator field."""
-
-    ess_sup: float
-    bounded: bool
-    fiber_norms: dict[int, float]
-
-
-def random_operator_report(R: RandomOperator) -> RandomOperatorReport:
-    """Report the fiber norms per point, their essential supremum and boundedness.
-
-    Boundedness is finiteness of the largest fiber norm.  (Measurability
-    holds by construction; see the module docstring.)
-    """
-    g = R.groupoid
-    norms = np.empty(len(g.space.id_array))
-    for grp, block_norms in zip(g.groups, R.norms):
-        norms[grp.index] = block_norms[:, None]
-    sup = float(norms.max())
-    return RandomOperatorReport(
-        ess_sup=sup,
-        bounded=bool(np.isfinite(sup)),
-        fiber_norms=dict(zip(g.space.ids, norms.tolist())),
-    )

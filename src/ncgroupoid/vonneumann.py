@@ -49,7 +49,7 @@ class DensityField:
 
     Unlike an operator field, the matrices may vary within a class; the
     field lives over points, not classes.  ``stack`` holds size group s of
-    the groupoid as one (k, c, m, m) array, ``stacks[s]``: with c = m one
+    the groupoid as one (k, c, m, m) array, ``stack.arrays[s]``: with c = m one
     matrix per point of each class, with c = 1 one matrix per class that
     all its points share (the uniform density is stored that way).
     ``matrices`` may be that stack or one matrix per point, in point order.
@@ -72,10 +72,6 @@ class DensityField:
         self.groupoid = g
         self.stack = matrices
 
-    @property
-    def stacks(self) -> tuple[np.ndarray, ...]:
-        return self.stack.arrays
-
     @classmethod
     def uniform(cls, g: Groupoid) -> "DensityField":
         """Identity on every fiber, scaled to total mass one."""
@@ -88,7 +84,7 @@ class DensityField:
         """One read-only matrix per point, in point order, made on first use;
         points that share a stored matrix get the same object."""
         out = [None] * len(self.groupoid.space.id_array)
-        for grp, stack in zip(self.groupoid.groups, self.stacks):
+        for grp, stack in zip(self.groupoid.groups, self.stack.arrays):
             k, c = stack.shape[:2]
             views = list(stack.reshape(k * c, grp.m, grp.m))
             for (r, i), p in np.ndenumerate(grp.index):
@@ -101,12 +97,12 @@ class DensityField:
     def masses(self) -> list[np.ndarray]:
         """Per size group, the (k, c) summed weight of the points using each stored matrix."""
         return [grp.weights.reshape(stack.shape[0], stack.shape[1], -1).sum(axis=2)
-                for grp, stack in zip(self.groupoid.groups, self.stacks)]
+                for grp, stack in zip(self.groupoid.groups, self.stack.arrays)]
 
     def class_sums(self) -> list[np.ndarray]:
         """Per size group, the (k, m, m) class sums sum_{x in b} w(x) rho(x)."""
         return [np.einsum("kc,kcij->kij", mass, stack)
-                for mass, stack in zip(self.masses(), self.stacks)]
+                for mass, stack in zip(self.masses(), self.stack.arrays)]
 
 
 @dataclass(frozen=True)
@@ -157,7 +153,7 @@ def make_state(rho: DensityField) -> State:
     total = 0.0
     min_eig = np.inf
     faithful = True
-    for grp, stack, mass in zip(g.groups, rho.stacks, rho.masses()):
+    for grp, stack, mass in zip(g.groups, rho.stack.arrays, rho.masses()):
         k, c, m = stack.shape[:3]
         mats = stack.reshape(k * c, m, m)
         finite = np.isfinite(mats).all(axis=(1, 2))

@@ -89,6 +89,14 @@ def test_rep_and_vn_commands(tmp_path, capsys):
     assert code == 0
 
 
+def test_rep_build_reports_the_ess_sup(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "rep", "build", "--space", "total_type_3pt",
+                        "--a", "x1*y1 + 2")
+    assert code == 0
+    lines = (out / "report.txt").read_text().splitlines()
+    assert "ess sup = 8.27492" in lines and "[PASS] bounded" in lines
+
+
 def test_deform_sweep(tmp_path, capsys):
     code, out = run_cli(tmp_path, "deform", "sweep", "--space", "grid_2x2")
     assert code == 0
