@@ -46,7 +46,7 @@ for x in (0, 1):
     rhs = (ad.value_at(x, x) * bd.value_at(x, x)).real
     print(f"separated: (a*b)({x},{x}) = {lhs:.1f} = a b pointwise ({rhs:.1f})")
 
-# jets ride along: exact partial derivatives on every arrow
-jet = ab.jet_at(0, 1)
+# with jets asked for, they ride along: exact partial derivatives on every arrow
+jet = convolve(a.with_jets(), b.with_jets()).jet_at(0, 1)
 print(f"jet at (0,1): value {jet.value.real:.1f}, "
       f"d_src ({jet.d_src[0].real:.1f},), d_dst ({jet.d_dst[0].real:.1f},)")

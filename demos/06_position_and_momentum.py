@@ -33,8 +33,9 @@ print(f"vertical lift   (d/d dst) at (1,2): {ver.value_at(1, 2).real:.1f}  (x1^2
 b = from_expression(g, "x1 + y1 + 1")
 print(f"generalized Leibniz defect: {leibniz_defect(P, a, b):.2e}")
 
-# the symmetrized lift of a product splits one slot to each factor
-lhs = lift_symmetrized(P, convolve(a, b))
+# the symmetrized lift of a product splits one slot to each factor; the
+# product carries the jets the lift reads when its factors do
+lhs = lift_symmetrized(P, convolve(a.with_jets(), b.with_jets()))
 rhs = convolve(lift_horizontal(P, a), b) + convolve(a, lift_vertical(P, b))
 print(f"split rule holds exactly: {max_diff(lhs, rhs) == 0.0}")
 

@@ -88,47 +88,81 @@ class Expr:
     __repr__ = __str__
 
     def symbol_names(self) -> set[str]:
-        if self.op == "sym":
-            return {self.args[0]}
-        if self.op == "num":
-            return set()
-        return set().union(*(a.symbol_names() for a in self.args))
+        return set(_walk(self, lambda e, names: {e.args[0]} if e.op == "sym" else
+                         set().union(*(names[id(a)] for a in _children(e)))))
 
     def subs(self, mapping: dict) -> "Expr":
         """Symbols replaced by expressions, all at once (so x <-> y swaps work)."""
-        if self.op == "sym":
-            return mapping.get(self, self)
-        if self.op == "num":
-            return self
-        return _node(self.op, *(a.subs(mapping) for a in self.args))
+        def visit(e, out):
+            if e.op == "sym":
+                return mapping.get(e, e)
+            if e.op == "num":
+                return e
+            return _node(e.op, *(out[id(a)] for a in e.args))
+        return _walk(self, visit)
 
     def diff(self, s: "Expr") -> "Expr":
         """The exact partial derivative with respect to the symbol ``s``."""
-        op, args = self.op, self.args
-        if op in ("num", "sym"):
-            return ONE if self == s else ZERO
-        d = [a.diff(s) for a in args]
-        u, du = args[0], d[0]
-        if op in ("+", "neg"):
-            return _node(op, *d)
-        if op == "*":
-            return _node("+", *(_node("*", *args[:i], di, *args[i + 1:])
-                                 for i, di in enumerate(d)))
-        if op == "/":
-            v, dv = args[1], d[1]
-            return _node("/", du, v) - _node("/", u * dv, _node("^", v, 2))
-        if op == "^":
-            v, dv = args[1], d[1]
-            if dv == ZERO:
-                return v * _node("^", u, v - ONE) * du
-            return self * (dv * _node("log", u) + _node("/", v * du, u))
-        if op == "sin":
-            return _node("cos", u) * du
-        if op == "cos":
-            return -_node("sin", u) * du
-        if op == "exp":
-            return self * du
-        return _node("/", du, u)  # log
+        return _walk(self, lambda e, done: _diff_rule(e, done, s))
+
+
+def _diff_rule(e: Expr, done: dict, s: Expr) -> Expr:
+    """The partial of the node ``e`` by ``s``, from the partials of its operands in ``done``."""
+    op, args = e.op, e.args
+    if op in ("num", "sym"):
+        return ONE if e == s else ZERO
+    d = [done[id(a)] for a in args]
+    u, du = args[0], d[0]
+    if op in ("+", "neg"):
+        return _node(op, *d)
+    if op == "*":
+        return _node("+", *(_node("*", *args[:i], di, *args[i + 1:])
+                             for i, di in enumerate(d)))
+    if op == "/":
+        v, dv = args[1], d[1]
+        return _node("/", du, v) - _node("/", u * dv, _node("^", v, 2))
+    if op == "^":
+        v, dv = args[1], d[1]
+        if dv == ZERO:
+            return v * _node("^", u, v - ONE) * du
+        return e * (dv * _node("log", u) + _node("/", v * du, u))
+    if op == "sin":
+        return _node("cos", u) * du
+    if op == "cos":
+        return -_node("sin", u) * du
+    if op == "exp":
+        return e * du
+    return _node("/", du, u)  # log
+
+
+def _children(e: Expr) -> tuple:
+    """The operand nodes of ``e``; none for a number or a symbol."""
+    return () if e.op in ("num", "sym") else e.args
+
+
+def _walk(expr: Expr, visit, children=_children, done=None):
+    """``visit(e, done)`` for every node ``e`` that ``expr`` reads through
+    ``children``, children first.
+
+    ``done`` maps the id of every node visited so far to its result (pass
+    one to share results between walks), and the root's result is
+    returned.  A node object met twice is visited once.  The walk keeps its
+    own stack, so a tree deeper than Python's recursion limit (a derivative
+    often is) is walked like any other.
+    """
+    done = {} if done is None else done
+    # the path from the root, each node with an iterator over its children
+    stack = [(expr, iter(children(expr)))]
+    while stack:
+        e, todo = stack[-1]
+        for a in todo:
+            if id(a) not in done:
+                stack.append((a, iter(children(a))))
+                break
+        else:
+            stack.pop()
+            done[id(e)] = visit(e, done)
+    return done[id(expr)]
 
 
 ZERO, ONE = Expr("num", 0), Expr("num", 1)
@@ -276,80 +310,99 @@ def _build(node: ast.AST, names: dict, source: str, depth: int) -> Expr:
 
 def format_expr(expr: Expr) -> str:
     """Render an expression in the input grammar (^ for powers), parsing back to itself."""
-    op, args = expr.op, expr.args
+    return _walk(expr, _format_node, _operands)
+
+
+def _operands(e: Expr) -> tuple:
+    """The nodes that printing and evaluation read: a term subtracted after the first
+    term of a sum is read through its operand."""
+    if e.op != "+":
+        return _children(e)
+    return (e.args[0], *(t.args[0] if t.op == "neg" else t for t in e.args[1:]))
+
+
+def _format_node(e: Expr, texts: dict) -> str:
+    """The text of the node ``e``, from the ``texts`` of the nodes it reads."""
+    op, args = e.op, e.args
+
+    def operand(a: Expr, at_least: int) -> str:
+        # a in parentheses when it binds less tightly than at_least
+        text = texts[id(a)]
+        if a.op == "num":
+            binding = 0 if text.startswith("-") else 5
+        else:
+            binding = _PRECEDENCE.get(a.op, 5)
+        return f"({text})" if binding < at_least else text
+
     if op == "num":
         return repr(args[0])
     if op == "sym":
         return args[0]
     if op in FUNCTIONS:
-        return f"{op}({format_expr(args[0])})"
+        return f"{op}({texts[id(args[0])]})"
     if op == "neg":
-        return "-" + _operand(args[0], 3)
+        return "-" + operand(args[0], 3)
     if op == "+":
-        text = _operand(args[0], 1)
+        text = operand(args[0], 1)
         for t in args[1:]:
             if t.op == "neg":
-                text += " - " + _operand(t.args[0], 2)
+                text += " - " + operand(t.args[0], 2)
             elif t.op == "num" and t.args[0] < 0:
                 text += f" - {-t.args[0]!r}"
             else:
-                text += " + " + _operand(t, 2)
+                text += " + " + operand(t, 2)
         return text
     if op == "*":
-        return "*".join([_operand(args[0], 2), *(_operand(a, 3) for a in args[1:])])
+        return "*".join([operand(args[0], 2), *(operand(a, 3) for a in args[1:])])
     p = _PRECEDENCE[op]
     # a ^ b ^ c is a ^ (b ^ c); a / b / c is (a / b) / c
-    left = _operand(args[0], p + (op == "^"))
-    right = _operand(args[1], p + (op != "^"))
+    left = operand(args[0], p + (op == "^"))
+    right = operand(args[1], p + (op != "^"))
     return f"{left}{op}{right}"
-
-
-def _operand(e: Expr, at_least: int) -> str:
-    """``e`` printed, in parentheses when it binds less tightly than ``at_least``."""
-    text = format_expr(e)
-    if e.op == "num":
-        binding = 0 if text.startswith("-") else 5
-    else:
-        binding = _PRECEDENCE.get(e.op, 5)
-    return f"({text})" if binding < at_least else text
 
 
 def _evaluate(expr: Expr, env: dict, memo: dict):
     """``expr`` with symbols bound to ``env``; ``memo`` shares subtrees evaluated once."""
-    out = memo.get(id(expr))
-    if out is None:
-        if expr.op == "num":
-            out = expr.args[0]
-        elif expr.op == "sym":
-            out = env[expr.args[0]]
-        elif expr.op == "+":
-            out = _evaluate(expr.args[0], env, memo)
-            for t in expr.args[1:]:
-                out = (out - _evaluate(t.args[0], env, memo) if t.op == "neg"
-                       else out + _evaluate(t, env, memo))
-        else:
-            out = _apply(expr.op, [_evaluate(a, env, memo) for a in expr.args])
-        memo[id(expr)] = out
-    return out
+    def visit(e, done):
+        if e.op == "num":
+            return e.args[0]
+        if e.op == "sym":
+            return env[e.args[0]]
+        if e.op == "+":
+            out = done[id(e.args[0])]
+            for t in e.args[1:]:
+                out = out - done[id(t.args[0])] if t.op == "neg" else out + done[id(t)]
+            return out
+        return _apply(e.op, [done[id(a)] for a in e.args])
+    return _walk(expr, visit, _operands, memo)
 
 
 class ValueGradFn:
     """Array evaluation of one expression and its exact partials.
 
-    The partials with respect to ``symbols`` are derived once, and the
+    The partials with respect to ``symbols`` are derived on first use, so
+    evaluating the values alone (:meth:`values`) never derives them.  The
     value and partials are always evaluated on arrays with at least one
     leading axis: one point is a batch of one, because numpy's scalar
     arithmetic may differ from its array loops in the last bit.  This is
     the only way expressions are evaluated, so gluing, tabulation and
-    derivation coefficients see the same arithmetic.
+    derivation coefficients see the same arithmetic, and the values alone
+    equal, bit for bit, the values evaluated with the partials.
     """
 
-    __slots__ = ("expr", "symbols", "partials")
+    __slots__ = ("expr", "symbols", "_partials")
 
     def __init__(self, expr: Expr, symbols: tuple[Expr, ...]):
         self.expr = expr
         self.symbols = tuple(symbols)
-        self.partials = tuple(expr.diff(s) for s in self.symbols)
+        self._partials = None
+
+    @property
+    def partials(self) -> tuple[Expr, ...]:
+        """The exact partials with respect to ``symbols``, derived once."""
+        if self._partials is None:
+            self._partials = tuple(self.expr.diff(s) for s in self.symbols)
+        return self._partials
 
     def __call__(self, *coords, out=None) -> tuple[np.ndarray, np.ndarray]:
         """Values and partials at coordinate arrays of any leading shape.
@@ -361,22 +414,33 @@ class ValueGradFn:
         dtype that holds floats).  A NaN or infinity in any value or
         partial raises ExpressionError naming the first such point.
         """
+        return self._run(coords, self.partials, None, out)
+
+    def values(self, *coords, out=None) -> np.ndarray:
+        """The values alone, shape S, written into ``out`` when it is given.
+
+        Only a NaN or infinity in a value is refused: the partials are
+        neither derived nor evaluated.
+        """
+        return self._run(coords, (), out, None)[0]
+
+    def _run(self, coords, partials, out_values, out_partials):
         # a leading axis of one, dropped on return
         arrays = [np.asarray(c, dtype=float)[None] for c in coords]
         columns = [a[..., i] for a in arrays for i in range(a.shape[-1])]
         shape = np.broadcast_shapes(*(a.shape[:-1] for a in arrays))
-        partials = np.empty(shape + (len(self.symbols),)) if out is None else out[None]
+        values = np.empty(shape) if out_values is None else out_values[None]
+        grads = np.empty(shape + (len(partials),)) if out_partials is None else out_partials[None]
         env = {s.args[0]: c for s, c in zip(self.symbols, columns)}
         memo: dict = {}
         try:
             with np.errstate(all="ignore"):
-                values = np.array(np.broadcast_to(_evaluate(self.expr, env, memo), shape),
-                                  dtype=float)
-                for i, d in enumerate(self.partials):
-                    partials[..., i] = _evaluate(d, env, memo)
+                values[...] = _evaluate(self.expr, env, memo)
+                for i, d in enumerate(partials):
+                    grads[..., i] = _evaluate(d, env, memo)
         except Exception as exc:
             raise ExpressionError(f"cannot evaluate {format_expr(self.expr)}: {exc}") from None
-        bad = ~np.isfinite(values) | ~np.isfinite(partials).all(axis=-1)
+        bad = ~np.isfinite(values) | ~np.isfinite(grads).all(axis=-1)
         if bad.any():
             at = np.unravel_index(int(np.argmax(bad)), shape)
             point = ", ".join(f"{s}={float(np.broadcast_to(c, shape)[at])!r}"
@@ -384,4 +448,4 @@ class ValueGradFn:
             what = (f"is {float(values[at])!r}" if not np.isfinite(values[at])
                     else "has a non-finite partial")
             raise ExpressionError(f"{format_expr(self.expr)} {what} at ({point})")
-        return values[0, ...], partials[0]
+        return values[0, ...], grads[0]

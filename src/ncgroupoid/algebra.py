@@ -14,14 +14,21 @@ derivatives of the arrow value with respect to the source coordinates
 involution and the module action all move jets along by the product
 rule, exactly (the weights do not depend on the coordinates).
 
+Values come first: :func:`from_expression` tabulates the values alone
+and remembers the expression.  :meth:`AlgebraElement.with_jets` tabulates
+the jets when a reader first asks for them (the calculus functions, the
+jet views ``d_src``, ``d_dst`` and ``jet_at``) and keeps the result on the
+element; its values equal the stored ones bit for bit.  A point where
+only a partial is not finite is refused by ``with_jets``, not before.
+
 Real input is stored as float64 and complex input as complex128; numpy's
 promotion carries the dtype through, so a result is complex only when an
 operand was.  Single values read out are Python complex numbers.
 Object dtype means exact: every entry of an object block is rational (an
 int, a Fraction or a numpy integer).  The constructor refuses any other
-object entry, naming its block; convolution and the involution refuse an
-operand no longer all rational (scaled by a float, say) and an exact
-operand paired with a numeric one.  Jets are float-only.  Exact
+object entry, naming its block.  An exact element scales only by an int
+or a Fraction, and sums, differences and products pair it only with
+another exact one; anything else raises.  Jets are float-only.  Exact
 convolution runs on Python ints: each block becomes integer numerators
 over the lcm of its denominators (the weights by their exact integer
 ratios), the weighted sum is one integer matmul per size group, and every
@@ -122,13 +129,15 @@ class AlgebraElement:
     point of block b.  ``d_src[b][i, j, k]`` and ``d_dst[b][i, j, k]`` hold
     the partials with respect to the k-th source and destination coordinate;
     either both are present or neither.  ``expr`` optionally remembers a
-    defining expression in x1..xn, y1..yn so jets can be re-tabulated.
+    defining expression in x1..xn, y1..yn so jets can be tabulated on
+    demand (:meth:`with_jets`); the jet views read through it then.
 
     All of it lives in ``stack``, one :class:`BlockStack` of (k, c, m, m)
     arrays: channel 0 holds the values and, with jets (c = 1 + 2n),
     channels 1..n the source partials and n+1..2n the destination
-    partials.  Without jets c = 1.  ``values``, ``d_src`` and ``d_dst``
-    are read-only per-block views into it, made on first use.
+    partials.  Without jets c = 1, and ``has_jets`` is False.  ``values``,
+    ``d_src`` and ``d_dst`` are read-only per-block views, made on first
+    use.
     """
 
     def __init__(self, groupoid: Groupoid, values, d_src=None, d_dst=None, expr=None):
@@ -161,10 +170,11 @@ class AlgebraElement:
         return self.stack.per_block(lambda arr: arr[:, 0])
 
     def _jet_blocks(self, channels: slice) -> tuple[np.ndarray, ...] | None:
-        """Per-block (m, m, n) views of a range of jet channels; None without jets."""
-        if not self.has_jets:
+        """Per-block (m, m, n) views of a range of jet channels, through :meth:`with_jets`;
+        None without jets and without an expression."""
+        if not self.has_jets and self.expr is None:
             return None
-        return self.stack.per_block(lambda arr: np.moveaxis(arr[:, channels], 1, -1))
+        return self.with_jets().stack.per_block(lambda arr: np.moveaxis(arr[:, channels], 1, -1))
 
     @cached_property
     def d_src(self) -> tuple[np.ndarray, ...] | None:
@@ -208,10 +218,8 @@ class AlgebraElement:
         return channels[0] if channels.dtype == object else complex(channels[0])
 
     def jet_at(self, src: int, dst: int) -> Jet:
-        if not self.has_jets:
-            raise ValueError("element carries no jets")
         n = self.groupoid.space.dimension
-        value, *partials = map(complex, self._channels_at(src, dst))
+        value, *partials = map(complex, self.with_jets()._channels_at(src, dst))
         return Jet(value=value, d_src=tuple(partials[:n]), d_dst=tuple(partials[n:]))
 
     def max_abs(self) -> float:
@@ -221,25 +229,38 @@ class AlgebraElement:
         """This element with jets available.
 
         Returns self when jets are stored.  Otherwise the defining
-        expression, if remembered, is re-tabulated (values included, so the
-        result may differ from the stored values by roundoff).  Without
-        either, raises.
+        expression, if remembered, is tabulated with its jets on the first
+        call and the same element returned on later ones.  Its values are
+        tabulated again too: they equal what :func:`from_expression` stores
+        bit for bit, and may differ by roundoff from values computed some
+        other way (by :func:`module_action`, say).  Without jets or an
+        expression, raises.
         """
         if self.has_jets:
             return self
-        if self.expr is not None:
-            return from_expression(self.groupoid, self.expr)
-        raise ValueError("element carries no jets and no defining expression")
+        if self.expr is None:
+            raise ValueError("element carries no jets and no defining expression")
+        return self._tabulated_jets
+
+    @cached_property
+    def _tabulated_jets(self) -> "AlgebraElement":
+        bundle = ValueGradFn(self.expr, _arrow_symbols(self.groupoid))
+        n = self.groupoid.space.dimension
+
+        def fill(src, dst, out):
+            np.copyto(out[..., 0], bundle(src, dst, out=out[..., 1:])[0])
+        return AlgebraElement.from_stack(_tabulate(self.groupoid, 1 + 2 * n, fill), True,
+                                         self.expr)
 
     def __add__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return _channelwise(np.add, self, other)
+        return _channelwise(np.add, self, other, "adds")
 
     def __sub__(self, other):
         if not isinstance(other, AlgebraElement):
             return NotImplemented
-        return _channelwise(np.subtract, self, other)
+        return _channelwise(np.subtract, self, other, "subtracts")
 
     def __neg__(self):
         return self.__mul__(-1)
@@ -247,6 +268,10 @@ class AlgebraElement:
     def __mul__(self, scalar):
         if isinstance(scalar, AlgebraElement):
             raise TypeError("use convolve(a, b) for the algebra product")
+        if not isinstance(scalar, _RATIONAL) and any(arr.dtype == object
+                                                     for arr in self.stack.arrays):
+            raise ValueError("an exact element scales only by an int or a Fraction, "
+                             f"not {scalar!r}")
         return AlgebraElement.from_stack(self.stack.scale(scalar), self.has_jets)
 
     __rmul__ = __mul__
@@ -309,7 +334,9 @@ class AlgebraElement:
         # the block and the positions in it of the source and destination of every row
         pos = g.space.id_order[at]
         (b, i), j = g.point_pos[pos[:, 0]].T, g.point_pos[pos[:, 1], 1]
-        distinct = len(np.unique(at[:, 0] * len(members) + at[:, 1]))
+        # plain np.unique would import numpy.ma
+        keys = np.sort(at[:, 0] * len(members) + at[:, 1])
+        distinct = int(np.count_nonzero(keys[1:] != keys[:-1])) + bool(len(keys))
         if distinct != len(rows) or len(rows) != g.arrow_count:
             raise ValueError(f"file has {len(rows)} rows for {distinct} distinct arrows, "
                              f"the groupoid has {g.arrow_count} arrows")
@@ -331,31 +358,46 @@ class AlgebraElement:
 def from_expression(g: Groupoid, text) -> AlgebraElement:
     """Tabulate an expression in x1..xn (source) and y1..yn (destination).
 
-    Values and both jet families come from one symbolic bundle, so the jets
-    are the exact partials of the tabulated values.  The bundle runs once
-    per size group, over all its arrows at once, and writes straight into
-    the element's channels.
+    Values first: the element stores the values alone and remembers the
+    expression, and its partials are not even derived.  The jets come
+    from :meth:`AlgebraElement.with_jets`, on first use, as the exact
+    partials of the same values.  The expression is evaluated once per
+    size group, over all its arrows at once, straight into the element's
+    stack.  A NaN or infinity in a value is refused here; one in a partial
+    only by ``with_jets``.
     """
+    syms = _arrow_symbols(g)
+    fn = ValueGradFn(parse(text, syms), syms)
+    stack = _tabulate(g, 1, lambda src, dst, out: fn.values(src, dst, out=out[..., 0]))
+    return AlgebraElement.from_stack(stack, expr=fn.expr)
+
+
+def _arrow_symbols(g: Groupoid) -> tuple:
     n = g.space.dimension
-    syms = coordinate_symbols(n) + coordinate_symbols(n, prefix="y")
-    expr = parse(text, syms)
-    bundle = ValueGradFn(expr, syms)
+    return coordinate_symbols(n) + coordinate_symbols(n, prefix="y")
+
+
+def _tabulate(g: Groupoid, channels: int, fill) -> BlockStack:
+    """A float stack of ``channels`` channels, ``fill(src, dst, out)`` writing a size group's
+    into ``out``, channels last, from the source and destination coordinates of its arrows."""
     arrays = []
     for grp in g.groups:
         coords = g.space.coords[grp.index]  # (k, m, n)
-        arr = np.empty((len(grp.blocks), 1 + 2 * n, grp.m, grp.m))
-        arr[:, 0], _ = bundle(coords[:, :, None], coords[:, None, :],
-                              out=np.moveaxis(arr[:, 1:], 1, -1))
+        arr = np.empty((len(grp.blocks), channels, grp.m, grp.m))
+        fill(coords[:, :, None], coords[:, None, :], np.moveaxis(arr, 1, -1))
         arrays.append(arr)
-    return AlgebraElement.from_stack(BlockStack(g, arrays), True, expr)
+    return BlockStack(g, arrays)
 
 
-def _channelwise(op, a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
+def _channelwise(op, a: AlgebraElement, b: AlgebraElement, verb: str) -> AlgebraElement:
     """``op`` on the channels both operands carry: jets only when both have them."""
     jets = a.has_jets and b.has_jets
     c = None if jets else 1
-    return AlgebraElement.from_stack(a.stack.map(lambda x, y: op(x[:, :c], y[:, :c]), b.stack),
-                                     jets)
+    stack = a.stack.map(lambda x, y: op(x[:, :c], y[:, :c]), b.stack)  # checks the groupoids
+    if any((x.dtype == object) != (y.dtype == object)
+           for x, y in zip(a.stack.arrays, b.stack.arrays)):
+        raise ValueError(f"an exact element {verb} only with an exact one")
+    return AlgebraElement.from_stack(stack, jets)
 
 
 def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:

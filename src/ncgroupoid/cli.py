@@ -147,8 +147,9 @@ def _cmd_groupoid_build(args, space, g, report) -> None:
 # -------------------------------------------------------------- algebra
 
 def _cmd_algebra_conv(args, space, g, report) -> None:
-    a = from_expression(g, args.a)
-    b = from_expression(g, args.b)
+    # conv.csv carries the product's jets
+    a = from_expression(g, args.a).with_jets()
+    b = from_expression(g, args.b).with_jets()
     c = convolve(a, b)
     report.note(f"a = {args.a!r}, b = {args.b!r}")
     report.note(f"max |a*b| = {c.max_abs():.6g}")
@@ -378,7 +379,7 @@ def _fd_jet_check(g, tol) -> CheckRecord:
     text = "1 + x1*y1 + x1^2"
     syms = coordinate_symbols(n) + coordinate_symbols(n, prefix="y")
     f = ValueGradFn(parse(text, syms), syms)
-    a = from_expression(g, text)
+    a = from_expression(g, text).with_jets()
     h = 1e-4
     step = h * np.eye(2 * n)
     worst, scale = 0.0, 1.0

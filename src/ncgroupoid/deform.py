@@ -20,6 +20,7 @@ the weighted pointwise product.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from fractions import Fraction
 
 import numpy as np
 
@@ -31,7 +32,7 @@ from .diffspace import (
     classes_are_fibers,
     hausdorff_relation,
 )
-from .groupoid import Groupoid, build_groupoid
+from .groupoid import BlockStack, Groupoid, build_groupoid
 
 
 @dataclass(frozen=True)
@@ -130,13 +131,52 @@ def homomorphism_defect_chain(
     The restriction maps are not homomorphisms in general: the left side
     still sums over the whole level-k class, the right side only over the
     smaller level-(k+1) class.  The defect is the measure of the dropped
-    terms, and is typically nonzero.
+    terms, and is typically nonzero.  The left side is formed on the
+    level-(k+1) blocks alone (see :func:`_restricted_product`), so the
+    product over a level-k class is never built.
     """
-    # values only: jets would be convolved and restricted and never read
+    # values only: jets would be restricted and never read
     a, b = a.values_only(), b.values_only()
-    lhs = restrict(convolve(a, b), chain, k)
     rhs = convolve(restrict(a, chain, k), restrict(b, chain, k))
-    return max_diff(lhs, rhs)
+    lhs = _restricted_product(a.stack, b.stack, rhs.groupoid)
+    return max_diff(AlgebraElement.from_stack(lhs), rhs)
+
+
+# a float array as the Fractions it holds exactly
+_exact = np.frompyfunc(Fraction, 1, 1)
+
+
+def _restricted_product(a: BlockStack, b: BlockStack, finer: Groupoid) -> BlockStack:
+    """The values of a * b on the blocks of ``finer``, which refines the stacks' groupoid.
+
+    On a finer block B' inside the block B they are A[B', B] W_B B[B, B'],
+    from gathered rows and columns.  A single point x reads the diagonal
+    entry sum over z in B of A[x, z] w(z) B[z, x], a row-times-column sum
+    taken for every point of B at once, with nothing gathered.  Exact
+    stacks take their weights as Fractions.
+    """
+    g = a.groupoid
+    arrays = []
+    for grp in finer.groups:
+        block, at = g.point_pos[grp.index, 0], g.point_pos[grp.index, 1]  # (k', m') each
+        slot, row = g.slots[block[:, 0]].T
+        out = np.empty((len(grp.blocks), 1, grp.m, grp.m),
+                       dtype=np.result_type(*a.arrays, *b.arrays))
+        for s, (coarse, A, B) in enumerate(zip(g.groups, a.arrays, b.arrays)):
+            sel = slot == s
+            if not sel.any():
+                continue
+            A, B = A[:, 0], B[:, 0]  # (k, M, M)
+            w = coarse.weights if A.dtype != object else _exact(coarse.weights)
+            r, i = row[sel], at[sel]
+            if grp.m == 1:
+                out[sel, 0, 0, 0] = np.einsum("kxz,kz,kzx->kx", A, w, B)[r, i[:, 0]]
+            else:
+                rows = A[r[:, None], i]  # (k', m', M)
+                cols = np.swapaxes(B[r[:, None], :, i], 1, 2)  # (k', M, m')
+                out[sel, 0] = rows @ (cols * w[r][:, :, None])
+        arrays.append(out)
+    return BlockStack(finer, arrays)
 
 
 @dataclass(frozen=True)

@@ -220,8 +220,11 @@ class BlockStack:
             slot = self.groupoid.slots[old_block[:, 0]]
             out = np.empty((len(grp.blocks),) + lead + (grp.m, grp.m),
                            dtype=np.result_type(*self.arrays))
-            for s in np.unique(slot[:, 0]):
+            # the size groups present, without np.unique (which imports numpy.ma)
+            for s in range(len(self.arrays)):
                 sel = slot[:, 0] == s
+                if not sel.any():
+                    continue
                 i = at[sel]
                 rows = slot[sel, 1][:, None, None]
                 # the indexed (block, row, col) axes come first, the lead axes after

@@ -10,7 +10,10 @@ from hypothesis import strategies as st
 from ncgroupoid import (
     AlgebraElement,
     BaseFunction,
+    DiffSpace,
+    GeneratorFunction,
     Partition,
+    Point,
     arrow_basis,
     build_groupoid,
     convolve,
@@ -22,6 +25,8 @@ from ncgroupoid import (
     random_element,
     unit,
 )
+
+from ncgroupoid._expr import Expr
 
 from conftest import grid_space, line_space, random_groupoid, total_pair_space
 
@@ -181,8 +186,8 @@ def test_expression_jets_are_exact_partials():
 
 def test_convolution_propagates_jets_exactly():
     g = total_pair_groupoid()
-    a = from_expression(g, "x1*y1")
-    b = from_expression(g, "x1 + y1")
+    a = from_expression(g, "x1*y1").with_jets()
+    b = from_expression(g, "x1 + y1").with_jets()
     c = convolve(a, b)
     assert c.has_jets
     # (a*b)(x,y) = sum_z x z (z + y); d/dx = sum_z z(z+y), d/dy = sum_z xz
@@ -213,6 +218,50 @@ def test_with_jets_requires_expression_or_jets(rng):
     b = AlgebraElement(g, [np.zeros((len(blk), len(blk))) for blk in g.blocks])
     with pytest.raises(ValueError):
         b.with_jets()
+    assert b.d_src is None and b.d_dst is None
+
+
+def _plane_groupoid(rng, shape):
+    """Points of the plane in len(shape) classes, class c of shape[c] points sharing x1,
+    with random weights; one entry is one glued class, all ones singletons."""
+    x1 = np.repeat(rng.uniform(-1, 1, len(shape)), shape)
+    coords = np.column_stack([x1, rng.uniform(-1, 1, len(x1))])
+    pts = [Point(i, tuple(c), float(w)) for i, (c, w) in
+           enumerate(zip(coords.tolist(), rng.uniform(0.5, 2, len(x1))))]
+    space = DiffSpace(pts, 2, [GeneratorFunction("pi1", "x1", 2)])
+    return build_groupoid(space, hausdorff_relation(space))
+
+
+@pytest.mark.parametrize("shape", [(1,) * 40, (48,) * 12, (64,)],
+                         ids=["singletons", "clustered_12x48", "one_glued_class"])
+def test_values_first_equal_the_values_with_jets(rng, shape):
+    g = _plane_groupoid(rng, shape)
+    assert sorted(g.partition.sizes.tolist()) == sorted(shape)
+    for text in ("x1 + 2*y2 + 1", "x1*y1 + sin(x2)", "cos(y1) - x2*y2", "exp(x1 - y2)/(3 + y1)"):
+        a = from_expression(g, text)
+        assert not a.has_jets and a.stack.arrays[0].shape[1] == 1
+        jets = a.with_jets()
+        assert jets.has_jets and jets is a.with_jets() and jets.expr == a.expr
+        for u, v in zip(a.stack.arrays, jets.stack.arrays):
+            assert u[:, 0].tobytes() == v[:, 0].tobytes()
+        # the jet views read through the tabulated jets
+        for view in ("d_src", "d_dst"):
+            for u, v in zip(getattr(a, view), getattr(jets, view)):
+                assert u.tobytes() == v.tobytes()
+        x, y = g.blocks[-1][0], g.blocks[-1][-1]
+        assert a.jet_at(x, y) == jets.jet_at(x, y)
+
+
+def test_values_first_derives_no_partials(monkeypatch):
+    g = total_pair_groupoid()
+
+    def refuse(*args):
+        raise AssertionError("a partial was derived")
+    monkeypatch.setattr(Expr, "diff", refuse)
+    a = from_expression(g, "x1*y1 + sin(x1)")
+    assert a.value_at(0, 1) == 0.0
+    with pytest.raises(AssertionError, match="a partial was derived"):
+        a.with_jets()
 
 
 # --------------------------------------------------------- module action
@@ -342,7 +391,7 @@ def test_value_at_rejects_foreign_pairs():
 
 def test_scalar_and_addition():
     g = total_pair_groupoid()
-    a = from_expression(g, "x1 + y1")
+    a = from_expression(g, "x1 + y1").with_jets()
     two_a = 2 * a
     assert two_a.value_at(0, 1) == 2.0
     assert max_diff(a + a, two_a) == 0.0

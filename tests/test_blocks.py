@@ -243,8 +243,10 @@ def test_object_entries_that_are_not_rational_are_refused(g, rng):
     with pytest.raises(ValueError, match=f"^block 0: {RATIONAL_ONLY}"):
         AlgebraElement(g, z)
     a = exact_element(g, rng)
-    # a float scale or a float summand leaves float entries in the object stack
-    for bad in (a * 0.5, 0.5 * a, a + unit(g)):
+    # a stack scaled by a float or given a float summand holds float entries in its
+    # object groups (an element refuses both operations, see the test below)
+    for bad in (a.stack.scale(0.5), a.stack + unit(g).stack):
+        bad = AlgebraElement.from_stack(bad)
         for op in (lambda: convolve(bad, a), lambda: convolve(a, bad), lambda: involution(bad)):
             with pytest.raises(ValueError, match=RATIONAL_ONLY):
                 op()
@@ -252,6 +254,25 @@ def test_object_entries_that_are_not_rational_are_refused(g, rng):
     for x, y in ((a, unit(g)), (unit(g), a)):
         with pytest.raises(ValueError, match="exact element convolves only with an exact one"):
             convolve(x, y)
+
+
+def test_exact_elements_stay_exact_under_scaling_and_sums(g, rng):
+    a, b = exact_element(g, rng), exact_element(g, rng, "int")
+    for c in (a * 2, 2 * a, a * np.int64(-3), a * True, a * Fraction(1, 3), -a, a + b, b - a):
+        assert all(u.dtype == object and all(type(t) in (int, Fraction) for t in u.flat)
+                   for u in c.values)
+    for scalar in (0.5, 2.0, np.float64(2.0), 1j, 1 + 0j):
+        for op in (lambda: a * scalar, lambda: scalar * a):
+            with pytest.raises(ValueError, match="exact element scales only by an int or a "
+                                                 "Fraction"):
+                op()
+    numeric = unit(g)
+    for op, verb in ((lambda: a + numeric, "adds"), (lambda: numeric + a, "adds"),
+                     (lambda: a - numeric, "subtracts"), (lambda: numeric - a, "subtracts")):
+        with pytest.raises(ValueError, match=f"^an exact element {verb} only with an exact one$"):
+            op()
+    # a numeric element scales by a Fraction as by its float value
+    assert max_diff(numeric * Fraction(1, 4), numeric * 0.25) == 0.0
 
 
 def assert_same_element(got, want):
@@ -542,7 +563,7 @@ def test_real_data_stays_float64(g, rng):
 
 
 def test_one_complex_operand_makes_the_result_complex128(g, rng):
-    a = from_expression(g, REAL_ELEMENTS[0])
+    a = from_expression(g, REAL_ELEMENTS[0]).with_jets()
     z = random_element(g, rng, with_jets=True)
     n, dim = len(g.space.points), g.space.dimension
     complex_f = BaseFunction(g.space, rng.standard_normal(n) + 1j * rng.standard_normal(n),
@@ -595,7 +616,7 @@ def as_complex(a):
 
 
 def test_real_results_match_the_complex_cast_computation(g):
-    a, b = (from_expression(g, e) for e in REAL_ELEMENTS)
+    a, b = (from_expression(g, e).with_jets() for e in REAL_ELEMENTS)
     f = BaseFunction.from_expression(g.space, "x1^2 + x2")
     P = Derivation.from_expressions(g.space, ["x2", "1"])
     az, bz = as_complex(a), as_complex(b)

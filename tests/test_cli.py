@@ -2,6 +2,7 @@
 
 import argparse
 import json
+import os
 import shlex
 import subprocess
 import sys
@@ -165,6 +166,33 @@ def test_non_finite_generator_value_exits_2(tmp_path, capsys, mode):
     code, _ = run_cli(tmp_path, "space", "analyze", "--space", str(cfg))
     assert code == 2
     assert "error: generator 'g1': 10*x1 is inf at (x1=1e+308)" in capsys.readouterr().err
+
+
+def _nested(template, inner, depth):
+    for _ in range(depth):
+        inner = template.format(inner)
+    return inner
+
+
+@pytest.mark.parametrize("expr, value", [
+    # derivative trees deeper than the parse limit, and than Python's recursion limit
+    (_nested("x1/({})", "x1/x1", 198), 1.0),
+    (_nested("-(x1/{})", "x1", 99), -1.0),
+    ("^".join(["x1"] * 199), 1.0),
+    (_nested("exp(sin({}))", "x1 - 1", 99), None),
+], ids=["quotients", "negated_quotients", "powers", "exp_sin"])
+def test_deeply_nested_generators_are_evaluated(tmp_path, capsys, expr, value):
+    cfg = tmp_path / "deep.json"
+    cfg.write_text(json.dumps({
+        "dimension": 1,
+        "points": [{"id": 0, "coords": [1.0]}, {"id": 1, "coords": [1.0]}],
+        "generators": [{"name": "g1", "expr": expr}],
+    }))
+    code, _ = run_cli(tmp_path, "space", "analyze", "--space", str(cfg))
+    assert code == 0, capsys.readouterr().err
+    space = build_space(json.loads(cfg.read_text()))
+    if value is not None:
+        assert space.generator_values[0, 0] == value
 
 
 def _write(tmp_path, config):
@@ -370,6 +398,29 @@ def test_console_script_runs(tmp_path):
     )
     assert proc.returncode == 0
     assert "PASS" in proc.stdout
+
+
+def test_deform_sweep_and_csv_read_back_do_not_import_numpy_ma(tmp_path):
+    # plain np.unique imports numpy.ma on first use, about 18 ms of a fresh process
+    root = Path(__file__).resolve().parents[1]
+    code = (
+        "import sys\n"
+        "import ncgroupoid as n\n"
+        "import ncgroupoid.cli\n"
+        f"code = ncgroupoid.cli.run(['deform', 'sweep', '--space', 'grid_2x2', "
+        f"'--out', {str(tmp_path)!r}])\n"
+        "s = n.build_space(n.gallery_config('grid_2x2'))\n"
+        "g = n.build_groupoid(s, n.hausdorff_relation(s))\n"
+        f"path = {str(tmp_path / 'a.csv')!r}\n"
+        "n.from_expression(g, 'x1 + y2').to_csv(path)\n"
+        "n.AlgebraElement.from_csv(g, path)\n"
+        "print(code, 'numpy.ma' in sys.modules)\n"
+    )
+    path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
+                          timeout=120, env={**os.environ, "PYTHONPATH": path})
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.splitlines()[-1] == "0 False"
 
 
 # ----------------------------------------------------------------- README

@@ -1,6 +1,7 @@
 """Deformation chain: level structure, restrictions, and their defects."""
 
 import tracemalloc
+from fractions import Fraction
 
 import numpy as np
 import pytest
@@ -10,14 +11,17 @@ from ncgroupoid import (
     DiffSpace,
     GeneratorFunction,
     Point,
+    convolve,
     deformation_chain,
     from_expression,
     homomorphism_defect_chain,
+    max_diff,
+    random_element,
     restrict,
     step_n_pointwise_check,
 )
 
-from conftest import grid_space, random_int_space
+from conftest import DYADIC_WEIGHTS, grid_space, random_int_space
 
 
 # ----------------------------------------------------------- chain shape
@@ -99,7 +103,8 @@ def test_restrict_keeps_surviving_values():
             for y in block:
                 assert r.value_at(x, y) == a.value_at(x, y)
     assert r.expr is not None
-    assert r.has_jets  # jets survive restriction alongside values
+    # jets survive restriction alongside values
+    assert restrict(a.with_jets(), chain, 0).has_jets
 
 
 def test_restrict_demands_matching_level():
@@ -132,6 +137,73 @@ def test_restriction_defect_vanishes_on_arrow_supported_elements():
     a = AlgebraElement(g0, vals)
     defect = homomorphism_defect_chain(a, a, chain, 0)
     assert defect == 0.0
+
+
+def _staircase_space(rng, weights):
+    """3-D points whose chain has blocks of several sizes at every level, singletons and
+    larger blocks inside one coarser block, and two coincident points at the top."""
+    x1 = [0.0] * 9 + [1.0] * 5 + [2.0]
+    x2 = [0.0, 0.0, 0.0, 0.0, 1.0, 1.0, 2.0, 3.0, 4.0, 0.0, 0.0, 1.0, 2.0, 2.0, 0.0]
+    x3 = [0.0, 0.0, 1.0, 2.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]
+    pts = [Point(i, c, float(w)) for i, (c, w) in
+           enumerate(zip(zip(x1, x2, x3), rng.choice(weights, len(x1))))]
+    return DiffSpace(pts, 3, (), constants_only=True)
+
+
+def _full_product_defect(a, b, chain, k):
+    """The defect as defined: the product over the level-k blocks, then restricted."""
+    lhs = restrict(convolve(a, b), chain, k)
+    return max_diff(lhs, convolve(restrict(a, chain, k), restrict(b, chain, k)))
+
+
+def test_restriction_defect_matches_the_full_product(rng):
+    chain = deformation_chain(_staircase_space(rng, [0.3, 1.0, 1.7, 2.5]))
+    sizes = [sorted(lvl.partition.sizes.tolist()) for lvl in chain.levels]
+    assert sizes == [[15], [1, 5, 9], [1, 1, 1, 1, 1, 2, 2, 2, 4], [1] * 13 + [2]]
+    for k in range(chain.top):
+        g = chain.level(k).groupoid
+        for _ in range(3):
+            a, b = random_element(g, rng), random_element(g, rng, with_jets=True)
+            want = _full_product_defect(a, b.values_only(), chain, k)
+            got = homomorphism_defect_chain(a, b, chain, k)
+            scale = convolve(a, b).max_abs()
+            assert want > 0.0 and abs(got - want) <= 1e-12 * scale
+        # rational elements give the same Fraction sums, so the defects are equal
+        exact = [AlgebraElement(g, [np.array(
+            [[Fraction(int(rng.integers(-9, 10)), int(rng.integers(1, 6))) for _ in blk]
+             for _ in blk], dtype=object) for blk in g.blocks]) for _ in range(2)]
+        assert homomorphism_defect_chain(*exact, chain, k) == _full_product_defect(
+            *exact, chain, k)
+
+
+def test_restriction_defect_of_constants_is_the_lost_class_mass(rng):
+    space = _staircase_space(rng, DYADIC_WEIGHTS)
+    chain = deformation_chain(space)
+    for k in range(chain.top):
+        coarse, fine = chain.level(k).partition, chain.level(k + 1).partition
+        mass = [sum(space.weight(x) for x in block) for block in coarse.blocks]
+        lost = max(mass[coarse.block_of[block[0]]] - sum(space.weight(x) for x in block)
+                   for block in fine.blocks)
+        ones = from_expression(chain.level(k).groupoid, "1")
+        assert homomorphism_defect_chain(ones, ones, chain, k) == lost > 0.0
+
+
+def test_restriction_defect_never_builds_the_coarse_product():
+    # one class of 1000 points at level 0, singletons at level 1: the product over
+    # the class would be 8 MB; the defect reads a diagonal of 1000 entries
+    n = 1000
+    space = DiffSpace([Point(i, (float(i),), 1.0) for i in range(n)], 1, (),
+                      constants_only=True)
+    chain = deformation_chain(space)
+    ones = from_expression(chain.level(0).groupoid, "1")
+    tracemalloc.start()
+    try:
+        defect = homomorphism_defect_chain(ones, ones, chain, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert defect == n - 1.0
+    assert peak < 2**20
 
 
 def test_restriction_composes_to_top(rng):

@@ -32,7 +32,9 @@ from ncgroupoid import (
     involution,
     max_diff,
 )
-from ncgroupoid._expr import ExpressionError, ValueGradFn, coordinate_symbols, format_expr, parse
+from ncgroupoid._expr import (
+    Expr, ExpressionError, ValueGradFn, coordinate_symbols, format_expr, parse,
+)
 
 from conftest import int_poly, sympy_coordinates
 
@@ -257,8 +259,15 @@ def test_non_finite_values_and_partials_are_refused(text, at, shown):
     # as a function of the destination, first met on the arrow from point 0
     g = build_groupoid(space, Partition.total(space.ids))
     on_arrows = shown.replace("x1", "y1").replace("(y1=", "(x1=1.0, y1=")
+    if "partial" not in shown:
+        with pytest.raises(ExpressionError, match=re.escape(on_arrows)):
+            from_expression(g, text.replace("x1", "y1"))
+        return
+    # values first: the element's values are finite, and only its jets are refused
+    a = from_expression(g, text.replace("x1", "y1"))
+    assert np.isfinite(a.max_abs()) and not a.has_jets
     with pytest.raises(ExpressionError, match=re.escape(on_arrows)):
-        from_expression(g, text.replace("x1", "y1"))
+        a.with_jets()
 
 
 def test_quantized_key_that_overflows_is_refused():
@@ -299,6 +308,25 @@ def test_sums_and_products_of_any_length_are_one_level():
             at = dict(zip(ss, (int(c) for c in row)))
             assert v == float(oracle.subs(at))
             assert list(d) == [float(sympy.diff(oracle, s).subs(at)) for s in ss]
+
+
+def test_trees_deeper_than_the_recursion_limit_are_walked():
+    # derivatives may nest deeper than any parsed text; every walk keeps its own stack
+    depth = 3000
+    x1, x2 = coordinate_symbols(2)
+    e = x1
+    for _ in range(depth):
+        e = Expr("sin", e)
+    assert e.symbol_names() == {"x1"} and e.subs({x1: x2}).symbol_names() == {"x2"}
+    assert format_expr(e) == "sin(" * depth + "x1" + ")" * depth
+    X = np.array([[0.3], [1.2]])
+    values, partials = ValueGradFn(e, (x1,))(X)
+    want, slope = X[:, 0], None
+    for _ in range(depth):
+        slope = np.cos(want) if slope is None else np.cos(want) * slope
+        want = np.sin(want)
+    assert values.tobytes() == want.tobytes()
+    np.testing.assert_allclose(partials[:, 0], slope, rtol=1e-12)
 
 
 def test_nesting_deeper_than_the_limit_is_refused():
