@@ -172,9 +172,11 @@ def _restricted_product(a: BlockStack, b: BlockStack, finer: Groupoid) -> BlockS
             if grp.m == 1:
                 out[sel, 0, 0, 0] = np.einsum("kxz,kz,kzx->kx", A, w, B)[r, i[:, 0]]
             else:
-                rows = A[r[:, None], i]  # (k', m', M)
+                # the columns are a fresh copy, weighted in place before the rows are
+                # gathered: at most two copies of the size of the class at a time
                 cols = np.swapaxes(B[r[:, None], :, i], 1, 2)  # (k', M, m')
-                out[sel, 0] = rows @ (cols * w[r][:, :, None])
+                cols *= w[r][:, :, None]
+                out[sel, 0] = A[r[:, None], i] @ cols  # rows (k', m', M)
         arrays.append(out)
     return BlockStack(finer, arrays)
 

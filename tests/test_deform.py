@@ -206,6 +206,24 @@ def test_restriction_defect_never_builds_the_coarse_product():
     assert peak < 2**20
 
 
+def test_restriction_defect_on_pairs_holds_two_class_sized_copies():
+    # one class of 1000 points at level 0, pairs at level 1: the gathered rows and
+    # the weighted columns are 8 MB each, as the product over the class would be
+    n = 1000
+    space = DiffSpace([Point(i, (float(i // 2),), 1.0) for i in range(n)], 1, (),
+                      constants_only=True)
+    chain = deformation_chain(space)
+    ones = from_expression(chain.level(0).groupoid, "1")
+    tracemalloc.start()
+    try:
+        defect = homomorphism_defect_chain(ones, ones, chain, 0)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert defect == n - 2.0
+    assert peak < 2.5 * n * n * 8
+
+
 def test_restriction_composes_to_top(rng):
     chain = deformation_chain(grid_space())
     a = from_expression(chain.level(0).groupoid, "x1*y2 + 3")
