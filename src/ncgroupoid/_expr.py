@@ -168,6 +168,31 @@ def _walk(expr: Expr, visit, children=_children, done=None):
 ZERO, ONE = Expr("num", 0), Expr("num", 1)
 
 
+class Pending:
+    """An expression derived on first read: ``make(*args)``, with each argument that is
+    itself pending resolved first.
+
+    The arguments are expressions, tuples or dicts of them, or pending expressions, never
+    what they were read from, so a pending expression keeps no tabulated data alive.
+    :meth:`resolve` derives the expression once and drops the recipe.
+    """
+
+    __slots__ = ("make", "args", "expr")
+
+    def __init__(self, make, *args):
+        self.make, self.args = make, args
+
+    def resolve(self) -> Expr:
+        def visit(p, done):
+            if p.make is not None:
+                p.expr = p.make(*(done[id(a)] if isinstance(a, Pending) else a for a in p.args))
+                p.make = p.args = None
+            return p.expr
+        # a chain of pending expressions resolves without recursion
+        return _walk(self, visit, lambda p: () if p.make is None else
+                     [a for a in p.args if isinstance(a, Pending)])
+
+
 def _number(value) -> Expr:
     """A literal as a node: ints up to 2^53 stay ints, others become floats."""
     if isinstance(value, int) and abs(value) <= _EXACT_INT:
@@ -182,13 +207,20 @@ def _number(value) -> Expr:
 
 
 def _fold(op: str, args) -> Expr:
-    """The constant ``op(*args)``, computed by the ufuncs evaluation uses.
+    """The constant ``op(*args)``, with the float64 results evaluation gives.
 
+    Sums, products, negation and division by a nonzero constant are folded
+    on Python floats, which round as the float64 ufuncs do; powers,
+    functions and division by zero go through the ufuncs evaluation uses.
     Integer operands of ``+ * ^`` and negation keep an integral result an int.
     """
     values = [a.args[0] for a in args]
-    with np.errstate(all="ignore"):
-        out = float(_apply(op, [np.array([float(v)]) for v in values])[0])
+    floats = [float(v) for v in values]
+    if op in ("+", "*", "neg") or (op == "/" and floats[1] != 0):
+        out = _apply(op, floats)
+    else:
+        with np.errstate(all="ignore"):
+            out = float(_apply(op, [np.array([v]) for v in floats])[0])
     if not math.isfinite(out):
         raise ExpressionError(f"not finite and real: {format_expr(Expr(op, *args))} is {out!r}")
     if (op in ("+", "*", "^", "neg") and all(type(v) is int for v in values)

@@ -20,6 +20,11 @@ the jets when a reader first asks for them (the calculus functions, the
 jet views ``d_src``, ``d_dst`` and ``jet_at``) and keeps the result on the
 element; its values equal the stored ones bit for bit.  A point where
 only a partial is not finite is refused by ``with_jets``, not before.
+Symbolic forms wait too: a module action, an involution or a lift
+(:mod:`ncgroupoid.calculus`) derives its expression on the first read of
+``expr`` (``with_jets`` reads it) and keeps it.  Until then the element
+holds a :class:`~ncgroupoid._expr.Pending` recipe over its operands'
+expressions, never the operands themselves.
 
 Real input is stored as float64 and complex input as complex128; numpy's
 promotion carries the dtype through, so a result is complex only when an
@@ -50,7 +55,7 @@ from operator import attrgetter
 
 import numpy as np
 
-from ._expr import ValueGradFn, coordinate_symbols, format_expr, parse
+from ._expr import Expr, Pending, ValueGradFn, coordinate_symbols, format_expr, parse
 from .diffspace import DiffSpace
 from .groupoid import BlockStack, Groupoid, SizeGroup, over_lcm, promote
 from .reporting import write_csv
@@ -130,7 +135,8 @@ class AlgebraElement:
     the partials with respect to the k-th source and destination coordinate;
     either both are present or neither.  ``expr`` optionally remembers a
     defining expression in x1..xn, y1..yn so jets can be tabulated on
-    demand (:meth:`with_jets`); the jet views read through it then.
+    demand (:meth:`with_jets`); the jet views read through it then.  A
+    pending expression is derived on the first read of ``expr`` and kept.
 
     All of it lives in ``stack``, one :class:`BlockStack` of (k, c, m, m)
     arrays: channel 0 holds the values and, with jets (c = 1 + 2n),
@@ -155,15 +161,23 @@ class AlgebraElement:
         self.groupoid = groupoid
         self.stack = BlockStack(groupoid, arrays)
         self.has_jets = d_src is not None
-        self.expr = expr
+        self._expr = expr
         self._integers  # split object entries now, refusing any that are not rational
 
     @classmethod
     def from_stack(cls, stack: BlockStack, has_jets: bool = False, expr=None) -> "AlgebraElement":
-        """The element whose channel stack is ``stack`` (see the class docstring)."""
+        """The element whose channel stack is ``stack`` (see the class docstring);
+        ``expr`` may be an expression, a :class:`Pending` one or None."""
         a = cls.__new__(cls)
-        a.groupoid, a.stack, a.has_jets, a.expr = stack.groupoid, stack, has_jets, expr
+        a.groupoid, a.stack, a.has_jets, a._expr = stack.groupoid, stack, has_jets, expr
         return a
+
+    @property
+    def expr(self):
+        """The defining expression or None; a pending one is derived on first read."""
+        if isinstance(self._expr, Pending):
+            self._expr = self._expr.resolve()
+        return self._expr
 
     @cached_property
     def values(self) -> tuple[np.ndarray, ...]:
@@ -172,7 +186,7 @@ class AlgebraElement:
     def _jet_blocks(self, channels: slice) -> tuple[np.ndarray, ...] | None:
         """Per-block (m, m, n) views of a range of jet channels, through :meth:`with_jets`;
         None without jets and without an expression."""
-        if not self.has_jets and self.expr is None:
+        if not self.has_jets and self._expr is None:
             return None
         return self.with_jets().stack.per_block(lambda arr: np.moveaxis(arr[:, channels], 1, -1))
 
@@ -202,7 +216,7 @@ class AlgebraElement:
         """This element without its jets, sharing the stored values."""
         if not self.has_jets:
             return self
-        return AlgebraElement.from_stack(self.stack.map(lambda arr: arr[:, :1]), expr=self.expr)
+        return AlgebraElement.from_stack(self.stack.map(lambda arr: arr[:, :1]), expr=self._expr)
 
     def _channels_at(self, src: int, dst: int) -> np.ndarray:
         """All channels stored at the arrow (src, dst); raises if it is not an arrow."""
@@ -238,7 +252,7 @@ class AlgebraElement:
         """
         if self.has_jets:
             return self
-        if self.expr is None:
+        if self._expr is None:
             raise ValueError("element carries no jets and no defining expression")
         return self._tabulated_jets
 
@@ -484,12 +498,12 @@ def involution(a: AlgebraElement) -> AlgebraElement:
         return np.conjugate(out, out=out) if arr.dtype == complex else out
 
     expr = None
-    if a.expr is not None:
+    if a._expr is not None:
         xs = coordinate_symbols(n)
         ys = coordinate_symbols(n, prefix="y")
         swap = {**dict(zip(xs, ys)), **dict(zip(ys, xs))}
         # expressions are real-valued, so conjugation is a no-op here
-        expr = a.expr.subs(swap)
+        expr = Pending(Expr.subs, a._expr, swap)
     out = AlgebraElement.from_stack(a.stack.map(star), a.has_jets, expr)
     out._integers = tuple(None if p is None else
                           (p[0][:, order].swapaxes(-1, -2), p[1][:, order]) for p in a._integers)
@@ -529,8 +543,8 @@ def module_action(f: BaseFunction, a: AlgebraElement) -> AlgebraElement:
             out[:, 1:n + 1] += grad * arr[:, :1]
         arrays.append(out)
     expr = None
-    if f.expr is not None and a.expr is not None:
-        expr = f.expr * a.expr
+    if f.expr is not None and a._expr is not None:
+        expr = Pending(Expr.__mul__, f.expr, a._expr)
     return AlgebraElement.from_stack(BlockStack(g, arrays), jets, expr)
 
 

@@ -15,13 +15,17 @@ and interacts with the point-function action through the commutator
 
 Both identities are linear algebra over the stored jets, so they hold to
 roundoff; the functions here measure the defects rather than assume them.
+
+A lift is tabulated from the operand's jets at once; its symbolic form,
+which lets it be lifted again, is derived from the coefficient and
+operand expressions only when its ``expr`` is first read.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ._expr import ZERO, ExpressionError, ValueGradFn, coordinate_symbols, parse
+from ._expr import ZERO, Expr, ExpressionError, Pending, ValueGradFn, coordinate_symbols, parse
 from .algebra import AlgebraElement, BaseFunction, convolve, max_diff, module_action
 from .diffspace import DiffSpace
 from .groupoid import BlockStack, promote
@@ -92,20 +96,14 @@ def _check_pair(P: Derivation, a: AlgebraElement) -> AlgebraElement:
     return a.with_jets()
 
 
-def _symbolic_lift(P: Derivation, a: AlgebraElement, slot: str):
-    """Symbolic form of a lift, when both inputs carry expressions."""
-    if P.exprs is None or a.expr is None:
-        return None
-    n = P.space.dimension
-    xs = coordinate_symbols(n)
-    ys = coordinate_symbols(n, prefix="y")
-    if slot == "src":
-        coeffs = P.exprs
-        wrt = xs
-    else:
-        coeffs = [c.subs(dict(zip(xs, ys))) for c in P.exprs]
-        wrt = ys
-    return sum((c * a.expr.diff(s) for c, s in zip(coeffs, wrt)), ZERO)
+def _lift_expr(coeffs: tuple, expr, slot: str):
+    """Symbolic form of a lift: sum_k c_k d expr / d(slot)_k, the coefficients at the
+    slot's point."""
+    xs = coordinate_symbols(len(coeffs))
+    if slot == "dst":
+        ys = coordinate_symbols(len(coeffs), prefix="y")
+        coeffs, xs = [c.subs(dict(zip(xs, ys))) for c in coeffs], ys
+    return sum((c * expr.diff(s) for c, s in zip(coeffs, xs)), ZERO)
 
 
 def _lift(P: Derivation, a: AlgebraElement, slot: str) -> AlgebraElement:
@@ -117,7 +115,10 @@ def _lift(P: Derivation, a: AlgebraElement, slot: str) -> AlgebraElement:
     spec = "kil,klij->kij" if slot == "src" else "kjl,klij->kij"
     values = [np.einsum(spec, P.coeffs[grp.index], arr[:, jets])[:, None]
               for grp, arr in zip(g.groups, a.stack.arrays)]
-    return AlgebraElement.from_stack(BlockStack(g, values), expr=_symbolic_lift(P, a, slot))
+    expr = None
+    if P.exprs is not None and a._expr is not None:
+        expr = Pending(_lift_expr, P.exprs, a._expr, slot)
+    return AlgebraElement.from_stack(BlockStack(g, values), expr=expr)
 
 
 def lift_horizontal(P: Derivation, a: AlgebraElement) -> AlgebraElement:
@@ -136,8 +137,8 @@ def lift_symmetrized(P: Derivation, a: AlgebraElement) -> AlgebraElement:
     hor = lift_horizontal(P, a)
     ver = lift_vertical(P, a)
     expr = None
-    if hor.expr is not None and ver.expr is not None:
-        expr = hor.expr + ver.expr
+    if hor._expr is not None and ver._expr is not None:
+        expr = Pending(Expr.__add__, hor._expr, ver._expr)
     return AlgebraElement.from_stack((hor + ver).stack, expr=expr)
 
 
@@ -172,5 +173,5 @@ def commutator_defect(P: Derivation, f: BaseFunction, a: AlgebraElement) -> floa
     derivative, Pf = 1 and the commutator acts as the identity.
     """
     got = commutator_apply(P, f, a)
-    expected = module_action(P.apply_to(f), a.with_jets())
+    expected = module_action(P.apply_to(f), a.values_only())
     return max_diff(got, expected)

@@ -120,7 +120,7 @@ def restrict(a: AlgebraElement, chain: DeformationChain, k: int) -> AlgebraEleme
     dst_level = chain.level(k + 1)
     if not a.groupoid.same_structure(src_level.groupoid):
         raise ValueError(f"element does not live on level {k}")
-    return AlgebraElement.from_stack(a.stack.restrict(dst_level.groupoid), a.has_jets, a.expr)
+    return AlgebraElement.from_stack(a.stack.restrict(dst_level.groupoid), a.has_jets, a._expr)
 
 
 def homomorphism_defect_chain(

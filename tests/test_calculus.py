@@ -1,5 +1,8 @@
 """Derivations, horizontal/vertical lifts, Leibniz and commutation identities."""
 
+import gc
+import weakref
+
 import numpy as np
 import pytest
 
@@ -11,6 +14,7 @@ from ncgroupoid import (
     convolve,
     from_expression,
     hausdorff_relation,
+    involution,
     leibniz_defect,
     lift_horizontal,
     lift_symmetrized,
@@ -20,7 +24,9 @@ from ncgroupoid import (
     random_element,
 )
 
-from conftest import random_groupoid, total_pair_space
+from ncgroupoid._expr import Expr, format_expr
+
+from conftest import grid_space, random_groupoid, total_pair_space
 
 
 def total_pair_groupoid(weights=(1.0, 1.0)):
@@ -91,6 +97,58 @@ def test_lifted_element_can_be_lifted_again_via_expression():
     twice = lift_horizontal(P, once)
     expected = from_expression(g, "2*y1")
     assert max_diff(twice, expected) == 0.0
+
+
+# a(x, y) = x1^2*y2 + sin(x2), P = x2 d/dx1 + x1 d/dx2 and f = x1 + 1:
+# each result's expression as it reads once derived, and how it is built
+PENDING = {
+    "lift_horizontal": ("x2*(2*x1*y2) + x1*cos(x2)", lambda P, f, a: lift_horizontal(P, a)),
+    "lift_vertical": ("y1*x1^2", lambda P, f, a: lift_vertical(P, a)),
+    "lift_symmetrized": ("x2*(2*x1*y2) + x1*cos(x2) + y1*x1^2",
+                         lambda P, f, a: lift_symmetrized(P, a)),
+    "module_action": ("(x1 + 1)*(x1^2*y2 + sin(x2))", lambda P, f, a: module_action(f, a)),
+    "involution": ("y1^2*x2 + sin(y2)", lambda P, f, a: involution(a)),
+}
+
+
+@pytest.mark.parametrize("name", sorted(PENDING))
+def test_expressions_are_derived_on_first_read(name, monkeypatch):
+    text, build = PENDING[name]
+    g = build_groupoid(grid_space(), hausdorff_relation(grid_space()))
+    P = Derivation.from_expressions(g.space, ["x2", "x1"])
+    f = BaseFunction.from_expression(g.space, "x1 + 1")
+    a = from_expression(g, "x1^2*y2 + sin(x2)")
+    if name.startswith("lift"):
+        a = a.with_jets()  # what the lift reads; its jets derive partials
+    operand = weakref.ref(a.stack.arrays[0])
+    calls = []
+    for method in ("diff", "subs", "__add__", "__mul__"):
+        original = getattr(Expr, method)
+        monkeypatch.setattr(Expr, method,
+                            lambda *args, run=original: calls.append(run) or run(*args))
+    out = build(P, f, a)
+    assert calls == []
+    monkeypatch.undo()
+    # the pending expression holds no part of its operand
+    del a
+    gc.collect()
+    assert operand() is None
+    first = out.expr
+    assert format_expr(first) == text
+    assert out.expr is first
+    expected = from_expression(g, text).with_jets()
+    assert [x.tobytes() for x in out.with_jets().stack.arrays] == \
+        [x.tobytes() for x in expected.stack.arrays]
+
+
+def test_pending_chains_deeper_than_the_recursion_limit_resolve():
+    g = build_groupoid(grid_space(), hausdorff_relation(grid_space()))
+    f = BaseFunction.from_expression(g.space, "x1*x1 - x1 + 1")  # 1 on the grid
+    a = b = from_expression(g, "x1*y2")
+    for _ in range(3000):
+        a, b = involution(a), module_action(f, b)
+    assert format_expr(a.expr) == "x1*y2"
+    assert format_expr(b.expr) == "(x1*x1 - x1 + 1)*(" * 3000 + "x1*y2" + ")" * 3000
 
 
 def test_space_mismatch_rejected(rng):

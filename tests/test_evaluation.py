@@ -8,6 +8,7 @@ independent oracle, test-only), and must never let a NaN or infinity
 through.  Printed expressions parse back to themselves.
 """
 
+import functools
 import itertools
 import math
 import re
@@ -33,7 +34,7 @@ from ncgroupoid import (
     max_diff,
 )
 from ncgroupoid._expr import (
-    Expr, ExpressionError, ValueGradFn, coordinate_symbols, format_expr, parse,
+    Expr, ExpressionError, ValueGradFn, _node, coordinate_symbols, format_expr, parse,
 )
 
 from conftest import int_poly, sympy_coordinates
@@ -276,6 +277,33 @@ def test_quantized_key_that_overflows_is_refused():
     with pytest.raises(ValueError, match="not finite at point 7"):
         DiffSpace(pts, 1, gens, compare_mode="quantized", eps=1e-9)
     assert DiffSpace(pts, 1, gens).generator_values[1, 0] == 1e300
+
+
+# signed zeros, the smallest subnormal, ints at and past 2^53 (past it they are
+# floats), floats whose products and sums round, and ones that overflow
+FOLD_OPERANDS = (0.0, -0.0, 5e-324, 2 ** 53, -(2 ** 53) + 1, 2 ** 60, 3, -7, 0.1, 1.5, 10, 1e308)
+FOLD_UFUNCS = {"+": np.add, "*": np.multiply, "/": np.divide}
+
+
+@pytest.mark.parametrize("op, arity", [("+", 2), ("+", 3), ("*", 2), ("*", 3), ("/", 2),
+                                       ("neg", 1)])
+def test_constants_fold_as_the_float64_ufuncs_do(op, arity):
+    for values in itertools.product(FOLD_OPERANDS, repeat=arity):
+        # the fold as evaluation computes it: left to right on one-element float64 arrays
+        arrays = [np.array([float(v)]) for v in values]
+        with np.errstate(all="ignore"):
+            want = float((np.negative(*arrays) if op == "neg" else
+                          functools.reduce(FOLD_UFUNCS[op], arrays))[0])
+        if not math.isfinite(want):
+            with pytest.raises(ExpressionError, match="not finite and real"):
+                _node(op, *values)
+            continue
+        got = _node(op, *values).args[0]
+        # integer operands keep an integral result within 2^53 an int
+        exact = (op != "/" and all(type(v) is int and abs(v) <= 2 ** 53 for v in values)
+                 and want.is_integer() and abs(want) <= 2 ** 53)
+        assert type(got) is (int if exact else float), values
+        assert float(got).hex() == (float(int(want)) if exact else want).hex(), values
 
 
 def test_evaluation_emits_no_warnings():
