@@ -33,7 +33,7 @@ print(f"every generator constant on its classes: {rep.all_consistent}")
 
 q = quotient(space, rho)
 print(f"quotient points: {[ (p.id, p.coords, p.weight) for p in q.space.points ]}")
-print(f"projection {q.projection}, dropped {q.dropped}")
+print(f"projection {rho.block_of}, dropped {q.dropped}")
 
 # now force a coarser relation under the richer family: skew cannot descend
 rich = DiffSpace(pts, 2, gens)

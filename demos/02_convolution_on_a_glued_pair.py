@@ -16,7 +16,7 @@ from ncgroupoid import (
 )
 
 pts = [Point(0, (0.0,), 1.0), Point(1, (1.0,), 1.0)]
-space = DiffSpace(pts, 1, (), constants_only=True)
+space = DiffSpace(pts, 1, ())
 g = build_groupoid(space, hausdorff_relation(space))
 print(f"{g}: arrows {[(x, y) for block in g.blocks for x in block for y in block]}")
 

@@ -20,7 +20,7 @@ from ncgroupoid import (
 rng = np.random.default_rng(7)
 
 pts = [Point(i, (float(i),), w) for i, w in enumerate((1.0, 2.0, 1.0))]
-space = DiffSpace(pts, 1, (), constants_only=True)
+space = DiffSpace(pts, 1, ())
 g = build_groupoid(space, hausdorff_relation(space))
 
 a = from_expression(g, "x1 + y1")
@@ -38,9 +38,7 @@ sup = R.ess_sup()
 print(f"bounded: {math.isfinite(sup)}, ess sup = {sup:.6f}")
 
 # the all-ones element on a unit-weight pair has norm exactly 2
-pair = DiffSpace(
-    [Point(0, (0.0,), 1.0), Point(1, (1.0,), 1.0)], 1, (), constants_only=True
-)
+pair = DiffSpace([Point(0, (0.0,), 1.0), Point(1, (1.0,), 1.0)], 1, ())
 gp = build_groupoid(pair, hausdorff_relation(pair))
 ones = represent(from_expression(gp, "1"))
 print(f"all-ones on a glued pair: ess sup = {ones.ess_sup():.1f} (eigenvalues 2, 0)")

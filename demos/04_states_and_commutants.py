@@ -17,9 +17,7 @@ from ncgroupoid import (
 
 rng = np.random.default_rng(11)
 
-pair = DiffSpace(
-    [Point(0, (0.0,), 1.0), Point(1, (1.0,), 1.0)], 1, (), constants_only=True
-)
+pair = DiffSpace([Point(0, (0.0,), 1.0), Point(1, (1.0,), 1.0)], 1, ())
 g = build_groupoid(pair, hausdorff_relation(pair))
 
 state = make_state(DensityField.uniform(g))

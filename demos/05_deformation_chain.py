@@ -22,7 +22,7 @@ pts = [
     Point(2, (1.0, 0.0), 1.0),
     Point(3, (1.0, 1.0), 1.0),
 ]
-space = DiffSpace(pts, 2, (), constants_only=True)
+space = DiffSpace(pts, 2, ())
 
 chain = deformation_chain(space)
 print(f"levels 0..{chain.top}")
@@ -55,6 +55,6 @@ print(f"top level pointwise defect: {step.plain_defect:.1f} "
 # duplicated coordinates keep the top level honest: two points that agree
 # in every coordinate can never be separated
 dup = [Point(0, (0.0, 0.0), 1.0), Point(1, (0.0, 0.0), 1.0), Point(2, (1.0, 1.0), 1.0)]
-chain2 = deformation_chain(DiffSpace(dup, 2, (), constants_only=True))
+chain2 = deformation_chain(DiffSpace(dup, 2, ()))
 print(f"with duplicate coordinates: top classes {chain2.report.block_counts[-1]}, "
       f"diagonal reached: {chain2.report.top_is_diagonal}")

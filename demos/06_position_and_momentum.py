@@ -18,7 +18,7 @@ from ncgroupoid import (
 )
 
 pts = [Point(i, (float(i),), 1.0) for i in range(3)]
-space = DiffSpace(pts, 1, (), constants_only=True)
+space = DiffSpace(pts, 1, ())
 g = build_groupoid(space, hausdorff_relation(space))
 
 P = Derivation.from_expressions(space, ["1"])     # d/dx1

@@ -47,7 +47,6 @@ again.
 
 from __future__ import annotations
 
-import csv
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
@@ -141,9 +140,10 @@ class AlgebraElement:
     All of it lives in ``stack``, one :class:`BlockStack` of (k, c, m, m)
     arrays: channel 0 holds the values and, with jets (c = 1 + 2n),
     channels 1..n the source partials and n+1..2n the destination
-    partials.  Without jets c = 1, and ``has_jets`` is False.  ``values``,
-    ``d_src`` and ``d_dst`` are read-only per-block views, made on first
-    use.
+    partials.  ``has_jets`` says whether c = 1 + 2n: without jets c = 1,
+    so in dimension 0 every element has jets, and they are empty.
+    ``values``, ``d_src`` and ``d_dst`` are read-only per-block views,
+    made on first use.
     """
 
     def __init__(self, groupoid: Groupoid, values, d_src=None, d_dst=None, expr=None):
@@ -160,17 +160,21 @@ class AlgebraElement:
             arrays = [np.concatenate(parts, axis=1) for parts in zip(arrays, src, dst)]
         self.groupoid = groupoid
         self.stack = BlockStack(groupoid, arrays)
-        self.has_jets = d_src is not None
         self._expr = expr
         self._integers  # split object entries now, refusing any that are not rational
 
     @classmethod
-    def from_stack(cls, stack: BlockStack, has_jets: bool = False, expr=None) -> "AlgebraElement":
+    def from_stack(cls, stack: BlockStack, expr=None) -> "AlgebraElement":
         """The element whose channel stack is ``stack`` (see the class docstring);
         ``expr`` may be an expression, a :class:`Pending` one or None."""
         a = cls.__new__(cls)
-        a.groupoid, a.stack, a.has_jets, a._expr = stack.groupoid, stack, has_jets, expr
+        a.groupoid, a.stack, a._expr = stack.groupoid, stack, expr
         return a
+
+    @property
+    def has_jets(self) -> bool:
+        """True when the stack holds the 1 + 2n channels of values and jets."""
+        return self.stack.arrays[0].shape[1] == 1 + 2 * self.groupoid.space.dimension
 
     @property
     def expr(self):
@@ -214,7 +218,7 @@ class AlgebraElement:
 
     def values_only(self) -> "AlgebraElement":
         """This element without its jets, sharing the stored values."""
-        if not self.has_jets:
+        if self.stack.arrays[0].shape[1] == 1:  # values alone; in dimension 0 always
             return self
         return AlgebraElement.from_stack(self.stack.map(lambda arr: arr[:, :1]), expr=self._expr)
 
@@ -263,8 +267,7 @@ class AlgebraElement:
 
         def fill(src, dst, out):
             np.copyto(out[..., 0], bundle(src, dst, out=out[..., 1:])[0])
-        return AlgebraElement.from_stack(_tabulate(self.groupoid, 1 + 2 * n, fill), True,
-                                         self.expr)
+        return AlgebraElement.from_stack(_tabulate(self.groupoid, 1 + 2 * n, fill), self.expr)
 
     def __add__(self, other):
         if not isinstance(other, AlgebraElement):
@@ -286,7 +289,7 @@ class AlgebraElement:
                                                      for arr in self.stack.arrays):
             raise ValueError("an exact element scales only by an int or a Fraction, "
                              f"not {scalar!r}")
-        return AlgebraElement.from_stack(self.stack.scale(scalar), self.has_jets)
+        return AlgebraElement.from_stack(self.stack.scale(scalar))
 
     __rmul__ = __mul__
 
@@ -321,47 +324,6 @@ class AlgebraElement:
             for k in range(n):
                 header += [f"d_dst{k + 1}_re", f"d_dst{k + 1}_im"]
         write_csv(path, header, self.to_records())
-
-    @classmethod
-    def from_csv(cls, g: Groupoid, path) -> "AlgebraElement":
-        """Read what :meth:`to_csv` wrote: one row per arrow, in any order."""
-        with open(path, "r", encoding="utf-8", newline="") as fh:
-            header, *rows = csv.reader(fh)
-        with_jets = len(header) > 4
-        expected = 4 + (4 * g.space.dimension if with_jets else 0)
-        widths = sorted({len(row) for row in (header, *rows)})
-        if widths != [expected]:
-            raise ValueError(f"column counts {widths}, need {expected}")
-        pairs = [(int(row[0]), int(row[1])) for row in rows]
-        try:
-            ids = np.array(pairs, dtype=np.int64).reshape(-1, 2)
-        except OverflowError:  # no point id is past 64 bits
-            x, y = next(p for p in pairs if not all(-2 ** 63 <= v < 2 ** 63 for v in p))
-            raise ValueError(f"({x}, {y}) is not an arrow of the groupoid") from None
-        # each id's index among the partition's members, and whether it is that member
-        members, labels = g.partition.members, g.partition.labels
-        at = np.searchsorted(members, ids).clip(max=len(members) - 1)
-        arrow = (members[at] == ids).all(axis=1) & (labels[at[:, 0]] == labels[at[:, 1]])
-        if not arrow.all():
-            x, y = pairs[int(np.argmin(arrow))]
-            raise ValueError(f"({x}, {y}) is not an arrow of the groupoid")
-        # the block and the positions in it of the source and destination of every row
-        pos = g.space.id_order[at]
-        (b, i), j = g.point_pos[pos[:, 0]].T, g.point_pos[pos[:, 1], 1]
-        # plain np.unique would import numpy.ma
-        keys = np.sort(at[:, 0] * len(members) + at[:, 1])
-        distinct = int(np.count_nonzero(keys[1:] != keys[:-1])) + bool(len(keys))
-        if distinct != len(rows) or len(rows) != g.arrow_count:
-            raise ValueError(f"file has {len(rows)} rows for {distinct} distinct arrows, "
-                             f"the groupoid has {g.arrow_count} arrows")
-        # per arrow: value, then source and destination partials, from re, im pairs
-        values = np.array([[float(v) for v in row[2:]] for row in rows]).view(complex)
-        s, r = g.slots[b].T
-        arrays = [np.empty((len(grp.blocks), values.shape[1], grp.m, grp.m), dtype=complex)
-                  for grp in g.groups]
-        for k, arr in enumerate(arrays):
-            arr[r[s == k], :, i[s == k], j[s == k]] = values[s == k]
-        return cls.from_stack(BlockStack(g, arrays), with_jets)
 
     def __repr__(self) -> str:
         sizes = self.groupoid.partition.sizes.tolist()
@@ -411,7 +373,7 @@ def _channelwise(op, a: AlgebraElement, b: AlgebraElement, verb: str) -> Algebra
     if any((x.dtype == object) != (y.dtype == object)
            for x, y in zip(a.stack.arrays, b.stack.arrays)):
         raise ValueError(f"an exact element {verb} only with an exact one")
-    return AlgebraElement.from_stack(stack, jets)
+    return AlgebraElement.from_stack(stack)
 
 
 def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
@@ -445,7 +407,7 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         np.matmul(X[:, :n + 1], WY, out=prod[:, :n + 1])
         np.matmul(X[:, :1] * grp.weights[:, None, None, :], Y[:, n + 1:], out=prod[:, n + 1:])
         arrays.append(prod)
-    out = AlgebraElement.from_stack(BlockStack(a.groupoid, arrays), jets)
+    out = AlgebraElement.from_stack(BlockStack(a.groupoid, arrays))
     out._integers = tuple(integers)
     return out
 
@@ -504,7 +466,7 @@ def involution(a: AlgebraElement) -> AlgebraElement:
         swap = {**dict(zip(xs, ys)), **dict(zip(ys, xs))}
         # expressions are real-valued, so conjugation is a no-op here
         expr = Pending(Expr.subs, a._expr, swap)
-    out = AlgebraElement.from_stack(a.stack.map(star), a.has_jets, expr)
+    out = AlgebraElement.from_stack(a.stack.map(star), expr)
     out._integers = tuple(None if p is None else
                           (p[0][:, order].swapaxes(-1, -2), p[1][:, order]) for p in a._integers)
     return out
@@ -545,7 +507,7 @@ def module_action(f: BaseFunction, a: AlgebraElement) -> AlgebraElement:
     expr = None
     if f.expr is not None and a._expr is not None:
         expr = Pending(Expr.__mul__, f.expr, a._expr)
-    return AlgebraElement.from_stack(BlockStack(g, arrays), jets, expr)
+    return AlgebraElement.from_stack(BlockStack(g, arrays), expr)
 
 
 def arrow_basis(g: Groupoid) -> list[AlgebraElement]:

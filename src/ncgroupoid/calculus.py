@@ -62,11 +62,6 @@ class Derivation:
             coeffs[:, i], _ = ValueGradFn(e, syms)(space.coords)
         return cls(space, coeffs, exprs=exprs)
 
-    @classmethod
-    def constant(cls, space: DiffSpace, vector) -> "Derivation":
-        """A constant-coefficient field, e.g. a single d/dx_i."""
-        return cls.from_expressions(space, [repr(float(v)) for v in vector])
-
     def apply_to(self, f: BaseFunction) -> BaseFunction:
         """Pf = sum_i c_i df/dx_i as a point function.
 

@@ -1,8 +1,9 @@
 """Command line front end.
 
 Every subcommand loads a space config (a JSON file path, or the name of a
-bundled gallery config), runs its computation, prints one line per check,
-and exits 0 when all checks pass, 1 when any fails, 2 on malformed input.
+bundled gallery config), runs its computation, prints its notes and one
+line per check (``groupoid build`` reports notes only), and exits 0 when
+all checks pass, 1 when any fails, 2 on malformed input.
 With --out DIR, a report.txt and the command's CSV outputs are written
 deterministically (fixed column order, fixed float formatting).
 
@@ -44,7 +45,6 @@ from .diffspace import (
     GeneratorFunction,
     Partition,
     build_space,
-    classes_are_fibers,
     consistent_family,
     hausdorff_relation,
     load_config,
@@ -132,13 +132,7 @@ _RELATIONS = {
 def _cmd_groupoid_build(args, space, g, report) -> None:
     if args.relation in _RELATIONS:
         g = build_groupoid(space, _RELATIONS[args.relation](space))
-        record = skip("relation_matches_generators",
-                      f"the {args.relation} relation is not built from the generators")
-    else:
-        # the classes must be exactly the fibers of the generator values
-        record = check_flag("relation_matches_generators", classes_are_fibers(space, g.partition))
     report.note(f"{g.n_blocks} orbits, {g.arrow_count} arrows, transitive={g.partition.is_total}")
-    report.add(record)
     if args.out:
         write_csv(os.path.join(args.out, "arrows.csv"), ["src", "dst"],
                   sorted((x, y) for block in g.blocks for x in block for y in block))
@@ -353,12 +347,15 @@ def _cmd_deform_sweep(args, space, g, report) -> None:
     # a space of dimension 0 has no coordinates to build from
     a, b = ("1 + x1*y1", "2 - x1") if space.dimension else ("1", "2")
     step = step_n_pointwise_check(chain, from_expression(top_g, a), from_expression(top_g, b))
-    report.add(check("top_level_weighted_pointwise", step.weighted_defect,
-                     args.tol))
-    if step.unit_weights:
-        report.add(check("top_level_plain_pointwise", step.plain_defect, args.tol))
+    if step.weighted_defect is None:
+        for name in ("top_level_weighted_pointwise", "top_level_plain_pointwise"):
+            report.add(skip(name, "the top level has no singleton class"))
     else:
-        report.add(skip("top_level_plain_pointwise", "weights are not all 1"))
+        report.add(check("top_level_weighted_pointwise", step.weighted_defect, args.tol))
+        if step.unit_weights:
+            report.add(check("top_level_plain_pointwise", step.plain_defect, args.tol))
+        else:
+            report.add(skip("top_level_plain_pointwise", "weights are not all 1"))
     if args.out:
         write_csv(
             os.path.join(args.out, "levels.csv"),
@@ -525,7 +522,8 @@ _SUITE_SEEDED = ("--seed", "{seed}", "--trials", "5")
 COMMANDS = (
     Command("space", "analyze", "relation, consistency, quotient of a space",
             _cmd_space_analyze),
-    Command("groupoid", "build", "build the groupoid and check its laws", _cmd_groupoid_build,
+    Command("groupoid", "build", "build the groupoid and report its orbits and arrows",
+            _cmd_groupoid_build,
             (_arg("--relation", default="hausdorff", choices=["hausdorff", *_RELATIONS]),)),
     Command("algebra", "conv", "convolve two expression elements", _cmd_algebra_conv,
             (_arg("--a", required=True, help=_EXPR), _arg("--b", required=True, help=_EXPR)),

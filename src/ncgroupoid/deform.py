@@ -64,8 +64,7 @@ class ChainReport:
 
 
 class DeformationChain:
-    def __init__(self, base: DiffSpace, levels, report: ChainReport):
-        self.base = base
+    def __init__(self, levels, report: ChainReport):
         self.levels: tuple[ChainLevel, ...] = tuple(levels)
         self.report = report
 
@@ -88,7 +87,7 @@ def deformation_chain(space: DiffSpace) -> DeformationChain:
     levels = []
     for k in range(n + 1):
         gens = [GeneratorFunction(f"pi{i}", f"x{i}", n) for i in range(1, k + 1)]
-        sk = space.with_generators(gens, constants_only=k == 0)
+        sk = space.with_generators(gens)
         rho = hausdorff_relation(sk)
         levels.append(ChainLevel(k=k, space=sk, partition=rho, groupoid=build_groupoid(sk, rho)))
 
@@ -103,7 +102,7 @@ def deformation_chain(space: DiffSpace) -> DeformationChain:
         top_is_diagonal=levels[-1].partition.is_identity,
         fibers_exact=all(classes_are_fibers(l.space, l.partition) for l in levels),
     )
-    return DeformationChain(space, levels, report)
+    return DeformationChain(levels, report)
 
 
 def restrict(a: AlgebraElement, chain: DeformationChain, k: int) -> AlgebraElement:
@@ -120,7 +119,7 @@ def restrict(a: AlgebraElement, chain: DeformationChain, k: int) -> AlgebraEleme
     dst_level = chain.level(k + 1)
     if not a.groupoid.same_structure(src_level.groupoid):
         raise ValueError(f"element does not live on level {k}")
-    return AlgebraElement.from_stack(a.stack.restrict(dst_level.groupoid), a.has_jets, a._expr)
+    return AlgebraElement.from_stack(a.stack.restrict(dst_level.groupoid), a._expr)
 
 
 def homomorphism_defect_chain(
@@ -187,13 +186,14 @@ class StepNReport:
 
     On a diagonal groupoid (a * b)(x, x) = a(x, x) b(x, x) w(x) exactly;
     with unit weights the measure factor disappears and convolution IS the
-    commutative pointwise product.
+    commutative pointwise product.  The defects are taken over the
+    singleton classes of the top level; without one they are None.
     """
 
     top_is_diagonal: bool
     unit_weights: bool
-    weighted_defect: float
-    plain_defect: float
+    weighted_defect: float | None
+    plain_defect: float | None
 
 
 def step_n_pointwise_check(
@@ -204,7 +204,7 @@ def step_n_pointwise_check(
     if not a.groupoid.same_structure(top.groupoid):
         raise ValueError("elements do not live on the top level")
     conv = convolve(a, b)
-    weighted = plain = 0.0
+    weighted = plain = None
     diag = top.partition.is_identity
     unit_w = bool((top.space.weights == 1.0).all())
     stacks = (a.stack.arrays, b.stack.arrays, conv.stack.arrays)

@@ -15,7 +15,7 @@ import copy
 import json
 import math
 import sys
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import cached_property
 from itertools import chain
 from operator import itemgetter
@@ -63,12 +63,6 @@ class GeneratorFunction:
         self.symbols = coordinate_symbols(self.dimension)
         self.expr = parse(expr, self.symbols)
         self._bundle = ValueGradFn(self.expr, self.symbols)
-
-    def __call__(self, coords) -> float:
-        return float(self._bundle(coords)[0])
-
-    def gradient(self, coords) -> tuple[float, ...]:
-        return tuple(self._bundle(coords)[1].tolist())
 
     @property
     def expr_text(self) -> str:
@@ -190,13 +184,13 @@ class DiffSpace:
     partial or key that is not finite is refused.  Every refusal is a
     ConfigError.
 
-    An empty generator family is only meaningful for the constants-only
-    structure; pass ``constants_only=True`` to get it, in which case a
-    single constant generator named ``one`` is stored.
+    An empty generator family declares the constants-only structure
+    (``constants_only`` is then True): a single constant generator named
+    ``one`` is stored.
     """
 
     def __init__(self, points, dimension: int, generators, compare_mode: str = "exact",
-                 eps: float | None = None, constants_only: bool = False):
+                 eps: float | None = None):
         """``points`` are :class:`Point` objects or any (id, coords, weight) triples."""
         dimension = _whole(dimension, "dimension", minimum=0)
         points = tuple(points)
@@ -209,16 +203,16 @@ class DiffSpace:
             raise ConfigError(f"point {ids[i]}: got {len(coords[i])} coordinates, "
                               f"expected {dimension}")
         self._settle(ids, np.array(coords, dtype=float).reshape(len(ids), dimension), weights)
-        self._measure(generators, compare_mode, eps, constants_only)
+        self._measure(generators, compare_mode, eps)
 
     @classmethod
-    def _of_arrays(cls, ids, coords: np.ndarray, weights, generators, compare_mode, eps,
-                   constants_only) -> "DiffSpace":
+    def _of_arrays(cls, ids, coords: np.ndarray, weights, generators, compare_mode,
+                   eps) -> "DiffSpace":
         """The space of the points with these ids, (n, dimension) coordinates and weights,
         checked and measured as by the constructor."""
         space = cls.__new__(cls)
         space._settle(ids, coords, weights)
-        space._measure(generators, compare_mode, eps, constants_only)
+        space._measure(generators, compare_mode, eps)
         return space
 
     def _settle(self, ids, coords: np.ndarray, weights) -> None:
@@ -249,15 +243,12 @@ class DiffSpace:
         for arr in (ids, order, weights, self.coords):
             arr.flags.writeable = False
 
-    def _measure(self, generators, compare_mode, eps, constants_only) -> None:
+    def _measure(self, generators, compare_mode, eps) -> None:
         """Evaluate and store the generator family and its comparison keys."""
         gens = tuple(generators)
+        self.constants_only = not gens
         if not gens:
-            if not constants_only:
-                raise ConfigError("empty generator family (pass constants_only=True for the "
-                                  "trivial structure)")
             gens = (GeneratorFunction("one", "1", self.dimension),)
-        self.constants_only = bool(constants_only)
         names = [g.name for g in gens]
         if len(set(names)) != len(names):
             raise ConfigError(f"duplicate generator names in {names}")
@@ -292,10 +283,10 @@ class DiffSpace:
         for arr in (values, keys):
             arr.flags.writeable = False
 
-    def with_generators(self, generators, constants_only: bool = False) -> "DiffSpace":
+    def with_generators(self, generators) -> "DiffSpace":
         """The same points (arrays shared, not validated again) with other generators."""
         space = copy.copy(self)
-        space._measure(generators, self.compare_mode, self.eps, constants_only)
+        space._measure(generators, self.compare_mode, self.eps)
         return space
 
     @cached_property
@@ -408,14 +399,13 @@ def consistent_family(space: DiffSpace, rho: Partition) -> ConsistencyReport:
 class QuotientResult:
     """A quotient space plus what happened on the way down.
 
-    ``projection`` maps each original point id to its class id in the new
-    space; ``dropped`` lists generators that were not constant on classes
-    and therefore did not descend.
+    The new space's point with id b is class b of the relation, so the
+    relation's ``block_of`` is the projection; ``dropped`` lists generators
+    that were not constant on classes and therefore did not descend.
     """
 
     space: DiffSpace
     dropped: tuple[str, ...]
-    projection: dict[int, int] = field(compare=False)
 
 
 def quotient(space: DiffSpace, rho: Partition) -> QuotientResult:
@@ -438,8 +428,8 @@ def quotient(space: DiffSpace, rho: Partition) -> QuotientResult:
                 for i, j in enumerate(kept)]
     coords = space.generator_values[np.ix_(reps, kept)]
     q = DiffSpace._of_arrays(np.arange(rho.n_blocks), coords, masses, new_gens,
-                             space.compare_mode, space.eps, constants_only=not kept)
-    return QuotientResult(space=q, dropped=report.dropped_names, projection=dict(rho.block_of))
+                             space.compare_mode, space.eps)
+    return QuotientResult(space=q, dropped=report.dropped_names)
 
 
 _POINT_KEYS = {"id", "coords", "weight"}
@@ -505,8 +495,7 @@ def build_space(config: dict) -> DiffSpace:
         eps = mode["quantized"]
         mode = "quantized"
 
-    return DiffSpace._of_arrays(ids, coords, weights, generators, mode, eps,
-                                constants_only=not generators)
+    return DiffSpace._of_arrays(ids, coords, weights, generators, mode, eps)
 
 
 def _points_at_once(raw_points: list, dimension: int):

@@ -109,7 +109,6 @@ class DensityField:
 class StateReport:
     """What a validated state measured, plus the faithfulness flag."""
 
-    integral: float
     min_eigenvalue: float
     normalization: float
     faithful: bool
@@ -183,7 +182,6 @@ def make_state(rho: DensityField) -> State:
     if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"density normalizes to {total!r}, not 1")
     report = StateReport(
-        integral=integral,
         min_eigenvalue=min_eig,
         normalization=total,
         faithful=faithful,
@@ -248,16 +246,12 @@ class OperatorBasis:
     def dim(self) -> int:
         return len(self.stack)
 
-    def project(self, X: np.ndarray) -> np.ndarray:
-        X = np.asarray(X, dtype=complex)
-        flat = self.stack.reshape(self.dim, -1)
-        return ((flat.conj() @ X.reshape(-1)) @ flat).reshape(X.shape)
-
     def residual(self, X: np.ndarray) -> float:
         """Frobenius distance of X from the span, relative to max(1, |X|_F)."""
-        X = np.asarray(X, dtype=complex)
-        r = float(np.linalg.norm(X - self.project(X)))
-        return r / max(1.0, float(np.linalg.norm(X)))
+        x = np.asarray(X, dtype=complex).reshape(-1)
+        flat = self.stack.reshape(self.dim, -1)
+        r = float(np.linalg.norm(x - (flat.conj() @ x) @ flat))
+        return r / max(1.0, float(np.linalg.norm(x)))
 
 
 def _gather(generators) -> tuple[Groupoid, list[np.ndarray], int]:

@@ -98,7 +98,7 @@ def random_groupoid(
     n = dim if dim is not None else int(rng.integers(1, 3))
     npts = int(rng.integers(2, max_points + 1))
     pts = make_points(rng, npts, n, int_coords=int_coords, unit_weights=unit_weights)
-    space = DiffSpace(pts, n, (), constants_only=True)
+    space = DiffSpace(pts, n, ())
     rho = random_partition(rng, space.ids, max_block=max_block)
     return build_groupoid(space, rho)
 
@@ -109,7 +109,7 @@ def total_pair_space(weights=(1.0, 1.0)) -> DiffSpace:
         Point(id=0, coords=(0.0,), weight=float(weights[0])),
         Point(id=1, coords=(1.0,), weight=float(weights[1])),
     ]
-    return DiffSpace(pts, 1, (), constants_only=True)
+    return DiffSpace(pts, 1, ())
 
 
 def line_space(npts=5, unit_weights=True) -> DiffSpace:

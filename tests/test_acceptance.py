@@ -422,7 +422,7 @@ def test_criterion_10_jet_fidelity(capsys):
             Point(i, tuple(float(c) for c in rng.uniform(-2.0, 2.0, size=n)), 1.0)
             for i in range(npts)
         ]
-        space = DiffSpace(pts, n, (), constants_only=True)
+        space = DiffSpace(pts, n, ())
         g = build_groupoid(space, Partition.total(space.ids))
         syms = [*sympy_coordinates(n), *sympy_coordinates(n, prefix="y")]
         expr = int_poly(rng, syms, degree=3, max_terms=5)

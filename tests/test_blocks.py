@@ -53,7 +53,7 @@ def g():
         Point(id=x, coords=(float(x), float(x % 3)), weight=DYADIC_WEIGHTS[x % 4])
         for x in ORDER
     ]
-    space = DiffSpace(pts, 2, (), constants_only=True)
+    space = DiffSpace(pts, 2, ())
     return build_groupoid(space, Partition(BLOCKS))
 
 
@@ -188,7 +188,7 @@ def g_exact():
     sizes, awkward = (3, 1, 48, 2, 1, 3, 5), (0.1, 1 / 3, 1.0, 2.5, 0.7)
     ids = np.arange(sum(sizes))
     pts = [Point(id=int(x), coords=(float(x),), weight=awkward[x % len(awkward)]) for x in ids]
-    space = DiffSpace(pts, 1, (), constants_only=True)
+    space = DiffSpace(pts, 1, ())
     return build_groupoid(space, Partition(np.split(ids, np.cumsum(sizes)[:-1])))
 
 
@@ -311,7 +311,7 @@ def split_chain():
     """x1 = x mod 3 splits the one level-0 class into classes of 4, 3 and 3 points."""
     pts = [Point(id=x, coords=(float(x % 3), float(x)), weight=DYADIC_WEIGHTS[x % 4])
            for x in ORDER]
-    return deformation_chain(DiffSpace(pts, 2, (), constants_only=True))
+    return deformation_chain(DiffSpace(pts, 2, ()))
 
 
 def test_restrict_and_involution_keep_fractions_exact(rng):
@@ -612,7 +612,7 @@ def test_exact_weights_are_made_once(g_exact):
 
 def as_complex(a):
     """The same element with every channel cast to complex128."""
-    return AlgebraElement.from_stack(a.stack.map(lambda arr: arr.astype(complex)), a.has_jets)
+    return AlgebraElement.from_stack(a.stack.map(lambda arr: arr.astype(complex)))
 
 
 def test_real_results_match_the_complex_cast_computation(g):

@@ -183,7 +183,7 @@ def test_apply_to_symbolic_supports_iteration():
 
 def test_constant_derivation_kills_constants(rng):
     g = random_groupoid(rng, dim=2)
-    P = Derivation.constant(g.space, [1.0, -2.0])
+    P = Derivation.from_expressions(g.space, ["1.0", "-2.0"])
     ones = from_expression(g, "1")
     lifted = lift_symmetrized(P, ones)
     assert lifted.max_abs() == 0.0

@@ -341,6 +341,19 @@ def test_quotient_roundtrip_with_points_out_of_id_order(tmp_path, capsys):
     assert code == 0
 
 
+def test_deform_sweep_skips_the_pointwise_checks_without_singleton_classes(tmp_path, capsys):
+    # two points at one coordinate: the top level is one class of two, so
+    # the pointwise comparison has no singleton class to compare on
+    path = _write(tmp_path, {"dimension": 1, "generators": [],
+                             "points": [{"id": 0, "coords": [0.5]}, {"id": 1, "coords": [0.5]}]})
+    code, _ = run_cli(tmp_path, "deform", "sweep", "--space", path)
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    for name in ("top_level_weighted_pointwise", "top_level_plain_pointwise"):
+        assert f"[SKIP] {name}  (the top level has no singleton class)" in lines
+    assert "4 checks: 2 passed, 0 failed, 2 skipped" in lines
+
+
 def test_deform_sweep_runs_on_dimension_0(tmp_path, capsys):
     cfg = {"dimension": 0, "generators": [],
            "points": [{"id": 0, "coords": []}, {"id": 1, "coords": [], "weight": 2.0}]}
@@ -400,20 +413,14 @@ def test_console_script_runs(tmp_path):
     assert "PASS" in proc.stdout
 
 
-def test_deform_sweep_and_csv_read_back_do_not_import_numpy_ma(tmp_path):
+def test_deform_sweep_does_not_import_numpy_ma(tmp_path):
     # plain np.unique imports numpy.ma on first use, about 18 ms of a fresh process
     root = Path(__file__).resolve().parents[1]
     code = (
         "import sys\n"
-        "import ncgroupoid as n\n"
         "import ncgroupoid.cli\n"
         f"code = ncgroupoid.cli.run(['deform', 'sweep', '--space', 'grid_2x2', "
         f"'--out', {str(tmp_path)!r}])\n"
-        "s = n.build_space(n.gallery_config('grid_2x2'))\n"
-        "g = n.build_groupoid(s, n.hausdorff_relation(s))\n"
-        f"path = {str(tmp_path / 'a.csv')!r}\n"
-        "n.from_expression(g, 'x1 + y2').to_csv(path)\n"
-        "n.AlgebraElement.from_csv(g, path)\n"
         "print(code, 'numpy.ma' in sys.modules)\n"
     )
     path = os.pathsep.join(filter(None, [str(root / "src"), os.environ.get("PYTHONPATH")]))
@@ -468,11 +475,14 @@ def test_readme_config_example_builds():
 def test_verify_all_runs_every_command_once_per_config(tmp_path, capsys):
     code, out = run_cli(tmp_path, "verify", "all", "--seed", "1")
     assert code == 0
-    names = [line.split()[1] for line in (out / "report.txt").read_text().splitlines()
-             if line.startswith("[")]
+    lines = (out / "report.txt").read_text().splitlines()
+    names = [line.split()[1] for line in lines if line.startswith("[")]
     assert len(names) == len(set(names))
     commands = {name.split(":")[1] for name in names}
-    assert commands == {
+    # groupoid build reports notes only
+    noted = {line.split(":")[1] for line in lines if line.split(":")[0] in gallery()}
+    assert "groupoid.build" not in commands
+    assert commands | noted == {
         "space.analyze", "groupoid.build", "algebra.conv", "algebra.check-laws",
         "calculus.leibniz", "calculus.commutator", "rep.build", "rep.check",
         "vn.commutant", "vn.state-check", "vn.expect", "deform.sweep", "verify.all",
@@ -496,12 +506,15 @@ def test_parser_commands_are_the_table():
     assert len(COMMANDS) == len(parsed) - 1
 
 
-def test_groupoid_build_checks_relation_against_generators(tmp_path, capsys):
-    code, _ = run_cli(tmp_path / "h", "groupoid", "build", "--space", "grid_2x2")
+@pytest.mark.parametrize("relation, note", [
+    ("hausdorff", "2 orbits, 8 arrows, transitive=False"),
+    ("identity", "4 orbits, 4 arrows, transitive=False"),
+    ("total", "1 orbits, 16 arrows, transitive=True"),
+], ids=["hausdorff", "identity", "total"])
+def test_groupoid_build_reports_notes_and_no_check(tmp_path, capsys, relation, note):
+    code, out = run_cli(tmp_path, "groupoid", "build", "--space", "grid_2x2",
+                        "--relation", relation)
     assert code == 0
-    assert "[PASS] relation_matches_generators" in capsys.readouterr().out
-    for relation in ("identity", "total"):
-        code, _ = run_cli(tmp_path / relation, "groupoid", "build",
-                          "--space", "grid_2x2", "--relation", relation)
-        assert code == 0
-        assert "[SKIP] relation_matches_generators" in capsys.readouterr().out
+    lines = (out / "report.txt").read_text().splitlines()
+    assert lines[2:] == [note, "0 checks: 0 passed, 0 failed, 0 skipped"]
+    assert capsys.readouterr().out.splitlines()[:-1] == lines

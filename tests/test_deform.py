@@ -51,10 +51,7 @@ def test_level_k_projections_are_coordinates():
     chain = deformation_chain(grid_space())
     lvl = chain.level(2)
     assert [g.name for g in lvl.space.generators] == ["pi1", "pi2"]
-    for x in lvl.space.ids:
-        coords = lvl.space.point(x).coords
-        assert lvl.space.generators[0](coords) == coords[0]
-        assert lvl.space.generators[1](coords) == coords[1]
+    assert lvl.space.generator_values.tolist() == lvl.space.coords.tolist()
 
 
 def test_level_bounds_checked():
@@ -85,7 +82,7 @@ def test_duplicate_coordinates_leave_top_non_diagonal():
         Point(1, (1.0, 2.0), 1.0),  # same coordinates as point 0
         Point(2, (0.0, 0.0), 1.0),
     ]
-    space = DiffSpace(pts, 2, (), constants_only=True)
+    space = DiffSpace(pts, 2, ())
     rep = deformation_chain(space).report
     assert not rep.top_is_diagonal
     assert rep.block_counts[-1] == 2
@@ -147,7 +144,7 @@ def _staircase_space(rng, weights):
     x3 = [0.0, 0.0, 1.0, 2.0, 0.0, 1.0, 0.0, 0.0, 0.0, 0.0, 1.0, 0.0, 0.0, 1.0, 0.0]
     pts = [Point(i, c, float(w)) for i, (c, w) in
            enumerate(zip(zip(x1, x2, x3), rng.choice(weights, len(x1))))]
-    return DiffSpace(pts, 3, (), constants_only=True)
+    return DiffSpace(pts, 3, ())
 
 
 def _full_product_defect(a, b, chain, k):
@@ -192,8 +189,7 @@ def test_restriction_defect_never_builds_the_coarse_product():
     # one class of 1000 points at level 0, singletons at level 1: the product over
     # the class would be 8 MB; the defect reads a diagonal of 1000 entries
     n = 1000
-    space = DiffSpace([Point(i, (float(i),), 1.0) for i in range(n)], 1, (),
-                      constants_only=True)
+    space = DiffSpace([Point(i, (float(i),), 1.0) for i in range(n)], 1, ())
     chain = deformation_chain(space)
     ones = from_expression(chain.level(0).groupoid, "1")
     tracemalloc.start()
@@ -210,8 +206,7 @@ def test_restriction_defect_on_pairs_holds_two_class_sized_copies():
     # one class of 1000 points at level 0, pairs at level 1: the gathered rows and
     # the weighted columns are 8 MB each, as the product over the class would be
     n = 1000
-    space = DiffSpace([Point(i, (float(i // 2),), 1.0) for i in range(n)], 1, (),
-                      constants_only=True)
+    space = DiffSpace([Point(i, (float(i // 2),), 1.0) for i in range(n)], 1, ())
     chain = deformation_chain(space)
     ones = from_expression(chain.level(0).groupoid, "1")
     tracemalloc.start()
@@ -246,9 +241,18 @@ def test_top_level_convolution_is_weighted_pointwise():
     assert rep.plain_defect == 0.0  # unit weights: plain product too
 
 
+def test_step_n_without_singleton_classes_measures_nothing():
+    space = DiffSpace([Point(0, (0.5,), 1.0), Point(1, (0.5,), 1.0)], 1, ())
+    chain = deformation_chain(space)
+    a = from_expression(chain.level(chain.top).groupoid, "1 + x1*y1")
+    step = step_n_pointwise_check(chain, a, a)
+    assert not step.top_is_diagonal
+    assert step.weighted_defect is None and step.plain_defect is None
+
+
 def test_weighted_top_level_keeps_measure_factor():
     pts = [Point(i, (float(i),), w) for i, w in enumerate([0.5, 2.0, 1.0])]
-    space = DiffSpace(pts, 1, (), constants_only=True)
+    space = DiffSpace(pts, 1, ())
     chain = deformation_chain(space)
     g = chain.level(chain.top).groupoid
     a = from_expression(g, "x1 + 1")

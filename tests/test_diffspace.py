@@ -2,6 +2,7 @@
 
 import math
 
+import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
@@ -28,15 +29,17 @@ from conftest import grid_space, line_space, random_int_space, total_pair_space
 
 def test_generator_evaluates_and_differentiates():
     g = GeneratorFunction("f", "x1^2 + 3*x2", 2)
-    assert g((2.0, 1.0)) == 7.0
-    assert g.gradient((2.0, 1.0)) == (4.0, 3.0)
+    assert DiffSpace([Point(0, (2.0, 1.0), 1.0)], 2, [g]).generator_values.tolist() == [[7.0]]
+    values, grads = g._bundle(np.array([[2.0, 1.0]]))
+    assert values.tolist() == [7.0] and grads.tolist() == [[4.0, 3.0]]
 
 
 def test_generator_supports_the_four_functions():
     g = GeneratorFunction("f", "sin(x1) + cos(x1) + exp(x1) + log(x1)", 1)
     x = 0.7
     expected = math.sin(x) + math.cos(x) + math.exp(x) + math.log(x)
-    assert g((x,)) == pytest.approx(expected, rel=1e-15)
+    value = DiffSpace([Point(0, (x,), 1.0)], 1, [g]).generator_values[0, 0]
+    assert value == pytest.approx(expected, rel=1e-15)
 
 
 def test_unknown_symbol_rejected():
@@ -54,24 +57,27 @@ def test_code_cannot_sneak_through_expressions():
         GeneratorFunction("f", "__import__('os').system('true')", 1)
 
 
-def test_empty_generator_family_needs_constants_flag():
-    pts = [Point(0, (0.0,), 1.0)]
-    with pytest.raises(ValueError):
-        DiffSpace(pts, 1, ())
-    sp = DiffSpace(pts, 1, (), constants_only=True)
+def test_empty_generator_family_is_the_constants_only_structure():
+    pts = [Point(0, (0.0,), 1.0), Point(1, (5.0,), 1.0)]
+    sp = DiffSpace(pts, 1, ())
+    assert sp.constants_only
     assert [g.name for g in sp.generators] == ["one"]
-    assert sp.generators[0]((5.0,)) == 1.0
+    assert sp.generator_values.tolist() == [[1.0], [1.0]]
+    gen = GeneratorFunction("f", "x1", 1)
+    assert not DiffSpace(pts, 1, [gen]).constants_only
+    assert not sp.with_generators([gen]).constants_only
+    assert sp.with_generators([gen]).with_generators(()).constants_only
 
 
 def test_space_validation_errors():
     with pytest.raises(ValueError):
-        DiffSpace([Point(0, (0.0, 0.0), 1.0)], 1, (), constants_only=True)
+        DiffSpace([Point(0, (0.0, 0.0), 1.0)], 1, ())
     with pytest.raises(ValueError):
-        DiffSpace([Point(0, (0.0,), 0.0)], 1, (), constants_only=True)
+        DiffSpace([Point(0, (0.0,), 0.0)], 1, ())
     with pytest.raises(ValueError):
         DiffSpace(
             [Point(0, (0.0,), 1.0), Point(0, (1.0,), 1.0)],
-            1, (), constants_only=True,
+            1, (),
         )
 
 
@@ -83,7 +89,7 @@ def test_build_space_happy_path_and_errors(tmp_path):
     }
     sp = build_space(config)
     assert sp.point(1).weight == 3.0
-    assert sp.generators[0]((2.0,)) == 4.0
+    assert sp.generator_values[:, 0].tolist() == [0.0, 4.0]
 
     for broken in [
         {},
@@ -111,27 +117,26 @@ def test_build_space_happy_path_and_errors(tmp_path):
 
 
 _ONE = [Point(0, (0.0,), 1.0)]
-_CONST = {"constants_only": True}
 _FAR = [Point(0, (1e300,), 1.0), Point(1, (1.0,), 1.0)]
 
 
 @pytest.mark.parametrize("field, args, kwargs", [
-    ("dimension", (_ONE, 1.7, ()), _CONST),
-    ("dimension", (_ONE, -1, ()), _CONST),
-    ("point", ([], 1, ()), _CONST),
-    ("duplicate point id", (_ONE * 2, 1, ()), _CONST),
-    ("coordinates", (_ONE, 2, ()), _CONST),
-    ("weight", ([Point(0, (0.0,), 0.0)], 1, ()), _CONST),
-    ("weight", ([Point(0, (0.0,), math.inf)], 1, ()), _CONST),
-    ("generator family", (_ONE, 1, ()), {}),
+    ("dimension", (_ONE, 1.7, ()), {}),
+    ("dimension", (_ONE, -1, ()), {}),
+    ("point", ([], 1, ()), {}),
+    ("duplicate point id", (_ONE * 2, 1, ()), {}),
+    ("coordinates", (_ONE, 2, ()), {}),
+    ("weight", ([Point(0, (0.0,), 0.0)], 1, ()), {}),
+    ("weight", ([Point(0, (0.0,), math.inf)], 1, ()), {}),
+    ("generator 'f': log", (_ONE, 1, [GeneratorFunction("f", "log(x1)", 1)]), {}),
     ("generator names", (_ONE, 1, [GeneratorFunction("f", "x1", 1)] * 2), {}),
     ("generator f: dimension", (_ONE, 1, [GeneratorFunction("f", "x1", 2)]), {}),
-    ("compare_mode", (_ONE, 1, ()), {**_CONST, "compare_mode": "fuzzy"}),
-    ("eps", (_ONE, 1, ()), {**_CONST, "compare_mode": "quantized", "eps": [1]}),
-    ("eps", (_ONE, 1, ()), {**_CONST, "compare_mode": "quantized", "eps": 0.0}),
+    ("compare_mode", (_ONE, 1, ()), {"compare_mode": "fuzzy"}),
+    ("eps", (_ONE, 1, ()), {"compare_mode": "quantized", "eps": [1]}),
+    ("eps", (_ONE, 1, ()), {"compare_mode": "quantized", "eps": 0.0}),
     ("eps", (_FAR, 1, [GeneratorFunction("f", "x1", 1)]),
      {"compare_mode": "quantized", "eps": 1e-300}),
-    ("64 bits", ([Point(2 ** 63, (0.0,), 1.0)], 1, ()), _CONST),
+    ("64 bits", ([Point(2 ** 63, (0.0,), 1.0)], 1, ()), {}),
     *(("point 1: coordinates must be finite",
        ([Point(0, (0.0,), 1.0), Point(1, (x,), 1.0)], 1, [GeneratorFunction("f", "1", 1)]), {})
       for x in (math.nan, math.inf, -math.inf)),
@@ -176,7 +181,7 @@ def test_build_space_reads_points_as_the_constructor_does():
                {"id": 2, "weight": 0.1, "coords": [2 ** 70, -0.0]}]
     points = [Point(7, (1.0, -2.5), 1.0), Point(-4, (0.5, 3.0), 2.0),
               Point(2, (float(2 ** 70), -0.0), 0.1)]
-    want = DiffSpace(points, 2, (), constants_only=True)
+    want = DiffSpace(points, 2, ())
     # the same entries, then with a whole float id, which is read one entry at a time
     for last_id in (2, 2.0):
         entries[-1]["id"] = last_id
@@ -236,7 +241,7 @@ def test_quantized_mode_glues_close_values():
 def test_quantized_mode_needs_eps():
     pts = [Point(0, (0.0,), 1.0)]
     with pytest.raises(ValueError):
-        DiffSpace(pts, 1, (), compare_mode="quantized", constants_only=True)
+        DiffSpace(pts, 1, (), compare_mode="quantized")
 
 
 def test_relation_is_an_equivalence(rng):
@@ -273,8 +278,8 @@ def test_inconsistency_witnessed_on_coarser_relation():
     assert not res.consistent
     assert res.witness is not None
     x, y = res.witness
-    g = space.generators[0]
-    assert g(space.point(x).coords) != g(space.point(y).coords)
+    values = space.generator_values[:, 0]
+    assert values[space.index_of(x)] != values[space.index_of(y)]
     assert res.max_spread == 4.0
 
 
@@ -343,7 +348,15 @@ def test_grid_quotient_collapses_columns():
     # original name
     (gen,) = q.space.generators
     assert gen.name == "pi1"
-    assert q.space.point(q.projection[2]).coords == (1.0,)
+    assert q.space.point(hausdorff_relation(space).block_of[2]).coords == (1.0,)
+
+
+def test_quotient_leaves_the_block_of_lookup_unbuilt():
+    # the quotient's point b is class b: no per-point projection is made
+    space = grid_space()
+    rho = hausdorff_relation(space)
+    quotient(space, rho)
+    assert "block_of" not in vars(rho)
 
 
 def test_quotient_roundtrip_reproduces_generators(rng):
@@ -352,10 +365,10 @@ def test_quotient_roundtrip_reproduces_generators(rng):
         rho = hausdorff_relation(space)
         q = quotient(space, rho)
         assert q.dropped == ()
-        for g_old, g_new in zip(space.generators, q.space.generators):
-            for p in space.points:
-                qc = q.space.point(q.projection[p.id]).coords
-                assert g_new(qc) == g_old(p.coords)
+        for p in space.points:
+            old = space.generator_values[space.index_of(p.id)]
+            new = q.space.generator_values[q.space.index_of(rho.block_of[p.id])]
+            assert new.tolist() == old.tolist()
 
 
 def test_quotient_of_hausdorff_space_is_identity_map():

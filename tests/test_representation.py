@@ -171,7 +171,7 @@ def random_weight_groupoid(rng):
     """Random classes of up to 6 of 12 points with weights drawn from [0.1, 5]."""
     pts = [Point(id=i, coords=(float(i),), weight=float(w))
            for i, w in enumerate(rng.uniform(0.1, 5.0, size=12))]
-    space = DiffSpace(pts, 1, (), constants_only=True)
+    space = DiffSpace(pts, 1, ())
     return build_groupoid(space, random_partition(rng, space.ids))
 
 
