@@ -60,7 +60,6 @@ from .diffspace import (
     consistent_family,
     hausdorff_relation,
     load_config,
-    load_space,
     quotient,
 )
 from .gallery import gallery, gallery_config
@@ -137,7 +136,6 @@ __all__ = [
     "lift_symmetrized",
     "lift_vertical",
     "load_config",
-    "load_space",
     "make_state",
     "max_diff",
     "module_action",

@@ -73,7 +73,9 @@ class BaseFunction:
     """A function on the points of a space, with optional gradient data.
 
     These act on algebra elements from the left through
-    :func:`module_action` and are what derivations differentiate.
+    :func:`module_action` and are what derivations differentiate.  Gradients
+    not given are derived from ``expr`` on the first read of ``grads`` and
+    kept; a non-finite partial is refused then, not before.
     """
 
     def __init__(self, space: DiffSpace, values, grads=None, expr=None):
@@ -87,18 +89,25 @@ class BaseFunction:
             grads = promote(np.array(grads))
             if grads.shape != (len(space.id_array), space.dimension):
                 raise ValueError(f"bad gradient shape {grads.shape}")
-        self.grads = grads
+            grads.flags.writeable = False
+        self._grads = grads
         self.expr = expr
         self.values.flags.writeable = False
-        if self.grads is not None:
-            self.grads.flags.writeable = False
+
+    @property
+    def grads(self) -> np.ndarray | None:
+        if self._grads is None and self.expr is not None:
+            syms = coordinate_symbols(self.space.dimension)
+            self._grads = ValueGradFn(self.expr, syms)(self.space.coords)[1]
+            self._grads.flags.writeable = False
+        return self._grads
 
     @classmethod
     def from_expression(cls, space: DiffSpace, text) -> "BaseFunction":
-        """Tabulate an expression in x1..xn over the points, with gradients."""
+        """Tabulate the values of an expression in x1..xn over the points."""
         syms = coordinate_symbols(space.dimension)
         expr = parse(text, syms)
-        return cls(space, *ValueGradFn(expr, syms)(space.coords), expr=expr)
+        return cls(space, ValueGradFn(expr, syms).values(space.coords), expr=expr)
 
     def value_at(self, pid: int) -> complex:
         return complex(self.values[self.space.index_of(pid)])

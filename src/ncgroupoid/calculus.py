@@ -59,23 +59,23 @@ class Derivation:
         exprs = [parse(t, syms) for t in texts]
         coeffs = np.empty((len(space.id_array), n))
         for i, e in enumerate(exprs):
-            coeffs[:, i], _ = ValueGradFn(e, syms)(space.coords)
+            coeffs[:, i] = ValueGradFn(e, syms).values(space.coords)
         return cls(space, coeffs, exprs=exprs)
 
     def apply_to(self, f: BaseFunction) -> BaseFunction:
         """Pf = sum_i c_i df/dx_i as a point function.
 
-        When both sides are symbolic the result is re-derived symbolically,
-        so it carries exact gradients and can be differentiated again.
+        When both sides are symbolic the result is re-derived from their
+        expressions alone, so it can be differentiated again.
         """
         if f.space is not self.space:
             raise ValueError("derivation and function live on different spaces")
-        if f.grads is None:
-            raise ValueError("function carries no gradient data")
         if self.exprs is not None and f.expr is not None:
             syms = coordinate_symbols(self.space.dimension)
             expr = sum((c * f.expr.diff(s) for c, s in zip(self.exprs, syms)), ZERO)
             return BaseFunction.from_expression(self.space, expr)
+        if f.grads is None:
+            raise ValueError("function carries no gradient data")
         values = np.einsum("pk,pk->p", self.coeffs, f.grads)
         return BaseFunction(self.space, values)
 

@@ -130,20 +130,19 @@ _RELATIONS = {
 
 
 def _cmd_groupoid_build(args, space, g, report) -> None:
-    if args.relation in _RELATIONS:
-        g = build_groupoid(space, _RELATIONS[args.relation](space))
-    report.note(f"{g.n_blocks} orbits, {g.arrow_count} arrows, transitive={g.partition.is_total}")
+    rho = _RELATIONS[args.relation](space) if args.relation in _RELATIONS else g.partition
+    report.note(f"{rho.n_blocks} orbits, {rho.sizes @ rho.sizes} arrows, transitive={rho.is_total}")
     if args.out:
         write_csv(os.path.join(args.out, "arrows.csv"), ["src", "dst"],
-                  sorted((x, y) for block in g.blocks for x in block for y in block))
+                  sorted((x, y) for block in rho.blocks for x in block for y in block))
 
 
 # -------------------------------------------------------------- algebra
 
 def _cmd_algebra_conv(args, space, g, report) -> None:
-    # conv.csv carries the product's jets
-    a = from_expression(g, args.a).with_jets()
-    b = from_expression(g, args.b).with_jets()
+    a, b = from_expression(g, args.a), from_expression(g, args.b)
+    if args.out:  # conv.csv carries the product's jets
+        a, b = a.with_jets(), b.with_jets()
     c = convolve(a, b)
     report.note(f"a = {args.a!r}, b = {args.b!r}")
     report.note(f"max |a*b| = {c.max_abs():.6g}")
@@ -167,11 +166,11 @@ def _cmd_algebra_check_laws(args, space, g, report) -> None:
         a = random_element(g, rng)
         b = random_element(g, rng)
         c = random_element(g, rng)
-        lhs = convolve(convolve(a, b), c)
+        ab = convolve(a, b)
+        lhs = convolve(ab, c)
         rhs = convolve(a, convolve(b, c))
         scale = max(1.0, lhs.max_abs())
         assoc = max(assoc, max_diff(lhs, rhs) / scale)
-        ab = convolve(a, b)
         anti = max(anti, max_diff(
             involution(ab), convolve(involution(b), involution(a))
         ) / max(1.0, ab.max_abs()))
@@ -384,7 +383,7 @@ def _fd_jet_check(g, tol) -> CheckRecord:
         pts = g.space.coords[grp.index]  # (k, m, n)
         # (k, m, m, 2n): source coordinates first, as the source partials in the jet
         c = np.concatenate(np.broadcast_arrays(pts[:, :, None], pts[:, None, :]), axis=-1)
-        fd = (f(c[..., None, :] + step)[0] - f(c[..., None, :] - step)[0]) / (2 * h)
+        fd = (f.values(c[..., None, :] + step) - f.values(c[..., None, :] - step)) / (2 * h)
         jets = np.moveaxis(arr[:, 1:], 1, -1)
         worst = max(worst, np.abs(fd - jets).max())
         scale = max(scale, np.abs(jets).max())

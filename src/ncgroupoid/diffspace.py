@@ -55,14 +55,13 @@ class Point(NamedTuple):
 
 
 class GeneratorFunction:
-    """A named smooth function of the coordinates with exact symbolic partials."""
+    """A named smooth function of the coordinates, kept as an expression."""
 
     def __init__(self, name: str, expr, dimension: int):
         self.name = str(name)
         self.dimension = _whole(dimension, "dimension", minimum=0)
         self.symbols = coordinate_symbols(self.dimension)
         self.expr = parse(expr, self.symbols)
-        self._bundle = ValueGradFn(self.expr, self.symbols)
 
     @property
     def expr_text(self) -> str:
@@ -180,9 +179,9 @@ class DiffSpace:
     The generators are evaluated once, at construction, into the read-only
     ``generator_values`` table (a row per point, a column per generator).
     ``generator_keys`` holds the comparison keys of its cells: v + 0.0 (so
-    -0.0 equals 0.0), or v / eps rounded half to even.  A coordinate, value,
-    partial or key that is not finite is refused.  Every refusal is a
-    ConfigError.
+    -0.0 equals 0.0), or v / eps rounded half to even.  No partial is
+    derived.  A coordinate, value or key that is not finite is refused.
+    Every refusal is a ConfigError.
 
     An empty generator family declares the constants-only structure
     (``constants_only`` is then True): a single constant generator named
@@ -268,7 +267,7 @@ class DiffSpace:
         values = np.empty((len(self.id_array), len(gens)))
         for j, g in enumerate(gens):
             try:
-                values[:, j] = g._bundle(self.coords)[0]
+                values[:, j] = ValueGradFn(g.expr, g.symbols).values(self.coords)
             except ExpressionError as exc:
                 raise ExpressionError(f"generator {g.name!r}: {exc}") from None
         with np.errstate(all="ignore"):
@@ -560,8 +559,3 @@ def load_config(path) -> dict:
         raise ConfigError(f"cannot read {path}: {exc}")
     except json.JSONDecodeError as exc:
         raise ConfigError(f"invalid JSON in {path}: {exc}")
-
-
-def load_space(path) -> DiffSpace:
-    """Read a JSON space config from disk.  See :func:`build_space`."""
-    return build_space(load_config(path))

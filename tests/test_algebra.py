@@ -18,6 +18,7 @@ from ncgroupoid import (
     Point,
     arrow_basis,
     build_groupoid,
+    build_space,
     convolve,
     deformation_chain,
     from_expression,
@@ -28,12 +29,13 @@ from ncgroupoid import (
     lift_vertical,
     max_diff,
     module_action,
+    quotient,
     random_element,
     restrict,
     unit,
 )
 
-from ncgroupoid._expr import Expr
+from ncgroupoid._expr import Expr, ValueGradFn, coordinate_symbols
 
 from conftest import grid_space, line_space, make_points, random_groupoid, total_pair_space
 
@@ -264,11 +266,30 @@ def test_values_first_derives_no_partials(monkeypatch):
 
     def refuse(*args):
         raise AssertionError("a partial was derived")
-    monkeypatch.setattr(Expr, "diff", refuse)
-    a = from_expression(g, "x1*y1 + sin(x1)")
-    assert a.value_at(0, 1) == 0.0
-    with pytest.raises(AssertionError, match="a partial was derived"):
-        a.with_jets()
+    with monkeypatch.context() as patch:
+        patch.setattr(Expr, "diff", refuse)
+        a = from_expression(g, "x1*y1 + sin(x1)")
+        assert a.value_at(0, 1) == 0.0
+        with pytest.raises(AssertionError, match="a partial was derived"):
+            a.with_jets()
+        # nor do spaces, their quotients and chains, derivations and point functions
+        space = build_space({"dimension": 2, "generators": [{"name": "f", "expr": "x1*sin(x2)"}],
+                             "points": [{"id": i, "coords": [i % 2, i // 2]} for i in range(4)]})
+        bigger = space.with_generators([*space.generators, GeneratorFunction("h", "exp(x1)", 2)])
+        assert quotient(bigger, hausdorff_relation(bigger)).space.dimension == 2
+        assert deformation_chain(bigger).top == 2
+        P = Derivation.from_expressions(space, ["x2", "x1^2"])
+        f = BaseFunction.from_expression(space, "x1*x2 + cos(x1)")
+        with pytest.raises(AssertionError, match="a partial was derived"):
+            f.grads
+    # Pf is derived from the expressions; it evaluates no partial, its own or f's
+    with monkeypatch.context() as patch:
+        patch.setattr(ValueGradFn, "__call__", refuse)
+        Pf = P.apply_to(f)
+    syms = coordinate_symbols(2)
+    for h in (f, Pf):
+        assert h.grads is h.grads and not h.grads.flags.writeable
+        assert h.grads.tobytes() == ValueGradFn(h.expr, syms)(space.coords)[1].tobytes()
 
 
 # --------------------------------------------------------- module action

@@ -248,26 +248,28 @@ def test_constants_fill_every_shape(dim, text):
 def test_non_finite_values_and_partials_are_refused(text, at, shown):
     pts = [Point(id=0, coords=(1.0,), weight=1.0), Point(id=1, coords=(at,), weight=1.0)]
     space = DiffSpace(pts, 1, ())
-    with pytest.raises(ExpressionError, match=re.escape(f"generator 'f': {shown}")):
-        DiffSpace(pts, 1, [GeneratorFunction("f", text, 1)])
-    for build in (
-        lambda: BaseFunction.from_expression(space, text),
-        lambda: Derivation.from_expressions(space, [text]),
-    ):
-        with pytest.raises(ExpressionError, match=re.escape(shown)):
-            build()
     # as a function of the destination, first met on the arrow from point 0
     g = build_groupoid(space, Partition.total(space.ids))
     on_arrows = shown.replace("x1", "y1").replace("(y1=", "(x1=1.0, y1=")
+    builds = (
+        lambda: DiffSpace(pts, 1, [GeneratorFunction("f", text, 1)]).generator_values,
+        lambda: Derivation.from_expressions(space, [text]).coeffs,
+        lambda: BaseFunction.from_expression(space, text).values,
+        lambda: from_expression(g, text.replace("x1", "y1")).max_abs(),
+    )
     if "partial" not in shown:
-        with pytest.raises(ExpressionError, match=re.escape(on_arrows)):
-            from_expression(g, text.replace("x1", "y1"))
+        for build, message in zip(builds, (f"generator 'f': {shown}", shown, shown, on_arrows)):
+            with pytest.raises(ExpressionError, match=re.escape(message)):
+                build()
         return
-    # values first: the element's values are finite, and only its jets are refused
-    a = from_expression(g, text.replace("x1", "y1"))
-    assert np.isfinite(a.max_abs()) and not a.has_jets
+    # values first: the values are finite and accepted, and a partial is refused where
+    # it is read
+    for build in builds:
+        assert np.isfinite(build()).all()
+    with pytest.raises(ExpressionError, match=re.escape(shown)):
+        BaseFunction.from_expression(space, text).grads
     with pytest.raises(ExpressionError, match=re.escape(on_arrows)):
-        a.with_jets()
+        from_expression(g, text.replace("x1", "y1")).with_jets()
 
 
 def test_quantized_key_that_overflows_is_refused():
