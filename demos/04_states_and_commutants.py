@@ -21,7 +21,7 @@ pair = DiffSpace([Point(0, (0.0,), 1.0), Point(1, (1.0,), 1.0)], 1, ())
 g = build_groupoid(pair, hausdorff_relation(pair))
 
 state = make_state(DensityField.uniform(g))
-print(f"uniform state: normalization {state.report.normalization:.1f}, "
+print(f"uniform state: normalization {state.normalization:.1f}, "
       f"faithful {state.faithful}")
 
 print(f"expect(identity) = {expect(state, RandomOperator.identity(g)).real:.1f}")

@@ -79,7 +79,6 @@ from .vonneumann import (
     DensityField,
     OperatorBasis,
     State,
-    StateReport,
     big_matrix,
     commutant,
     double_commutant,
@@ -109,7 +108,6 @@ __all__ = [
     "QuotientResult",
     "RandomOperator",
     "State",
-    "StateReport",
     "StepNReport",
     "arrow_basis",
     "big_matrix",

@@ -141,10 +141,11 @@ class AlgebraElement:
     ``values[b][i, j]`` is the value at the arrow from the i-th to the j-th
     point of block b.  ``d_src[b][i, j, k]`` and ``d_dst[b][i, j, k]`` hold
     the partials with respect to the k-th source and destination coordinate;
-    either both are present or neither.  ``expr`` optionally remembers a
-    defining expression in x1..xn, y1..yn so jets can be tabulated on
-    demand (:meth:`with_jets`); the jet views read through it then.  A
-    pending expression is derived on the first read of ``expr`` and kept.
+    either both are present or neither.  ``expr`` remembers the defining
+    expression in x1..xn, y1..yn of an element made by :func:`from_expression`
+    (or passed to :meth:`from_stack`), so jets can be tabulated on demand
+    (:meth:`with_jets`); the jet views read through it then.  A pending
+    expression is derived on the first read of ``expr`` and kept.
 
     All of it lives in ``stack``, one :class:`BlockStack` of (k, c, m, m)
     arrays: channel 0 holds the values and, with jets (c = 1 + 2n),
@@ -155,7 +156,7 @@ class AlgebraElement:
     made on first use.
     """
 
-    def __init__(self, groupoid: Groupoid, values, d_src=None, d_dst=None, expr=None):
+    def __init__(self, groupoid: Groupoid, values, d_src=None, d_dst=None):
         if (d_src is None) != (d_dst is None):
             raise ValueError("d_src and d_dst must be given together")
         arrays = [v[:, None] for v in BlockStack.of(groupoid, values, exact=True).arrays]
@@ -169,7 +170,7 @@ class AlgebraElement:
             arrays = [np.concatenate(parts, axis=1) for parts in zip(arrays, src, dst)]
         self.groupoid = groupoid
         self.stack = BlockStack(groupoid, arrays)
-        self._expr = expr
+        self._expr = None
         self._integers  # split object entries now, refusing any that are not rational
 
     @classmethod
@@ -303,26 +304,9 @@ class AlgebraElement:
     __rmul__ = __mul__
 
     def to_records(self) -> list[tuple]:
-        """Rows (src, dst, re, im, d_src..., d_dst...), sorted by (src, dst).
-
-        Jet columns are interleaved re/im per coordinate and appear only
-        when the element carries jets.
-        """
-        g = self.groupoid
-        src, dst, channels = [], [], []
-        for grp, arr in zip(g.groups, self.stack.arrays):
-            block_ids = g.space.id_array[grp.index]  # (k, m)
-            shape = block_ids.shape + (grp.m,)
-            src.append(np.broadcast_to(block_ids[:, :, None], shape).ravel())
-            dst.append(np.broadcast_to(block_ids[:, None, :], shape).ravel())
-            # (k, c, m, m) -> one row of c channels per arrow
-            channels.append(np.moveaxis(arr, 1, -1).reshape(-1, arr.shape[1]).astype(complex))
-        src, dst, channels = (np.concatenate(parts) for parts in (src, dst, channels))
-        order = np.lexsort((dst, src))
-        # re and im interleaved per channel
-        table = channels[order].view(float)
-        return [(x, y, *row) for x, y, row in
-                zip(src[order].tolist(), dst[order].tolist(), table.tolist())]
+        """The stack's rows (src, dst, re, im, d_src..., d_dst...), sorted by (src, dst); jet
+        columns, re/im per coordinate, appear only when the element carries jets."""
+        return self.stack.rows()
 
     def to_csv(self, path) -> None:
         n = self.groupoid.space.dimension

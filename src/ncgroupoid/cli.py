@@ -232,16 +232,9 @@ def _cmd_rep_build(args, space, g, report) -> None:
     report.note(f"ess sup = {sup:.6g}")
     report.add(check_flag("bounded", math.isfinite(sup)))
     if args.out:
-        # per class its (row, col, re, im) entries, row-major; streamed once per point
-        entries = [None] * g.n_blocks
-        for grp, M in zip(g.groups, R.stack.arrays):
-            pts = space.id_array[grp.index]
-            cols = (np.repeat(pts, grp.m, axis=1), np.tile(pts, grp.m),
-                    M.real.reshape(len(pts), -1), M.imag.reshape(len(pts), -1))
-            for b, *col in zip(grp.blocks.tolist(), *(c.tolist() for c in cols)):
-                entries[b] = list(zip(*col))
-        rows = ((x, *e) for x, b in zip(space.ids, g.point_pos[:, 0].tolist()) for e in entries[b])
-        write_csv(os.path.join(args.out, "fibers.csv"), ["point", "row", "col", "re", "im"], rows)
+        # each class matrix once, keyed by point ids; the fiber over x is its class's rows
+        write_csv(os.path.join(args.out, "fibers.csv"), ["row", "col", "re", "im"],
+                  R.stack.rows())
 
 
 def _cmd_rep_check(args, space, g, report) -> None:
@@ -296,7 +289,7 @@ def _cmd_vn_state_check(args, space, g, report) -> None:
         report.add(check_flag("uniform_state_valid", False, note=str(exc)))
         return
     report.add(check_flag("uniform_state_valid", True,
-                          note=f"normalization {state.report.normalization!r}"))
+                          note=f"normalization {state.normalization!r}"))
     report.add(check_flag("uniform_state_faithful", state.faithful))
     report.add(check(
         "expect_identity", abs(expect(state, RandomOperator.identity(g)) - 1.0), args.tol,

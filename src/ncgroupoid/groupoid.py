@@ -200,6 +200,30 @@ class BlockStack:
         num = complex(c) if np.iscomplexobj(c) else float(c)
         return self.map(lambda arr: arr * (c if arr.dtype == object else num))
 
+    def rows(self) -> list[tuple]:
+        """One row (src, dst, re, im, ...) per matrix entry, sorted by (src, dst).
+
+        ``src`` and ``dst`` are the ids of the entry's row and column points;
+        each lead channel adds its real and imaginary part, in channel order.
+        A stack with no lead axis is one channel.
+        """
+        g = self.groupoid
+        src, dst, channels = [], [], []
+        for grp, arr in zip(g.groups, self.arrays):
+            block_ids = g.space.id_array[grp.index]  # (k, m)
+            shape = block_ids.shape + (grp.m,)
+            src.append(np.broadcast_to(block_ids[:, :, None], shape).ravel())
+            dst.append(np.broadcast_to(block_ids[:, None, :], shape).ravel())
+            # (k, c, m, m) -> one row of c channels per entry
+            arr = arr.reshape((len(arr), -1) + arr.shape[-2:])
+            channels.append(np.moveaxis(arr, 1, -1).reshape(-1, arr.shape[1]).astype(complex))
+        src, dst, channels = (np.concatenate(parts) for parts in (src, dst, channels))
+        order = np.lexsort((dst, src))
+        # re and im interleaved per channel
+        table = channels[order].view(float)
+        return [(x, y, *row) for x, y, row in
+                zip(src[order].tolist(), dst[order].tolist(), table.tolist())]
+
     def max_abs(self) -> float:
         # np.max, unlike max, keeps a NaN wherever it is
         return float(np.max([float(np.abs(arr).max()) for arr in self.arrays]))

@@ -52,10 +52,6 @@ class RandomOperator:
         return cls(g, BlockStack(g, [np.tile(np.eye(grp.m), (len(grp.blocks), 1, 1))
                                      for grp in g.groups]))
 
-    @classmethod
-    def zeros(cls, g: Groupoid) -> "RandomOperator":
-        return cls(g, BlockStack.zeros(g))
-
     def fiber(self, x: int) -> np.ndarray:
         return self.class_matrices[self.groupoid.block_index(x)]
 

@@ -106,31 +106,21 @@ class DensityField:
 
 
 @dataclass(frozen=True)
-class StateReport:
-    """What a validated state measured, plus the faithfulness flag."""
+class State:
+    """A validated normal state Phi on the operator fields of a groupoid, with what
+    validating it measured and the faithfulness flag."""
 
+    density: DensityField
     min_eigenvalue: float
     normalization: float
     faithful: bool
 
-
-class State:
-    """A validated normal state Phi on the operator fields of a groupoid."""
-
-    def __init__(self, density: DensityField, report: StateReport):
-        self.density = density
-        self.report = report
-        self.groupoid = density.groupoid
-
     @property
-    def faithful(self) -> bool:
-        return self.report.faithful
+    def groupoid(self) -> Groupoid:
+        return self.density.groupoid
 
     def __repr__(self) -> str:
-        return (
-            f"State(norm={self.report.normalization!r}, "
-            f"faithful={self.report.faithful})"
-        )
+        return f"State(norm={self.normalization!r}, faithful={self.faithful})"
 
 
 def make_state(rho: DensityField) -> State:
@@ -181,12 +171,7 @@ def make_state(rho: DensityField) -> State:
         raise ValueError("density is not integrable against the weights")
     if abs(total - 1.0) > NORM_TOL:
         raise ValueError(f"density normalizes to {total!r}, not 1")
-    report = StateReport(
-        min_eigenvalue=min_eig,
-        normalization=total,
-        faithful=faithful,
-    )
-    return State(rho, report)
+    return State(rho, min_eigenvalue=min_eig, normalization=total, faithful=faithful)
 
 
 def expect(state: State, R: RandomOperator) -> complex:
@@ -233,14 +218,13 @@ def ambient_dim(g: Groupoid) -> int:
 class OperatorBasis:
     """An orthonormal basis (trace inner product) of a space of D x D matrices.
 
-    ``stack`` holds the basis as one (dim, D, D) array; ``matrices`` are its rows.
+    ``stack`` holds the basis as one (dim, D, D) array.
     """
 
     def __init__(self, matrices, ambient_dim: int):
         self.ambient_dim = int(ambient_dim)
         D = self.ambient_dim
         self.stack = np.asarray(matrices, dtype=complex).reshape(-1, D, D)
-        self.matrices: tuple[np.ndarray, ...] = tuple(self.stack)
 
     @property
     def dim(self) -> int:
@@ -268,7 +252,8 @@ def _gather(generators) -> tuple[Groupoid, list[np.ndarray], int]:
 
 
 def _nullspaces(systems, scale: float) -> list[tuple[np.ndarray, np.ndarray]]:
-    """Nullspaces of stacks of linear systems, shapes (k, rows, n), one rank threshold for all.
+    """Nullspaces of stacks of linear systems, shapes (k, rows, n) with rows >= n, one rank
+    threshold for all.
 
     Returns per stack the (k, n, n) conjugated right singular vectors and
     the (k, n) mask of those in the nullspace.  A singular value counts as
@@ -276,12 +261,7 @@ def _nullspaces(systems, scale: float) -> list[tuple[np.ndarray, np.ndarray]]:
     singular value of all stacks, so a system made of roundoff alone (the
     equations of a scalar matrix) does not pass for full rank.
     """
-    svds = []
-    for K in systems:
-        rows, n = K.shape[-2:]
-        if rows < n:  # zero equations, so the thin SVD returns all n right vectors
-            K = np.concatenate([K, np.zeros(K.shape[:-2] + (n - rows, n), K.dtype)], axis=-2)
-        svds.append(np.linalg.svd(K, full_matrices=False)[1:])
+    svds = [np.linalg.svd(K, full_matrices=False)[1:] for K in systems]
     tol = RANK_TOL * max([scale] + [float(s.max()) for s, _ in svds])
     return [(vh.conj(), s <= tol) for s, vh in svds]
 

@@ -232,11 +232,10 @@ def test_criterion_06_state_axioms(capsys):
         except ValueError as exc:
             failures.append((trial, "axioms", str(exc)))
             continue
-        rep = state.report
-        if not (rep.faithful and rep.min_eigenvalue > 0):
-            failures.append((trial, "flags", rep))
-        if abs(rep.normalization - 1.0) > 1e-12:
-            failures.append((trial, "normalization", rep.normalization))
+        if not (state.faithful and state.min_eigenvalue > 0):
+            failures.append((trial, "flags", state))
+        if abs(state.normalization - 1.0) > 1e-12:
+            failures.append((trial, "normalization", state.normalization))
         if abs(expect(state, RandomOperator.identity(g)) - 1.0) > 1e-12:
             failures.append((trial, "expect(identity)"))
     g = random_groupoid(np.random.default_rng(607), max_points=6, max_block=4)
@@ -252,7 +251,7 @@ def test_criterion_06_state_axioms(capsys):
     )
     p = np.array([[0.5, 0.0], [0.0, 0.0]], dtype=complex)
     flagged = make_state(DensityField(gp, [p, p]))
-    if flagged.report.faithful:
+    if flagged.faithful:
         failures.append(("rank-deficient density not flagged",))
     verdict(capsys, 6, "state axioms, positivity, faithfulness flag", failures)
 
@@ -314,7 +313,7 @@ def test_criterion_07_double_commutant(capsys):
     oracle3 = _nullspace_matrices(_commutation_rows(mats3, 3), 3)
     if rep3.bicommutant.dim != 3 or len(oracle3) != 3:
         failures.append(("separated bicommutant", rep3.bicommutant.dim, len(oracle3)))
-    for X in rep3.bicommutant.matrices:
+    for X in rep3.bicommutant.stack:
         off = X - np.diag(np.diag(X))
         if np.abs(off).max() > 1e-10:
             failures.append(("separated bicommutant not diagonal",))

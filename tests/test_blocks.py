@@ -552,11 +552,11 @@ def test_real_data_stays_float64(g, rng):
         lift_symmetrized(P, a), commutator_apply(P, f, a),
         random_element(g, rng, with_jets=True, real=True),
         R, R.adjoint(), R.adjoint() @ R, R - RandomOperator.identity(g), 3 * R,
-        RandomOperator.zeros(g), uniform,
+        0 * RandomOperator.identity(g), uniform,
     ]
     assert stored_dtypes(*results) == {np.dtype(float)}
     assert f.values.dtype == f.grads.dtype == P.coeffs.dtype == float
-    assert make_state(uniform).report.normalization == pytest.approx(1.0, abs=1e-14)
+    assert make_state(uniform).normalization == pytest.approx(1.0, abs=1e-14)
     chain = split_chain()
     top = from_expression(chain.level(0).groupoid, REAL_ELEMENTS[1])
     assert stored_dtypes(top, restrict(top, chain, 0)) == {np.dtype(float)}

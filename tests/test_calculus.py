@@ -10,6 +10,7 @@ from ncgroupoid import (
     BaseFunction,
     Derivation,
     build_groupoid,
+    commutator_apply,
     commutator_defect,
     convolve,
     from_expression,
@@ -179,6 +180,25 @@ def test_apply_to_symbolic_supports_iteration():
     Pf = P.apply_to(f)       # x * 2x = 2x^2
     PPf = P.apply_to(Pf)     # x * 4x = 4x^2
     assert PPf.value_at(1) == 4.0
+
+
+def test_apply_to_on_tabulated_data_matches_the_symbolic_result(rng):
+    g = random_groupoid(rng, dim=2)
+    P = Derivation.from_expressions(g.space, ["x1 + x2", "x1*x2"])
+    f = BaseFunction.from_expression(g.space, "x1^2 * x2 + sin(x2)")
+    tabulated = Derivation(g.space, P.coeffs).apply_to(BaseFunction(g.space, f.values, f.grads))
+    assert tabulated.expr is None
+    np.testing.assert_allclose(tabulated.values, P.apply_to(f).values, rtol=1e-14, atol=1e-14)
+    with pytest.raises(ValueError, match="no gradient data"):
+        Derivation(g.space, P.coeffs).apply_to(BaseFunction(g.space, f.values))
+
+
+def test_commutator_apply_refuses_a_function_without_gradients(rng):
+    g = random_groupoid(rng, dim=2)
+    P = Derivation.from_expressions(g.space, ["1", "x1"])
+    f = BaseFunction(g.space, BaseFunction.from_expression(g.space, "x1").values)
+    with pytest.raises(ValueError, match="no gradient data"):
+        commutator_apply(P, f, random_element(g, rng, with_jets=True))
 
 
 def test_constant_derivation_kills_constants(rng):

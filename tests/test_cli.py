@@ -1,6 +1,7 @@
 """Command line driver: exit codes, reports, CSV outputs, determinism."""
 
 import argparse
+import csv
 import json
 import os
 import shlex
@@ -8,9 +9,18 @@ import subprocess
 import sys
 from pathlib import Path
 
+import numpy as np
 import pytest
 
-from ncgroupoid import build_space, gallery, gallery_config
+from ncgroupoid import (
+    build_groupoid,
+    build_space,
+    from_expression,
+    gallery,
+    gallery_config,
+    hausdorff_relation,
+    represent,
+)
 from ncgroupoid.cli import COMMANDS, GROUPS, build_parser, run
 
 
@@ -96,6 +106,53 @@ def test_rep_build_reports_the_ess_sup(tmp_path, capsys):
     assert code == 0
     lines = (out / "report.txt").read_text().splitlines()
     assert "ess sup = 8.27492" in lines and "[PASS] bounded" in lines
+
+
+def test_rep_build_writes_each_class_matrix_once(tmp_path, capsys):
+    # two classes of two points: 2 * 2^2 entries, not the 2 x 2 matrix once per point
+    code, out = run_cli(tmp_path / "grid", "rep", "build", "--space", "grid_2x2")
+    assert code == 0
+    lines = (out / "fibers.csv").read_text().splitlines()
+    assert lines[0] == "row,col,re,im" and len(lines) - 1 == 8
+    # classes of 1, 2, 3 and 4 points, ids out of order, unequal weights
+    coords = [3, 0, 2, 1, 3, 2, 3, 1, 3, 2]
+    config = {"dimension": 1, "generators": [{"name": "f", "expr": "x1"}],
+              "points": [{"id": 7 * i % 11, "coords": [c], "weight": 1 + i % 3}
+                         for i, c in enumerate(coords)]}
+    path = tmp_path / "mixed.json"
+    path.write_text(json.dumps(config))
+    a = "x1*y1 + 2 + sin(y1)"
+    code, out = run_cli(tmp_path / "mixed", "rep", "build", "--space", str(path), "--a", a)
+    assert code == 0
+    with open(out / "fibers.csv", newline="") as fh:
+        rows = [(int(r), int(c), float(re), float(im)) for r, c, re, im in list(csv.reader(fh))[1:]]
+    space = build_space(config)
+    g = build_groupoid(space, hausdorff_relation(space))
+    R = represent(from_expression(g, a))
+    assert rows == sorted((x, y, M[i, j].real, M[i, j].imag)
+                          for block, M in zip(g.blocks, R.class_matrices)
+                          for i, x in enumerate(block) for j, y in enumerate(block))
+    # the fiber over x: its class is the cols of the rows with row == x, its matrix the
+    # rows between points of that class
+    for x in space.ids:
+        block = g.blocks[g.block_index(x)]
+        assert {c for r, c, *_ in rows if r == x} == set(block)
+        entries = {(r, c): complex(re, im) for r, c, re, im in rows
+                   if r in block and c in block}
+        fiber = np.array([[entries[y, z] for z in block] for y in block])
+        np.testing.assert_array_equal(fiber, R.fiber(x))
+
+
+def test_vn_commutant_skips_past_the_ambient_dimension_guard(tmp_path, capsys):
+    # 65 singleton classes: ambient dimension 65 > MAX_TOTAL_DIM
+    config = {"dimension": 1, "generators": [{"name": "f", "expr": "x1"}],
+              "points": [{"id": i, "coords": [i]} for i in range(65)]}
+    path = tmp_path / "singletons.json"
+    path.write_text(json.dumps(config))
+    code, out = run_cli(tmp_path, "vn", "commutant", "--space", str(path))
+    assert code == 0
+    assert "[SKIP] bicommutant" in capsys.readouterr().out
+    assert not (out / "commutant_basis.csv").exists()
 
 
 def test_deform_sweep(tmp_path, capsys):

@@ -166,11 +166,22 @@ def test_one_refusal_type():
     ("point 0: weight", {"points": [{"id": 0, "coords": [0.0], "weight": True}]}),
     ("point 1: coords", {"points": [{"id": 0, "coords": [0.0]}, {"id": 1, "coords": [True]},
                                     {"id": 2, "coords": ["2"]}]}),
+    ("generators must be a list", {"generators": {"name": "f", "expr": "x1"}}),
+    ("malformed generator entry", {"generators": ["x1"]}),
+    ("malformed generator entry", {"generators": [{"name": "f", "expr": "x1", "colour": 1}]}),
+    ("needs name and expr", {"generators": [{"name": "f"}]}),
+    ("malformed compare_mode", {"compare_mode": {"quantized": 1e-9, "eps": 1e-9}}),
 ])
 def test_build_space_refuses_instead_of_converting(field, change):
     config = {"dimension": 1, "points": [{"id": 0, "coords": [0.0]}], "generators": []}
     with pytest.raises(ConfigError, match=field):
         build_space({**config, **change})
+
+
+def test_build_space_refuses_a_config_that_is_not_an_object():
+    config = {"dimension": 1, "points": [{"id": 0, "coords": [0.0]}], "generators": []}
+    with pytest.raises(ConfigError, match="config must be a JSON object"):
+        build_space([config])
 
 
 def test_build_space_reads_points_as_the_constructor_does():

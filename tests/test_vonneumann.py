@@ -74,9 +74,8 @@ def commutant_dim_oracle(mats, D):
 def test_uniform_state_is_valid_and_faithful():
     g = total_pair_groupoid(weights=(1.0, 2.0))
     state = make_state(DensityField.uniform(g))
-    rep = state.report
-    assert rep.faithful and rep.min_eigenvalue > 0
-    assert rep.normalization == pytest.approx(1.0, abs=1e-12)
+    assert state.faithful and state.min_eigenvalue > 0
+    assert state.normalization == pytest.approx(1.0, abs=1e-12)
 
 
 def test_uniform_state_normalization_by_hand():
@@ -94,8 +93,8 @@ def test_rank_deficient_density_is_valid_but_not_faithful():
     p = np.array([[1.0, 0.0], [0.0, 0.0]], dtype=complex)
     z = sum(g.space.weight(x) for x in g.space.ids)
     state = make_state(DensityField(g, [p / z, p / z]))
-    assert state.report.min_eigenvalue == 0.0
-    assert not state.report.faithful
+    assert state.min_eigenvalue == 0.0
+    assert not state.faithful
 
 
 def test_non_hermitian_density_rejected():
@@ -253,7 +252,7 @@ def test_commutant_basis_actually_commutes():
     gens = [represent(e) for e in arrow_basis(g)]
     basis = commutant(gens)
     mats = [big_matrix(G) for G in gens]
-    for X in basis.matrices:
+    for X in basis.stack:
         for G in mats:
             assert np.linalg.norm(X @ G - G @ X) <= 1e-10
 
@@ -261,8 +260,8 @@ def test_commutant_basis_actually_commutes():
 def test_commutant_basis_is_orthonormal():
     g = total_pair_groupoid()
     basis = commutant([represent(e) for e in arrow_basis(g)])
-    for i, A in enumerate(basis.matrices):
-        for j, B in enumerate(basis.matrices):
+    for i, A in enumerate(basis.stack):
+        for j, B in enumerate(basis.stack):
             want = 1.0 if i == j else 0.0
             assert np.vdot(A, B) == pytest.approx(want, abs=1e-10)
 
@@ -298,7 +297,7 @@ GENERATOR_SETS = {
 
 
 def _assert_orthonormal(basis):
-    flat = np.array([m.ravel() for m in basis.matrices])
+    flat = np.array([m.ravel() for m in basis.stack])
     np.testing.assert_allclose(flat.conj() @ flat.T, np.eye(basis.dim), atol=1e-10)
 
 
@@ -333,7 +332,7 @@ def test_commutant_matches_oracle_on_mixed_class_sizes(gens):
     assert basis.ambient_dim == 24
     assert basis.dim == commutant_dim_oracle(mats, 24)
     _assert_orthonormal(basis)
-    for X in basis.matrices:
+    for X in basis.stack:
         for M in mats:
             assert np.linalg.norm(X @ M - M @ X) <= 1e-10
 
@@ -352,12 +351,12 @@ def test_bicommutant_matches_dense_nullspace(gens):
     g = _weighted_groupoid([(0, 3), (1,), (2, 4)])
     G = GENERATOR_SETS[gens](g)
     rep = double_commutant(G)
-    first = list(rep.commutant.matrices)
+    first = list(rep.commutant.stack)
     assert rep.bicommutant.dim == commutant_dim_oracle(first, 9)
     assert rep.commutant.dim == commutant_dim_oracle([big_matrix(R) for R in G], 9)
     _assert_orthonormal(rep.commutant)
     _assert_orthonormal(rep.bicommutant)
-    for X in rep.bicommutant.matrices:
+    for X in rep.bicommutant.stack:
         for Y in first:
             assert np.linalg.norm(X @ Y - Y @ X) <= 1e-10
     for R in G:
