@@ -472,8 +472,11 @@ class ValueGradFn:
                     grads[..., i] = _evaluate(d, env, memo)
         except Exception as exc:
             raise ExpressionError(f"cannot evaluate {format_expr(self.expr)}: {exc}") from None
-        bad = ~np.isfinite(values) | ~np.isfinite(grads).all(axis=-1)
-        if bad.any():
+        # min and max carry a NaN or infinity through without a temporary; the flags
+        # are built only to name the first bad point
+        finite = (np.isfinite(x.min()) and np.isfinite(x.max()) for x in (values, grads) if x.size)
+        if not all(finite):
+            bad = ~np.isfinite(values) | ~np.isfinite(grads).all(axis=-1)
             at = np.unravel_index(int(np.argmax(bad)), shape)
             point = ", ".join(f"{s}={float(np.broadcast_to(c, shape)[at])!r}"
                               for s, c in zip(self.symbols, columns))

@@ -75,7 +75,8 @@ class BaseFunction:
     These act on algebra elements from the left through
     :func:`module_action` and are what derivations differentiate.  Gradients
     not given are derived from ``expr`` on the first read of ``grads`` and
-    kept; a non-finite partial is refused then, not before.
+    kept; a non-finite partial is refused then, not before.  A product's
+    are its factors' by the product rule, formed on that first read too.
     """
 
     def __init__(self, space: DiffSpace, values, grads=None, expr=None):
@@ -96,6 +97,8 @@ class BaseFunction:
 
     @property
     def grads(self) -> np.ndarray | None:
+        if callable(self._grads):  # a product's, by the product rule
+            self._grads = self._grads()
         if self._grads is None and self.expr is not None:
             syms = coordinate_symbols(self.space.dimension)
             self._grads = ValueGradFn(self.expr, syms)(self.space.coords)[1]
@@ -113,22 +116,24 @@ class BaseFunction:
         return complex(self.values[self.space.index_of(pid)])
 
     def __mul__(self, other: "BaseFunction") -> "BaseFunction":
-        """Pointwise product, gradients by the product rule."""
+        """Pointwise product, gradients by the product rule on their first read."""
         if not isinstance(other, BaseFunction):
             return NotImplemented
         if self.space is not other.space:
             raise ValueError("functions live on different spaces")
-        values = self.values * other.values
-        grads = None
-        if self.grads is not None and other.grads is not None:
-            grads = (
-                self.grads * other.values[:, None]
-                + self.values[:, None] * other.grads
-            )
         expr = None
         if self.expr is not None and other.expr is not None:
             expr = self.expr * other.expr
-        return BaseFunction(self.space, values, grads, expr=expr)
+        product = BaseFunction(self.space, self.values * other.values, expr=expr)
+
+        def rule():
+            if self.grads is None or other.grads is None:
+                return None
+            grads = self.grads * other.values[:, None] + self.values[:, None] * other.grads
+            grads.flags.writeable = False
+            return grads
+        product._grads = rule
+        return product
 
     def __repr__(self) -> str:
         tag = format_expr(self.expr) if self.expr is not None else "tabulated"

@@ -149,10 +149,12 @@ def _restricted_product(a: BlockStack, b: BlockStack, finer: Groupoid) -> BlockS
     """The values of a * b on the blocks of ``finer``, which refines the stacks' groupoid.
 
     On a finer block B' inside the block B they are A[B', B] W_B B[B, B'],
-    from gathered rows and columns.  A single point x reads the diagonal
-    entry sum over z in B of A[x, z] w(z) B[z, x], a row-times-column sum
-    taken for every point of B at once, with nothing gathered.  Exact
-    stacks take their weights as Fractions.
+    from rows and columns gathered a chunk of finer blocks at a time, so
+    that a chunk's rows and columns together hold no more entries than the
+    finer output does (or one block's).  A single point x reads the
+    diagonal entry sum over z in B of A[x, z] w(z) B[z, x], a
+    row-times-column sum taken for every point of B at once, with nothing
+    gathered.  Exact stacks take their weights as Fractions.
     """
     g = a.groupoid
     arrays = []
@@ -170,12 +172,15 @@ def _restricted_product(a: BlockStack, b: BlockStack, finer: Groupoid) -> BlockS
             r, i = row[sel], at[sel]
             if grp.m == 1:
                 out[sel, 0, 0, 0] = np.einsum("kxz,kz,kzx->kx", A, w, B)[r, i[:, 0]]
-            else:
-                # the columns are a fresh copy, weighted in place before the rows are
-                # gathered: at most two copies of the size of the class at a time
-                cols = np.swapaxes(B[r[:, None], :, i], 1, 2)  # (k', M, m')
-                cols *= w[r][:, :, None]
-                out[sel, 0] = A[r[:, None], i] @ cols  # rows (k', m', M)
+                continue
+            # per chunk of finer blocks, the columns are a fresh copy weighted in place,
+            # then the rows are gathered: 2 step m' M entries, at most k' m'^2
+            pos, step = np.flatnonzero(sel), max(1, len(r) * grp.m // (2 * coarse.m))
+            for c in range(0, len(r), step):
+                rc, ic = r[c:c + step], i[c:c + step]
+                cols = np.swapaxes(B[rc[:, None], :, ic], 1, 2)  # (step, M, m')
+                cols *= w[rc][:, :, None]
+                out[pos[c:c + step], 0] = A[rc[:, None], ic] @ cols  # rows (step, m', M)
         arrays.append(out)
     return BlockStack(finer, arrays)
 

@@ -292,6 +292,26 @@ def test_values_first_derives_no_partials(monkeypatch):
         assert h.grads.tobytes() == ValueGradFn(h.expr, syms)(space.coords)[1].tobytes()
 
 
+def test_product_of_point_functions_forms_its_gradients_on_first_read(monkeypatch, rng):
+    g = random_groupoid(rng, dim=2)
+    f1 = BaseFunction.from_expression(g.space, "x1 + 1")
+    f2 = BaseFunction.from_expression(g.space, "x2^2")
+    diffs = []
+    diff = Expr.diff
+    monkeypatch.setattr(Expr, "diff", lambda e, s: diffs.append(s) or diff(e, s))
+    fg = f1 * f2
+    assert fg.values.tobytes() == (f1.values * f2.values).tobytes()
+    assert fg.expr is not None and diffs == []
+    # the product rule on the factors' partials, as the product once formed at once
+    want = f1.grads * f2.values[:, None] + f1.values[:, None] * f2.grads
+    assert fg.grads is fg.grads and not fg.grads.flags.writeable
+    assert fg.grads.tobytes() == want.tobytes()
+    # a factor without gradients or an expression leaves the product without gradients
+    assert (BaseFunction(g.space, f1.values) * f2).grads is None
+    tabulated = BaseFunction(g.space, f1.values, f1.grads)
+    assert (tabulated * f2).grads.tobytes() == want.tobytes()
+
+
 # --------------------------------------------------------- module action
 
 def test_module_action_scales_rows():

@@ -202,9 +202,10 @@ def test_restriction_defect_never_builds_the_coarse_product():
     assert peak < 2**20
 
 
-def test_restriction_defect_on_pairs_holds_two_class_sized_copies():
-    # one class of 1000 points at level 0, pairs at level 1: the gathered rows and
-    # the weighted columns are 8 MB each, as the product over the class would be
+def test_restriction_defect_on_pairs_stays_under_a_mebibyte():
+    # one class of 1000 points at level 0, pairs at level 1: gathered for the whole
+    # class at once, the rows and the weighted columns would be 8 MB each; a chunk of
+    # pairs gathers no more entries than the 4000 of the finer output
     n = 1000
     space = DiffSpace([Point(i, (float(i // 2),), 1.0) for i in range(n)], 1, ())
     chain = deformation_chain(space)
@@ -216,7 +217,34 @@ def test_restriction_defect_on_pairs_holds_two_class_sized_copies():
     finally:
         tracemalloc.stop()
     assert defect == n - 2.0
-    assert peak < 2.5 * n * n * 8
+    assert peak < 2**20
+
+
+def _pairs_of_pairs_space(rng):
+    """2,000 classes of 4 points at level 1 that split into pairs at level 2, and one
+    more that splits into a pair and two singletons: 4,001 pairs in one size group."""
+    i = np.arange(8004)
+    x1, x2 = i // 4, (i % 4) // 2
+    x2[-2:] = [1, 2]
+    w = rng.choice(DYADIC_WEIGHTS, len(i))
+    return DiffSpace([Point(int(p), (float(a), float(b)), float(c))
+                      for p, a, b, c in zip(i, x1, x2, w)], 2, ())
+
+
+def test_restriction_defect_on_many_small_classes_matches_the_full_product(rng):
+    # the pairs inside the classes of 4 are gathered in chunks of 1,000, the last of one
+    chain = deformation_chain(_pairs_of_pairs_space(rng))
+    assert sorted(chain.level(2).partition.sizes.tolist()) == [1, 1] + [2] * 4001
+    g = chain.level(1).groupoid
+    a, b = random_element(g, rng), random_element(g, rng)
+    want = _full_product_defect(a, b, chain, 1)
+    got = homomorphism_defect_chain(a, b, chain, 1)
+    assert want > 0.0 and abs(got - want) <= 1e-12 * convolve(a, b).max_abs()
+    exact = [AlgebraElement(g, [
+        np.array([[Fraction(int(p), int(q)) for p, q in zip(rng.integers(-9, 10, len(blk)),
+                                                             rng.integers(1, 6, len(blk)))]
+                  for _ in blk], dtype=object) for blk in g.blocks]) for _ in range(2)]
+    assert homomorphism_defect_chain(*exact, chain, 1) == _full_product_defect(*exact, chain, 1)
 
 
 def test_restriction_composes_to_top(rng):

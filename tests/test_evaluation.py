@@ -242,6 +242,7 @@ def test_constants_fill_every_shape(dim, text):
 @pytest.mark.parametrize("text, at, shown", [
     ("log(x1)", 0.0, "log(x1) is -inf at (x1=0.0)"),
     ("1/x1", 0.0, "1/x1 is inf at (x1=0.0)"),
+    ("x1/x1", 0.0, "x1/x1 is nan at (x1=0.0)"),
     # log is finite at the smallest subnormal, its partial 1/x1 overflows
     ("log(x1)", 5e-324, "log(x1) has a non-finite partial at (x1=5e-324)"),
 ])
