@@ -47,9 +47,6 @@ print(f"richer family separates all points: {rho2.is_identity}")
 # quantized comparison glues nearly equal values
 fuzz = [Point(i, (float(i) * 1e-9,), 1.0) for i in range(4)]
 s_exact = DiffSpace(fuzz, 1, [GeneratorFunction("coord", "x1", 1)])
-s_quant = DiffSpace(
-    fuzz, 1, [GeneratorFunction("coord", "x1", 1)],
-    compare_mode="quantized", eps=1e-6,
-)
+s_quant = DiffSpace(fuzz, 1, [GeneratorFunction("coord", "x1", 1)], eps=1e-6)
 print(f"exact comparison: {hausdorff_relation(s_exact).n_blocks} classes")
 print(f"quantized at 1e-6: {hausdorff_relation(s_quant).n_blocks} class")

@@ -146,11 +146,13 @@ class AlgebraElement:
     ``values[b][i, j]`` is the value at the arrow from the i-th to the j-th
     point of block b.  ``d_src[b][i, j, k]`` and ``d_dst[b][i, j, k]`` hold
     the partials with respect to the k-th source and destination coordinate;
-    either both are present or neither.  ``expr`` remembers the defining
-    expression in x1..xn, y1..yn of an element made by :func:`from_expression`
-    (or passed to :meth:`from_stack`), so jets can be tabulated on demand
-    (:meth:`with_jets`); the jet views read through it then.  A pending
-    expression is derived on the first read of ``expr`` and kept.
+    the constructor takes values alone, and jets come in only through the
+    stack (:meth:`with_jets`, :func:`random_element`, :meth:`from_stack`).
+    ``expr`` remembers the defining expression in x1..xn, y1..yn of an
+    element made by :func:`from_expression` (or passed to :meth:`from_stack`),
+    so jets can be tabulated on demand (:meth:`with_jets`); the jet views
+    read through it then.  A pending expression is derived on the first
+    read of ``expr`` and kept.
 
     All of it lives in ``stack``, one :class:`BlockStack` of (k, c, m, m)
     arrays: channel 0 holds the values and, with jets (c = 1 + 2n),
@@ -161,20 +163,10 @@ class AlgebraElement:
     made on first use.
     """
 
-    def __init__(self, groupoid: Groupoid, values, d_src=None, d_dst=None):
-        if (d_src is None) != (d_dst is None):
-            raise ValueError("d_src and d_dst must be given together")
-        arrays = [v[:, None] for v in BlockStack.of(groupoid, values, exact=True).arrays]
-        if d_src is not None:
-            if any(v.dtype == object for v in arrays):
-                raise ValueError("jets are not supported for object-dtype values")
-            n = groupoid.space.dimension
-            # per block (m, m, n) in, (n, m, m) channels stored
-            src, dst = (BlockStack.of(groupoid, [np.moveaxis(np.asarray(d), -1, 0) for d in jets],
-                                      (n,), "jet").arrays for jets in (d_src, d_dst))
-            arrays = [np.concatenate(parts, axis=1) for parts in zip(arrays, src, dst)]
+    def __init__(self, groupoid: Groupoid, values):
         self.groupoid = groupoid
-        self.stack = BlockStack(groupoid, arrays)
+        self.stack = BlockStack(groupoid, [
+            v[:, None] for v in BlockStack.of(groupoid, values, exact=True).arrays])
         self._expr = None
         self._integers  # split object entries now, refusing any that are not rational
 
@@ -526,19 +518,25 @@ def random_element(
     g: Groupoid, rng: np.random.Generator,
     with_jets: bool = False, real: bool = False,
 ) -> AlgebraElement:
-    """A random element with standard normal entries, complex unless ``real``."""
+    """A random element with standard normal entries, complex unless ``real``.
+
+    Drawn as one stream per family (the values, then with jets the source and
+    the destination partials), in block order: a block's (m, m) or (m, m, n)
+    real parts, then unless ``real`` its imaginary parts."""
     n = g.space.dimension
-
-    def draw(shape):
-        return rng.standard_normal(shape) + (0 if real else 1j * rng.standard_normal(shape))
-
-    sizes = g.partition.sizes.tolist()
-    values = [draw((m, m)) for m in sizes]
-    if not with_jets:
-        return AlgebraElement(g, values)
-    d_src = [draw((m, m, n)) for m in sizes]
-    d_dst = [draw((m, m, n)) for m in sizes]
-    return AlgebraElement(g, values, d_src=d_src, d_dst=d_dst)
+    sizes, parts = g.partition.sizes, 1 if real else 2
+    channels = [[] for _ in g.groups]
+    for c in (1, n, n) if with_jets else (1,):
+        per_block = parts * c * sizes ** 2
+        stream = rng.standard_normal(int(per_block.sum()))
+        starts = np.cumsum(per_block) - per_block
+        for grp, out in zip(g.groups, channels):
+            at = starts[grp.blocks, None] + np.arange(parts * c * grp.m ** 2)
+            draws = stream[at].reshape(len(grp.blocks), parts, grp.m, grp.m, c)
+            block = draws[:, 0] + (0 if real else 1j * draws[:, 1])
+            out.append(np.moveaxis(block, -1, 1))  # (k, m, m, c) -> (k, c, m, m)
+    return AlgebraElement.from_stack(
+        BlockStack(g, [np.concatenate(arrs, axis=1) for arrs in channels]))
 
 
 def max_diff(a: AlgebraElement, b: AlgebraElement) -> float:

@@ -208,15 +208,22 @@ def step_n_pointwise_check(
     top = chain.level(chain.top)
     if not a.groupoid.same_structure(top.groupoid):
         raise ValueError("elements do not live on the top level")
+    weighted, plain = singleton_defects(a, b) or (None, None)
+    return StepNReport(top_is_diagonal=top.partition.is_identity,
+                       unit_weights=bool((top.space.weights == 1.0).all()),
+                       weighted_defect=weighted, plain_defect=plain)
+
+
+def singleton_defects(a: AlgebraElement, b: AlgebraElement) -> tuple[float, float] | None:
+    """Over the singleton classes, the largest |(a * b)(x, x) - a(x, x) b(x, x) w(x)| and
+    the largest |(a * b)(x, x) - a(x, x) b(x, x)|; None without a singleton class."""
     conv = convolve(a, b)
-    weighted = plain = None
-    diag = top.partition.is_identity
-    unit_w = bool((top.space.weights == 1.0).all())
     stacks = (a.stack.arrays, b.stack.arrays, conv.stack.arrays)
     for grp, A, B, C in zip(a.groupoid.groups, *stacks):
-        if grp.m == 1:  # the singleton classes
-            ab = A[:, 0, 0, 0] * B[:, 0, 0, 0]
-            weighted = float(np.abs(C[:, 0, 0, 0] - ab * grp.weights[:, 0]).max())
-            plain = float(np.abs(C[:, 0, 0, 0] - ab).max())
-    return StepNReport(top_is_diagonal=diag, unit_weights=unit_w, weighted_defect=weighted,
-                       plain_defect=plain)
+        if grp.m == 1:
+            # a 1x1 matmul, as convolve forms the product; hypot, as Python's abs of a
+            # complex number (np.abs may differ from it in the last bit)
+            ab, c = (A[:, 0] @ B[:, 0])[:, 0, 0], C[:, 0, 0, 0]
+            weighted, plain = c - ab * grp.weights[:, 0], c - ab
+            return tuple(float(np.hypot(d.real, d.imag).max()) for d in (weighted, plain))
+    return None

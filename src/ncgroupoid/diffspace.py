@@ -171,10 +171,11 @@ class DiffSpace:
     ``points`` (:class:`Point` views) and the lookups by id (``point``,
     ``index_of``, ``weight``) are made on first use.
 
-    ``compare_mode`` fixes how generator values are compared when points are
-    glued: ``"exact"`` uses bitwise equality of the evaluated floats,
-    ``"quantized"`` rounds values to an ``eps`` grid first (still an
-    equivalence, so transitivity survives).
+    ``eps`` fixes how generator values are compared when points are glued:
+    None uses bitwise equality of the evaluated floats, a positive number
+    rounds values to an ``eps`` grid first (still an equivalence, so
+    transitivity survives).  ``compare_mode`` names the choice, ``"exact"``
+    or ``"quantized"``.
 
     The generators are evaluated once, at construction, into the read-only
     ``generator_values`` table (a row per point, a column per generator).
@@ -188,8 +189,7 @@ class DiffSpace:
     ``one`` is stored.
     """
 
-    def __init__(self, points, dimension: int, generators, compare_mode: str = "exact",
-                 eps: float | None = None):
+    def __init__(self, points, dimension: int, generators, eps: float | None = None):
         """``points`` are :class:`Point` objects or any (id, coords, weight) triples."""
         dimension = _whole(dimension, "dimension", minimum=0)
         points = tuple(points)
@@ -202,21 +202,20 @@ class DiffSpace:
             raise ConfigError(f"point {ids[i]}: got {len(coords[i])} coordinates, "
                               f"expected {dimension}")
         self._settle(ids, np.array(coords, dtype=float).reshape(len(ids), dimension), weights)
-        self._measure(generators, compare_mode, eps)
+        self._measure(generators, eps)
 
     @classmethod
-    def _of_arrays(cls, ids, coords: np.ndarray, weights, generators, compare_mode,
-                   eps) -> "DiffSpace":
+    def _of_arrays(cls, ids, coords: np.ndarray, weights, generators, eps) -> "DiffSpace":
         """The space of the points with these ids, (n, dimension) coordinates and weights,
         checked and measured as by the constructor."""
         space = cls.__new__(cls)
         space._settle(ids, coords, weights)
-        space._measure(generators, compare_mode, eps)
+        space._measure(generators, eps)
         return space
 
     def _settle(self, ids, coords: np.ndarray, weights) -> None:
         """Check and store the point arrays: ids fit in 64 bits and appear once,
-        coordinates are finite, weights are positive and finite."""
+        coordinates are finite, weights are positive and finite, and so is their sum."""
         try:
             ids = np.array(ids, dtype=np.int64)
         except OverflowError:
@@ -237,12 +236,15 @@ class DiffSpace:
                                   f"got {coords[i].tolist()}")
             raise ConfigError(f"point {ids[i]}: weight must be positive and finite, "
                               f"got {float(weights[i])!r}")
+        with np.errstate(over="ignore"):
+            if weights.sum() == math.inf:
+                raise ConfigError("total weight inf: the weights sum past the float range")
         self.id_array, self.id_order, self.weights = ids, order, weights
         self.coords, self.dimension = coords, coords.shape[1]
         for arr in (ids, order, weights, self.coords):
             arr.flags.writeable = False
 
-    def _measure(self, generators, compare_mode, eps) -> None:
+    def _measure(self, generators, eps) -> None:
         """Evaluate and store the generator family and its comparison keys."""
         gens = tuple(generators)
         self.constants_only = not gens
@@ -257,12 +259,9 @@ class DiffSpace:
                                   f"!= {self.dimension}")
         self.generators: tuple[GeneratorFunction, ...] = gens
 
-        if compare_mode not in ("exact", "quantized"):
-            raise ConfigError(f"unknown compare_mode {compare_mode!r}")
-        if compare_mode == "quantized" and not (_is_number(eps) and eps > 0):
+        if eps is not None and not (_is_number(eps) and eps > 0):
             raise ConfigError(f"quantized eps must be a positive number, got {eps!r}")
-        self.compare_mode = compare_mode
-        self.eps = eps = float(eps) if compare_mode == "quantized" else None
+        self.eps = eps = None if eps is None else float(eps)
 
         values = np.empty((len(self.id_array), len(gens)))
         for j, g in enumerate(gens):
@@ -285,8 +284,12 @@ class DiffSpace:
     def with_generators(self, generators) -> "DiffSpace":
         """The same points (arrays shared, not validated again) with other generators."""
         space = copy.copy(self)
-        space._measure(generators, self.compare_mode, self.eps)
+        space._measure(generators, self.eps)
         return space
+
+    @property
+    def compare_mode(self) -> str:
+        return "exact" if self.eps is None else "quantized"
 
     @cached_property
     def ids(self) -> tuple[int, ...]:
@@ -426,8 +429,7 @@ def quotient(space: DiffSpace, rho: Partition) -> QuotientResult:
     new_gens = [GeneratorFunction(space.generators[j].name, f"x{i + 1}", len(kept))
                 for i, j in enumerate(kept)]
     coords = space.generator_values[np.ix_(reps, kept)]
-    q = DiffSpace._of_arrays(np.arange(rho.n_blocks), coords, masses, new_gens,
-                             space.compare_mode, space.eps)
+    q = DiffSpace._of_arrays(np.arange(rho.n_blocks), coords, masses, new_gens, space.eps)
     return QuotientResult(space=q, dropped=report.dropped_names)
 
 
@@ -486,15 +488,17 @@ def build_space(config: dict) -> DiffSpace:
         except ExpressionError as exc:
             raise ConfigError(f"generator {entry.get('name')!r}: {exc}")
 
-    mode = config.get("compare_mode", "exact")
-    eps = None
-    if isinstance(mode, dict):
-        if set(mode) != {"quantized"}:
-            raise ConfigError(f"malformed compare_mode: {mode!r}")
+    mode, eps = config.get("compare_mode", "exact"), None
+    if isinstance(mode, dict) and set(mode) == {"quantized"}:
         eps = mode["quantized"]
-        mode = "quantized"
+        if eps is None:  # which the constructor reads as exact comparison
+            raise ConfigError("quantized eps must be a positive number, got None")
+    elif isinstance(mode, dict):
+        raise ConfigError(f"malformed compare_mode: {mode!r}")
+    elif mode != "exact":
+        raise ConfigError(f"unknown compare_mode {mode!r}")
 
-    return DiffSpace._of_arrays(ids, coords, weights, generators, mode, eps)
+    return DiffSpace._of_arrays(ids, coords, weights, generators, eps)
 
 
 def _points_at_once(raw_points: list, dimension: int):

@@ -144,13 +144,12 @@ class BlockStack:
             arr.flags.writeable = False
 
     @classmethod
-    def of(cls, g: Groupoid, data, lead=(), what="value", exact=False) -> "BlockStack":
-        """A stack from one array per block (a stack passes through unchanged).
+    def of(cls, g: Groupoid, data, what="value", exact=False) -> "BlockStack":
+        """A stack from one (m, m) array per block (a stack passes through unchanged).
 
-        Shapes must be lead + (m, m).  Real entries become float64, complex
-        ones complex128, and with ``exact`` an object-dtype group (Fraction
-        entries, say) stays object (see :func:`promote`).  The input is
-        copied, never referenced.
+        Real entries become float64, complex ones complex128, and with
+        ``exact`` an object-dtype group (Fraction entries, say) stays object
+        (see :func:`promote`).  The input is copied, never referenced.
         """
         if isinstance(data, BlockStack):
             return data
@@ -159,16 +158,15 @@ class BlockStack:
                              f"the groupoid has {g.n_blocks}")
         blocks = [np.asarray(x) for x in data]
         groups = [[blocks[b] for b in grp.blocks.tolist()] for grp in g.groups]
-        shapes = [tuple(lead) + (grp.m, grp.m) for grp in g.groups]
         if [[arr.shape for arr in group] for group in groups] != [
-                [shape] * len(group) for shape, group in zip(shapes, groups)]:
+                [(grp.m, grp.m)] * len(group) for grp, group in zip(g.groups, groups)]:
             # name the first bad block in block order
-            need = [tuple(lead) + (m, m) for m in g.partition.sizes.tolist()]
+            need = [(m, m) for m in g.partition.sizes.tolist()]
             b = next(b for b, arr in enumerate(blocks) if arr.shape != need[b])
             raise ValueError(f"block {b}: {what} shape {blocks[b].shape}, need {need[b]}")
         # concatenating and reshaping stacks the blocks, with np.stack's dtype rules
-        return cls(g, [promote(np.concatenate(group).reshape((len(group),) + shape), exact)
-                       for shape, group in zip(shapes, groups)])
+        return cls(g, [promote(np.concatenate(group).reshape(len(group), grp.m, grp.m), exact)
+                       for grp, group in zip(g.groups, groups)])
 
     @classmethod
     def zeros(cls, g: Groupoid, lead=()) -> "BlockStack":

@@ -93,7 +93,7 @@ def test_criterion_01_gluing_consistency_and_superposition(capsys):
             space.points, space.dimension,
             list(space.generators)
             + [GeneratorFunction("recombined", combined, space.dimension)],
-            compare_mode=space.compare_mode, eps=space.eps,
+            eps=space.eps,
         )
         if hausdorff_relation(extended) != rho:
             failures.append((trial, "superposition changed the relation"))

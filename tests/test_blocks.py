@@ -5,6 +5,7 @@ the size groups interleave, and its points are listed out of id order,
 so point positions differ from point ids.
 """
 
+import itertools
 import math
 from fractions import Fraction
 
@@ -332,13 +333,28 @@ def test_restrict_and_involution_keep_fractions_exact(rng):
 @pytest.mark.parametrize("jets", [False, True])
 def test_constructor_round_trips_the_views(g, rng, jets):
     a = random_element(g, rng, with_jets=jets)
-    assert_same_element(AlgebraElement(g, a.values, d_src=a.d_src, d_dst=a.d_dst), a)
+    assert_same_element(AlgebraElement(g, a.values), a.values_only())
+    assert_same_element(AlgebraElement.from_stack(a.stack), a)
+
+
+def _interleaved(dimension):
+    """Singletons between blocks of 2, 3 and 4 points, listed out of id order."""
+    sizes = [1, 1, 3, 1, 2, 1, 1, 1, 4, 1, 2, 1, 3, 1, 1] * 3
+    ids = np.random.default_rng(5).permutation(sum(sizes)).tolist()
+    pts = [Point(x, (float(x),) * dimension, DYADIC_WEIGHTS[x % 4]) for x in ids]
+    ends = np.cumsum(sizes).tolist()
+    blocks = [ids[end - m:end] for end, m in zip(ends, sizes)]
+    return build_groupoid(DiffSpace(pts, dimension, ()), Partition(blocks))
 
 
 def test_random_element_draws_blocks_in_block_order(g):
-    n = g.space.dimension
-    for real in (False, True):
-        a = random_element(g, np.random.default_rng(3), with_jets=True, real=real)
+    # the fixture with jets; without jets; dimension 0, whose jets have no channel;
+    # many singletons between larger blocks
+    cases = [(g, True), (g, False), (_interleaved(0), True), (_interleaved(2), True)]
+    for (g, with_jets), real in itertools.product(cases, (False, True)):
+        n = g.space.dimension
+        drawn = np.random.default_rng(3)
+        a = random_element(g, drawn, with_jets=with_jets, real=real)
         rng = np.random.default_rng(3)
 
         def draw(shape):
@@ -346,10 +362,15 @@ def test_random_element_draws_blocks_in_block_order(g):
                 return rng.standard_normal(shape)
             return rng.standard_normal(shape) + 1j * rng.standard_normal(shape)
 
-        for family, tail in ((a.values, ()), (a.d_src, (n,)), (a.d_dst, (n,))):
+        assert a.has_jets == (with_jets or n == 0)
+        families = [(a.values, ())] + [(a.d_src, (n,)), (a.d_dst, (n,))] * with_jets
+        for family, tail in families:
             want = [draw((len(b), len(b)) + tail) for b in g.blocks]
+            assert len(family) == len(want)
             for got, ref in zip(family, want):
+                assert got.dtype == ref.dtype
                 np.testing.assert_array_equal(got, ref)
+        assert drawn.bit_generator.state == rng.bit_generator.state
 
 
 def test_per_block_views_are_made_once_and_read_only(g, rng):
@@ -406,19 +427,16 @@ def test_shape_errors_name_the_block_or_point(g):
 
 
 def test_shape_errors_name_the_first_bad_block_in_block_order(g):
-    def shapes(lead, bad):
-        return [np.zeros(lead + ((4, 4) if b in bad else (len(block), len(block))))
+    def shapes(bad):
+        return [np.zeros((4, 4) if b in bad else (len(block), len(block)))
                 for b, block in enumerate(g.blocks)]
 
     # blocks 2 (size 2) and 3 (size 1) sit in different size groups, and block 3's
     # group comes first; so do blocks 3 and 4 (size 3)
     with pytest.raises(ValueError, match=r"^block 2: value shape \(4, 4\), need \(2, 2\)$"):
-        BlockStack.of(g, shapes((), {2, 3}))
+        BlockStack.of(g, shapes({2, 3}))
     with pytest.raises(ValueError, match=r"^block 3: value shape \(4, 4\), need \(1, 1\)$"):
-        BlockStack.of(g, shapes((), {3, 4}))
-    # a wrong lead shape fails every block: the first one is named
-    with pytest.raises(ValueError, match=r"^block 0: jet shape \(3, 3, 3\), need \(2, 3, 3\)$"):
-        BlockStack.of(g, shapes((3,), set()), (2,), "jet")
+        BlockStack.of(g, shapes({3, 4}))
 
 
 @pytest.mark.parametrize("exact", [False, True])

@@ -276,6 +276,18 @@ def test_malformed_fields_exit_2_naming_the_field(tmp_path, capsys, field, confi
     assert err.startswith("error: ") and field in err
 
 
+@pytest.mark.parametrize("command", ["vn expect", "vn state-check", "space analyze",
+                                     "deform sweep"])
+@pytest.mark.parametrize("generators", [[], _LINE["generators"]], ids=["glued", "separated"])
+def test_total_weight_past_the_float_range_exits_2(tmp_path, capsys, command, generators):
+    points = [{**p, "weight": 1e308} for p in _LINE["points"]]
+    path = _write(tmp_path, {**_LINE, "points": points, "generators": generators})
+    code, _ = run_cli(tmp_path, *command.split(), "--space", path)
+    assert code == 2
+    assert capsys.readouterr().err == (
+        "error: total weight inf: the weights sum past the float range\n")
+
+
 def test_internal_value_error_is_not_bad_input(tmp_path, monkeypatch):
     def broken(a, b):
         raise ValueError("internal failure")

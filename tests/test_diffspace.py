@@ -128,11 +128,10 @@ _FAR = [Point(0, (1e300,), 1.0), Point(1, (1.0,), 1.0)]
     ("generator 'f': log", (_ONE, 1, [GeneratorFunction("f", "log(x1)", 1)]), {}),
     ("generator names", (_ONE, 1, [GeneratorFunction("f", "x1", 1)] * 2), {}),
     ("generator f: dimension", (_ONE, 1, [GeneratorFunction("f", "x1", 2)]), {}),
-    ("compare_mode", (_ONE, 1, ()), {"compare_mode": "fuzzy"}),
-    ("eps", (_ONE, 1, ()), {"compare_mode": "quantized", "eps": [1]}),
-    ("eps", (_ONE, 1, ()), {"compare_mode": "quantized", "eps": 0.0}),
-    ("eps", (_FAR, 1, [GeneratorFunction("f", "x1", 1)]),
-     {"compare_mode": "quantized", "eps": 1e-300}),
+    ("total weight inf", ([Point(0, (0.0,), 1e308), Point(1, (1.0,), 1e308)], 1, ()), {}),
+    ("eps", (_ONE, 1, ()), {"eps": [1]}),
+    ("eps", (_ONE, 1, ()), {"eps": 0.0}),
+    ("eps", (_FAR, 1, [GeneratorFunction("f", "x1", 1)]), {"eps": 1e-300}),
     ("64 bits", ([Point(2 ** 63, (0.0,), 1.0)], 1, ()), {}),
     *(("point 1: coordinates must be finite",
        ([Point(0, (0.0,), 1.0), Point(1, (x,), 1.0)], 1, [GeneratorFunction("f", "1", 1)]), {})
@@ -171,6 +170,7 @@ def test_one_refusal_type():
     ("malformed generator entry", {"generators": [{"name": "f", "expr": "x1", "colour": 1}]}),
     ("needs name and expr", {"generators": [{"name": "f"}]}),
     ("malformed compare_mode", {"compare_mode": {"quantized": 1e-9, "eps": 1e-9}}),
+    ("unknown compare_mode", {"compare_mode": "fuzzy"}),
 ])
 def test_build_space_refuses_instead_of_converting(field, change):
     config = {"dimension": 1, "points": [{"id": 0, "coords": [0.0]}], "generators": []}
@@ -241,15 +241,30 @@ def test_quantized_mode_glues_close_values():
     gen = GeneratorFunction("coord", "x1", 1)
     exact = DiffSpace(pts, 1, [gen])
     assert hausdorff_relation(exact).n_blocks == 3
-    quantized = DiffSpace(pts, 1, [gen], compare_mode="quantized", eps=1e-9)
+    quantized = DiffSpace(pts, 1, [gen], eps=1e-9)
     rho = hausdorff_relation(quantized)
     assert rho.blocks == ((0, 1), (2,))
 
 
+def test_eps_alone_picks_the_comparison():
+    pts = [Point(0, (0.0,), 1.0), Point(1, (1e-12,), 1.0), Point(2, (1.0,), 1.0)]
+    config = {"dimension": 1, "points": [{"id": p.id, "coords": list(p.coords)} for p in pts],
+              "generators": [{"name": "coord", "expr": "x1"}]}
+    for eps, mode, blocks in ((None, "exact", 3), (1e-9, "quantized", 2)):
+        space = DiffSpace(pts, 1, [GeneratorFunction("coord", "x1", 1)], eps=eps)
+        built = build_space({**config, "compare_mode": {"quantized": eps} if eps else mode})
+        assert (space.compare_mode, space.eps) == (built.compare_mode, built.eps) == (mode, eps)
+        assert space.generator_keys.tolist() == built.generator_keys.tolist()
+        rho = hausdorff_relation(space)
+        assert rho == hausdorff_relation(built) and rho.n_blocks == blocks
+        assert quotient(space, rho).space.eps == eps
+
+
 def test_quantized_mode_needs_eps():
-    pts = [Point(0, (0.0,), 1.0)]
-    with pytest.raises(ValueError):
-        DiffSpace(pts, 1, (), compare_mode="quantized")
+    config = {"dimension": 1, "points": [{"id": 0, "coords": [0.0]}], "generators": []}
+    for mode in ("quantized", {"quantized": None}):
+        with pytest.raises(ValueError):
+            build_space({**config, "compare_mode": mode})
 
 
 def test_relation_is_an_equivalence(rng):
@@ -412,7 +427,7 @@ def _zero_space(coords, quantized):
     gens = [GeneratorFunction("prod", "x1*x2", 2), GeneratorFunction("norm", "x1^2 + x2^2", 2)]
     pts = [Point(id=i, coords=c, weight=1.0) for i, c in enumerate(coords)]
     if quantized:
-        return DiffSpace(pts, 2, gens, compare_mode="quantized", eps=1e-9)
+        return DiffSpace(pts, 2, gens, eps=1e-9)
     return DiffSpace(pts, 2, gens)
 
 

@@ -277,7 +277,7 @@ def test_quantized_key_that_overflows_is_refused():
     pts = [Point(id=0, coords=(1.0,), weight=1.0), Point(id=7, coords=(1e300,), weight=1.0)]
     gens = [GeneratorFunction("f", "x1", 1)]
     with pytest.raises(ValueError, match="not finite at point 7"):
-        DiffSpace(pts, 1, gens, compare_mode="quantized", eps=1e-9)
+        DiffSpace(pts, 1, gens, eps=1e-9)
     assert DiffSpace(pts, 1, gens).generator_values[1, 0] == 1e300
 
 

@@ -36,7 +36,7 @@ def scrambled_space(rng, quantized=False) -> DiffSpace:
             for j in range(int(rng.integers(1, 4)))]
     if quantized:
         # integer values a unit apart may share a key, so members of a class differ
-        return DiffSpace(pts, n, gens, compare_mode="quantized", eps=2.0)
+        return DiffSpace(pts, n, gens, eps=2.0)
     return DiffSpace(pts, n, gens)
 
 
