@@ -300,11 +300,6 @@ class AlgebraElement:
 
     __rmul__ = __mul__
 
-    def to_records(self) -> list[tuple]:
-        """The stack's rows (src, dst, re, im, d_src..., d_dst...), sorted by (src, dst); jet
-        columns, re/im per coordinate, appear only when the element carries jets."""
-        return self.stack.rows()
-
     def to_csv(self, path) -> None:
         n = self.groupoid.space.dimension
         header = ["src", "dst", "re", "im"]
@@ -313,7 +308,7 @@ class AlgebraElement:
                 header += [f"d_src{k + 1}_re", f"d_src{k + 1}_im"]
             for k in range(n):
                 header += [f"d_dst{k + 1}_re", f"d_dst{k + 1}_im"]
-        write_csv(path, header, self.to_records())
+        write_csv(path, header, self.stack.rows())
 
     def __repr__(self) -> str:
         sizes = self.groupoid.partition.sizes.tolist()

@@ -94,8 +94,9 @@ def _cmd_space_analyze(args, space, g, report) -> None:
     rho = g.partition
     report.note(f"{len(space.id_array)} points, dimension {space.dimension}, "
                 f"{len(space.generators)} generators, compare={space.compare_mode}")
-    report.note(f"relation: {rho.n_blocks} classes, sizes {rho.sizes.tolist()}, "
-                f"hausdorff={rho.is_identity}")
+    sizes, counts = np.unique(rho.sizes, return_counts=True)
+    report.note(f"relation: {rho.n_blocks} classes, count by size "
+                f"{dict(zip(sizes.tolist(), counts.tolist()))}, hausdorff={rho.is_identity}")
     fam = consistent_family(space, rho)
     for r in fam.results:
         report.add(check_flag(
@@ -323,12 +324,8 @@ def _cmd_deform_sweep(args, space, g, report) -> None:
     report.add(check_flag("classes_are_fibers", rep.fibers_exact))
     if not rep.top_is_diagonal:
         report.note("top level is not the diagonal (coincident coordinates)")
-    defects = []
-    for k in range(chain.top):
-        gk = chain.level(k).groupoid
-        ones = from_expression(gk, "1")
-        d = homomorphism_defect_chain(ones, ones, chain, k)
-        defects.append(d)
+    defects = chain.lost_mass()
+    for k, d in enumerate(defects):
         report.note(f"restriction defect level {k}->{k + 1} on constants: {d:.6g}")
     top_g = chain.level(chain.top).groupoid
     # a space of dimension 0 has no coordinates to build from
@@ -398,6 +395,10 @@ def _suite_only_checks(space, g, rng) -> list[CheckRecord]:
     a = from_expression(g, "x1*y1 + 2")
     P1 = Derivation.from_expressions(space, ["1"] + ["0"] * (space.dimension - 1))
     comm = commutator_apply(P1, BaseFunction.from_expression(space, "x1"), a)
+    chain = deformation_chain(space)
+    # the general defect on tabulated constants, which deform sweep reads off the labels
+    ones = [from_expression(chain.level(k).groupoid, "1") for k in range(chain.top)]
+    dense = [homomorphism_defect_chain(e, e, chain, k) for k, e in enumerate(ones)]
     return [
         _superposition_check(space, g.partition, rng),
         check_flag("quotient_is_hausdorff", hausdorff_relation(q.space).is_identity),
@@ -408,7 +409,9 @@ def _suite_only_checks(space, g, rng) -> list[CheckRecord]:
         _fd_jet_check(g, 1e-6),
         # deform sweep states this as a note: coincident coordinates are
         # legitimate input there, but no bundled config has them
-        check_flag("top_level_diagonal", deformation_chain(space).report.top_is_diagonal),
+        check_flag("top_level_diagonal", chain.report.top_is_diagonal),
+        check("restriction_defect_is_lost_mass",
+              max(np.abs(np.subtract(dense, chain.lost_mass())), default=0.0), 1e-12),
     ]
 
 

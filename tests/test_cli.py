@@ -7,6 +7,7 @@ import os
 import shlex
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
@@ -42,6 +43,9 @@ def test_verify_all_passes(tmp_path, capsys):
 def test_space_analyze_writes_partition(tmp_path, capsys):
     code, out = run_cli(tmp_path, "space", "analyze", "--space", "grid_2x2")
     assert code == 0
+    # the note counts the classes of each size; the sizes themselves go to partition.csv
+    assert "relation: 2 classes, count by size {2: 2}, hausdorff=False" in (
+        capsys.readouterr().out.splitlines())
     text = (out / "partition.csv").read_text()
     assert text.splitlines()[0] == "point,class"
 
@@ -161,6 +165,23 @@ def test_deform_sweep(tmp_path, capsys):
     lines = (out / "levels.csv").read_text().splitlines()
     assert lines[0].startswith("level,blocks,arrows")
     assert len(lines) - 1 == 3  # levels 0, 1, 2
+
+
+def test_deform_sweep_on_separated_points_never_tabulates_level_0(tmp_path, capsys):
+    # level 0 glues all 3,000 points into one class: its 3000^2 arrows would be 72 MB
+    xy = np.random.default_rng(0).uniform(-1, 1, size=(3000, 2)).tolist()
+    path = _write(tmp_path, {
+        "dimension": 2, "generators": [{"name": "f1", "expr": "x1"}, {"name": "f2", "expr": "x2"}],
+        "points": [{"id": i, "coords": c, "weight": (1.0, 1.5, 2.0)[i % 3]}
+                   for i, c in enumerate(xy)]})
+    tracemalloc.start()
+    try:
+        code = run(["deform", "sweep", "--space", path])
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert code == 0
+    assert peak < 16 * 2**20
 
 
 def test_every_gallery_config_builds(tmp_path):
@@ -560,7 +581,7 @@ def test_verify_all_runs_every_command_once_per_config(tmp_path, capsys):
     # the suite-only checks are ones no command reports
     suite_only = {n.split(":", 2)[2] for n in names if n.split(":")[1] == "verify.all"}
     reported = {n.split(":", 2)[2] for n in names if n.split(":")[1] != "verify.all"}
-    assert len(suite_only) == 6 and not suite_only & reported
+    assert len(suite_only) == 7 and not suite_only & reported
 
 
 def test_parser_commands_are_the_table():

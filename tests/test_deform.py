@@ -182,7 +182,32 @@ def test_restriction_defect_of_constants_is_the_lost_class_mass(rng):
         lost = max(mass[coarse.block_of[block[0]]] - sum(space.weight(x) for x in block)
                    for block in fine.blocks)
         ones = from_expression(chain.level(k).groupoid, "1")
-        assert homomorphism_defect_chain(ones, ones, chain, k) == lost > 0.0
+        dense = homomorphism_defect_chain(ones, ones, chain, k)
+        assert dense == chain.lost_mass()[k] == lost > 0.0
+
+
+def test_lost_mass_matches_the_dense_defect_on_any_weights(rng):
+    # the dense defect and the label sums add the weights in different orders: each of
+    # the four class sums over at most n positive weights is off by at most (n - 1) eps W
+    # and each of the two differences by eps W, W the total weight
+    spaces = [_staircase_space(rng, [0.1, 0.3, 1.7, 10 / 3])]
+    for _ in range(20):
+        # a coarse grid: classes of several sizes, coincident points at the top
+        n, dim = int(rng.integers(1, 120)), int(rng.integers(1, 4))
+        coords, w = rng.integers(0, 3, (n, dim)).astype(float), rng.uniform(0.1, 3.4, n)
+        spaces.append(DiffSpace([Point(i, tuple(c), float(x)) for i, (c, x) in
+                                 enumerate(zip(coords.tolist(), w.tolist()))], dim, ()))
+    spaces.append(DiffSpace([Point(7, (0.3, 0.7), 0.1)], 2, ()))
+    for space in spaces:
+        chain = deformation_chain(space)
+        lost = chain.lost_mass()
+        bound = 4 * len(space.id_array) * np.finfo(float).eps * space.weights.sum()
+        assert len(lost) == space.dimension
+        for k in range(chain.top):
+            ones = from_expression(chain.level(k).groupoid, "1")
+            assert abs(lost[k] - homomorphism_defect_chain(ones, ones, chain, k)) <= bound
+    flat = DiffSpace([Point(0, (), 0.3), Point(1, (), 2.5)], 0, ())
+    assert deformation_chain(flat).lost_mass() == ()
 
 
 def test_restriction_defect_never_builds_the_coarse_product():

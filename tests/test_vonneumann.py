@@ -407,7 +407,7 @@ def test_runtime_runs_without_sympy(tmp_path):
     proc = subprocess.run([sys.executable, "-c", code], capture_output=True, text=True,
                           timeout=300, env={**os.environ, "PYTHONPATH": path})
     assert proc.returncode == 0, proc.stderr
-    assert "91 checks: 90 passed, 0 failed, 1 skipped" in proc.stdout
+    assert "94 checks: 93 passed, 0 failed, 1 skipped" in proc.stdout
     assert proc.stdout.splitlines()[-1] == "0 []"
 
 
