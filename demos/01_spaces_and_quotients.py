@@ -28,8 +28,8 @@ space = DiffSpace(pts, 2, [gens[0]])
 rho = hausdorff_relation(space)
 print(f"structure sees x1 only -> classes {rho.blocks}")
 
-rep = consistent_family(space, rho)
-print(f"every generator constant on its classes: {rep.all_consistent}")
+results = consistent_family(space, rho)
+print(f"every generator constant on its classes: {all(r.consistent for r in results)}")
 
 q = quotient(space, rho)
 print(f"quotient points: {[ (p.id, p.coords, p.weight) for p in q.space.points ]}")

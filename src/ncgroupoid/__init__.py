@@ -49,7 +49,6 @@ from .deform import (
 )
 from .diffspace import (
     ConfigError,
-    ConsistencyReport,
     DiffSpace,
     GeneratorFunction,
     Partition,
@@ -80,7 +79,6 @@ from .vonneumann import (
     OperatorBasis,
     State,
     big_matrix,
-    commutant,
     double_commutant,
     expect,
     make_state,
@@ -93,7 +91,6 @@ __all__ = [
     "ChainLevel",
     "ChainReport",
     "ConfigError",
-    "ConsistencyReport",
     "DeformationChain",
     "DensityField",
     "Derivation",
@@ -114,7 +111,6 @@ __all__ = [
     "build_groupoid",
     "build_space",
     "classes_are_fibers",
-    "commutant",
     "commutator_apply",
     "commutator_defect",
     "consistent_family",

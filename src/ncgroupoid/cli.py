@@ -97,8 +97,7 @@ def _cmd_space_analyze(args, space, g, report) -> None:
     sizes, counts = np.unique(rho.sizes, return_counts=True)
     report.note(f"relation: {rho.n_blocks} classes, count by size "
                 f"{dict(zip(sizes.tolist(), counts.tolist()))}, hausdorff={rho.is_identity}")
-    fam = consistent_family(space, rho)
-    for r in fam.results:
+    for r in consistent_family(space, rho):
         report.add(check_flag(
             f"consistent:{r.name}", r.consistent,
             note=f"max spread {r.max_spread:.3g}",

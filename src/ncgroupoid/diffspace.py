@@ -360,18 +360,8 @@ class GeneratorConsistency:
     witness: tuple[int, int] | None
 
 
-@dataclass(frozen=True)
-class ConsistencyReport:
-    results: tuple[GeneratorConsistency, ...]
-    all_consistent: bool
-
-    @property
-    def dropped_names(self) -> tuple[str, ...]:
-        return tuple(r.name for r in self.results if not r.consistent)
-
-
-def consistent_family(space: DiffSpace, rho: Partition) -> ConsistencyReport:
-    """Report which generators are constant on the classes of ``rho``.
+def consistent_family(space: DiffSpace, rho: Partition) -> tuple[GeneratorConsistency, ...]:
+    """Which generators are constant on the classes of ``rho``, one result per generator.
 
     Against the space's own gluing relation every generator is consistent;
     for coarser relations some may fail, and those cannot descend to the
@@ -394,7 +384,7 @@ def consistent_family(space: DiffSpace, rho: Partition) -> ConsistencyReport:
             at = order[[start, start + int(np.argmax(col != col[0]))]]
             witness = tuple(space.id_array[at].tolist())
         results.append(GeneratorConsistency(g.name, witness is None, float(spread[j]), witness))
-    return ConsistencyReport(tuple(results), all(r.consistent for r in results))
+    return tuple(results)
 
 
 @dataclass(frozen=True)
@@ -421,8 +411,8 @@ def quotient(space: DiffSpace, rho: Partition) -> QuotientResult:
     original generator's comparison keys (its values, in exact mode), which
     is the sense in which nothing is lost.
     """
-    report = consistent_family(space, rho)
-    kept = [j for j, r in enumerate(report.results) if r.consistent]
+    results = consistent_family(space, rho)
+    kept = [j for j, r in enumerate(results) if r.consistent]
     # the smallest member of each class, and the class masses summed in id order
     reps = space.id_order[rho.order[np.cumsum(rho.sizes) - rho.sizes]]
     masses = np.bincount(rho.labels, weights=space.weights[space.id_order])
@@ -430,7 +420,7 @@ def quotient(space: DiffSpace, rho: Partition) -> QuotientResult:
                 for i, j in enumerate(kept)]
     coords = space.generator_values[np.ix_(reps, kept)]
     q = DiffSpace._of_arrays(np.arange(rho.n_blocks), coords, masses, new_gens, space.eps)
-    return QuotientResult(space=q, dropped=report.dropped_names)
+    return QuotientResult(space=q, dropped=tuple(r.name for r in results if not r.consistent))
 
 
 _POINT_KEYS = {"id", "coords", "weight"}

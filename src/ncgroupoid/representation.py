@@ -108,10 +108,6 @@ class RandomOperator:
         # np.max, unlike max, keeps a NaN wherever it is
         return float(np.max([norms.max() for norms in self.norms]))
 
-    def max_fiber_diff(self, other: "RandomOperator") -> float:
-        """Largest operator-norm distance between corresponding fibers."""
-        return (self - other).ess_sup()
-
     def __repr__(self) -> str:
         return f"RandomOperator(fiber dims {self.groupoid.partition.sizes.tolist()})"
 
@@ -135,7 +131,7 @@ def homomorphism_defect(a: AlgebraElement, b: AlgebraElement) -> float:
     a, b = a.values_only(), b.values_only()
     lhs = represent(convolve(a, b))
     rhs = represent(a) @ represent(b)
-    return lhs.max_fiber_diff(rhs)
+    return (lhs - rhs).ess_sup()
 
 
 def star_defect(a: AlgebraElement) -> float:
@@ -146,4 +142,4 @@ def star_defect(a: AlgebraElement) -> float:
     """
     lhs = represent(involution(a))
     rhs = represent(a).adjoint()
-    return lhs.max_fiber_diff(rhs)
+    return (lhs - rhs).ess_sup()

@@ -194,13 +194,7 @@ def big_matrix(R: RandomOperator) -> np.ndarray:
     Points of one class repeat their class matrix; the ambient dimension
     is the sum of all fiber dimensions.
     """
-    g = R.groupoid
-    out = np.zeros((1, g.arrow_count, g.arrow_count), dtype=complex)
-    offsets = _offsets(g)
-    for grp, M in zip(g.groups, R.stack.arrays):
-        # every point of the class gets the class matrix on its own diagonal block
-        _embed(out, np.zeros(1, dtype=int), grp.index, grp.index, M[:, None], offsets)
-    return out[0]
+    return _field_matrices(R.groupoid, [M[None] for M in R.stack.arrays])[0]
 
 
 def ambient_dim(g: Groupoid) -> int:
@@ -322,19 +316,6 @@ def _commutant_matrices(g: Groupoid, pieces, D: int) -> np.ndarray:
     return out
 
 
-def commutant(generators) -> OperatorBasis:
-    """Basis of {X : X G = G X for every generator G}, in the ambient matrices.
-
-    The equations are solved in the full matrix algebra over the
-    block-diagonal embedding, so the result contains everything that
-    commutes, not only block-diagonal solutions.  The basis matrices come
-    out orthonormal under <A, B> = tr(A^H B).  For the commutant to be
-    star-closed, pass a star-closed generating set.
-    """
-    g, A, D = _gather(generators)
-    return OperatorBasis(_commutant_matrices(g, _class_commutants(g, A), D), D)
-
-
 def _bicommutant_coords(g: Groupoid, pieces) -> np.ndarray:
     """Orthonormal basis of the bicommutant in class coordinates, shape (dim, D).
 
@@ -372,16 +353,16 @@ def _class_coords(g: Groupoid, A: list[np.ndarray]) -> np.ndarray:
                           axis=1)
 
 
-def _bicommutant_matrices(g: Groupoid, U: np.ndarray, D: int) -> np.ndarray:
-    """The ambient matrices (+)_x X_b(x) of class coordinates U, as (dim, D, D)."""
-    out = np.zeros((len(U), D, D), dtype=complex)
-    offsets, col = _offsets(g), 0
-    for grp in g.groups:
-        k = len(grp.blocks)
-        X = U[:, col:col + k * grp.m ** 2].reshape(len(U), k, grp.m, grp.m) / np.sqrt(grp.m)
-        _embed(out, np.arange(len(U))[:, None, None], grp.index[None], grp.index[None],
+def _field_matrices(g: Groupoid, A: list[np.ndarray]) -> np.ndarray:
+    """The ambient matrices (+)_x X_b(x) of stacked class matrices, per size group
+    (n, k, m, m), as (n, D, D)."""
+    n = len(A[0])
+    out = np.zeros((n, g.arrow_count, g.arrow_count), dtype=complex)
+    offsets = _offsets(g)
+    for grp, X in zip(g.groups, A):
+        # every point of the class gets the class matrix on its own diagonal block
+        _embed(out, np.arange(n)[:, None, None], grp.index[None], grp.index[None],
                X[:, :, None], offsets)
-        col += k * grp.m ** 2
     return out
 
 
@@ -399,6 +380,9 @@ class BicommutantReport:
 def double_commutant(generators) -> BicommutantReport:
     """Commutant of the commutant, with the span comparison made explicit.
 
+    ``commutant`` is {X : X G = G X for every generator G} in the whole ambient
+    matrix algebra, not only its block-diagonal part, with a basis orthonormal
+    under <A, B> = tr(A^H B); it is star-closed when the generating set is.
     ``span_dim`` is the linear dimension of the generator span;
     ``generator_residual`` measures how far the generators are from the
     bicommutant (they must lie inside it); ``equals_span`` records whether
@@ -411,12 +395,19 @@ def double_commutant(generators) -> BicommutantReport:
     pieces = _class_commutants(g, A)
     U = _bicommutant_coords(g, pieces)
     gens = _class_coords(g, A)
-    svals = np.linalg.svd(gens, compute_uv=False)
-    span_dim = int(np.sum(svals > RANK_TOL * svals[0]))
+    # each generator divided by its largest entry, so one far smaller than the others
+    # still counts (its 2-norm could underflow); zero generators span nothing
+    top = np.abs(gens).max(axis=1)
+    svals = np.linalg.svd(gens[top > 0] / top[top > 0, None], compute_uv=False)
+    span_dim = int(np.sum(svals > RANK_TOL * svals.max(initial=0.0)))
     res = np.linalg.norm(gens - (gens @ U.conj().T) @ U, axis=1)
+    # U split back into class matrices X_b = u_b / sqrt(m_b)
+    cuts = np.cumsum([len(grp.blocks) * grp.m ** 2 for grp in g.groups])[:-1]
+    X = [u.reshape(len(U), len(grp.blocks), grp.m, grp.m) / np.sqrt(grp.m)
+         for grp, u in zip(g.groups, np.split(U, cuts, axis=1))]
     return BicommutantReport(
         commutant=OperatorBasis(_commutant_matrices(g, pieces, D), D),
-        bicommutant=OperatorBasis(_bicommutant_matrices(g, U, D), D),
+        bicommutant=OperatorBasis(_field_matrices(g, X), D),
         span_dim=span_dim,
         generator_residual=float(np.max(res / np.maximum(1.0, np.linalg.norm(gens, axis=1)))),
         equals_span=len(U) == span_dim,

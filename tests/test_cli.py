@@ -147,6 +147,22 @@ def test_rep_build_writes_each_class_matrix_once(tmp_path, capsys):
         np.testing.assert_array_equal(fiber, R.fiber(x))
 
 
+@pytest.mark.parametrize("weight", [1e-11, 5e-324])
+def test_vn_commutant_counts_a_generator_far_smaller_than_another(tmp_path, capsys, weight):
+    # two separated points, weights `weight` and 1: the first point's generator is
+    # `weight` times the second's, and the span still has both
+    config = {"dimension": 1, "generators": [{"name": "f", "expr": "x1"}],
+              "points": [{"id": 0, "coords": [0.0], "weight": weight},
+                         {"id": 1, "coords": [1.0], "weight": 1.0}]}
+    path = tmp_path / "tiny_weight.json"
+    path.write_text(json.dumps(config))
+    code, _ = run_cli(tmp_path, "vn", "commutant", "--space", str(path))
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert "ambient dim 2; commutant dim 2, bicommutant dim 2, span dim 2" in lines
+    assert "[PASS] bicommutant_equals_span" in lines
+
+
 def test_vn_commutant_skips_past_the_ambient_dimension_guard(tmp_path, capsys):
     # 65 singleton classes: ambient dimension 65 > MAX_TOTAL_DIM
     config = {"dimension": 1, "generators": [{"name": "f", "expr": "x1"}],

@@ -115,8 +115,7 @@ def test_consistent_family_spreads_and_witnesses(rng):
         ids = space.ids
         total = (Partition.total(ids), (tuple(sorted(ids)),))
         for rho, blocks in [*relations(rng, space), total]:
-            report = consistent_family(space, rho)
-            for j, res in enumerate(report.results):
+            for j, res in enumerate(consistent_family(space, rho)):
                 value = {x: space.generator_values[space.index_of(x), j] for x in ids}
                 key = {x: k[j] for x, k in key_of(space).items()}
                 spread = max(max(value[x] for x in b) - min(value[x] for x in b) for b in blocks)

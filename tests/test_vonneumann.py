@@ -14,13 +14,13 @@ import scipy.linalg
 from ncgroupoid import (
     DensityField,
     DiffSpace,
+    GeneratorFunction,
     Partition,
     Point,
     RandomOperator,
     arrow_basis,
     big_matrix,
     build_groupoid,
-    commutant,
     double_commutant,
     expect,
     hausdorff_relation,
@@ -200,7 +200,7 @@ def test_big_matrix_repeats_class_fibers():
 def test_commutant_of_identity_is_everything():
     space = line_space(2)
     g = build_groupoid(space, hausdorff_relation(space))
-    basis = commutant([RandomOperator.identity(g)])
+    basis = double_commutant([RandomOperator.identity(g)]).commutant
     assert basis.dim == 4  # ambient D = 2, commutant of {I} is all of M_2
 
 
@@ -250,7 +250,7 @@ def test_commutant_matches_oracle_on_random_structures(rng):
 def test_commutant_basis_actually_commutes():
     g = total_pair_groupoid()
     gens = [represent(e) for e in arrow_basis(g)]
-    basis = commutant(gens)
+    basis = double_commutant(gens).commutant
     mats = [big_matrix(G) for G in gens]
     for X in basis.stack:
         for G in mats:
@@ -259,7 +259,7 @@ def test_commutant_basis_actually_commutes():
 
 def test_commutant_basis_is_orthonormal():
     g = total_pair_groupoid()
-    basis = commutant([represent(e) for e in arrow_basis(g)])
+    basis = double_commutant([represent(e) for e in arrow_basis(g)]).commutant
     for i, A in enumerate(basis.stack):
         for j, B in enumerate(basis.stack):
             want = 1.0 if i == j else 0.0
@@ -272,6 +272,19 @@ def test_generators_land_in_bicommutant(rng):
     rep = double_commutant(gens)
     for G in gens:
         assert rep.bicommutant.residual(big_matrix(G)) <= 1e-10
+
+
+@pytest.mark.parametrize("glued", [False, True])
+@pytest.mark.parametrize("tiny", [1e-11, 5e-324])
+def test_span_counts_a_generator_far_smaller_than_another(glued, tiny):
+    # weights (tiny, 1): the arrow basis's generators on the first point are tiny
+    # times those on the second, and still span their own directions
+    pts = [Point(id=0, coords=(0.0,), weight=tiny), Point(id=1, coords=(1.0,), weight=1.0)]
+    space = DiffSpace(pts, 1, () if glued else [GeneratorFunction("f", "x1", 1)])
+    g = build_groupoid(space, hausdorff_relation(space))
+    rep = double_commutant([represent(e) for e in arrow_basis(g)])
+    assert rep.span_dim == rep.bicommutant.dim == (4 if glued else 2)
+    assert rep.equals_span
 
 
 def _weighted_groupoid(blocks):
@@ -328,7 +341,7 @@ def test_commutant_matches_oracle_on_mixed_class_sizes(gens):
     g = _weighted_groupoid([(0, 4, 7), (1,), (2, 5), (3,), (6, 8, 9)])
     G = GENERATOR_SETS[gens](g)
     mats = [big_matrix(R) for R in G]
-    basis = commutant(G)
+    basis = double_commutant(G).commutant
     assert basis.ambient_dim == 24
     assert basis.dim == commutant_dim_oracle(mats, 24)
     _assert_orthonormal(basis)
@@ -363,11 +376,25 @@ def test_bicommutant_matches_dense_nullspace(gens):
         assert rep.bicommutant.residual(big_matrix(R)) <= 1e-10
 
 
+@pytest.mark.parametrize("gens", sorted(GENERATOR_SETS))
+def test_bicommutant_basis_is_big_matrix_of_its_class_matrices(gens):
+    # each basis matrix is class-constant and block-diagonal: reading the class matrices
+    # off the diagonal and embedding them again through big_matrix gives it back exactly
+    g = _weighted_groupoid([(0, 3), (1,), (2, 4)])
+    rep = double_commutant(GENERATOR_SETS[gens](g))
+    dims = [fiber_dim(g, x) for x in g.space.ids]
+    offset = dict(zip(g.space.ids, np.cumsum(dims) - dims))
+    for X in rep.bicommutant.stack:
+        mats = [X[offset[b[0]]:offset[b[0]] + len(b), offset[b[0]]:offset[b[0]] + len(b)]
+                for b in g.blocks]
+        assert big_matrix(RandomOperator(g, mats)).tobytes() == X.tobytes()
+
+
 def test_dimension_guard():
     space = line_space(MAX_TOTAL_DIM + 1)
     g = build_groupoid(space, hausdorff_relation(space))
     with pytest.raises(ValueError, match="dimension"):
-        commutant([RandomOperator.identity(g)])
+        double_commutant([RandomOperator.identity(g)])
 
 
 def test_library_runs_without_scipy():
