@@ -271,7 +271,7 @@ def _class_commutants(g: Groupoid, A: list[np.ndarray]) -> list[tuple]:
     an orthonormal basis element of N_bc for the classes in rows r[i] of
     group s and q[i] of group t.
     """
-    scale = max(float(np.linalg.norm(a, axis=(2, 3)).max()) for a in A)
+    scale = max(float(np.abs(a).max()) for a in A)  # a norm squares entries past the range
     keys, systems = [], []
     for s, (gs, As) in enumerate(zip(g.groups, A)):
         for t, (gt, At) in enumerate(zip(g.groups, A)):
@@ -396,11 +396,15 @@ def double_commutant(generators) -> BicommutantReport:
     U = _bicommutant_coords(g, pieces)
     gens = _class_coords(g, A)
     # each generator divided by its largest entry, so one far smaller than the others
-    # still counts (its 2-norm could underflow); zero generators span nothing
+    # still counts (its 2-norm could underflow); zero generators span nothing.  For the
+    # residuals, one past 1 is divided by a power of two t at most its largest entry:
+    # exactly, and so that no norm squares past the float range
     top = np.abs(gens).max(axis=1)
     svals = np.linalg.svd(gens[top > 0] / top[top > 0, None], compute_uv=False)
     span_dim = int(np.sum(svals > RANK_TOL * svals.max(initial=0.0)))
-    res = np.linalg.norm(gens - (gens @ U.conj().T) @ U, axis=1)
+    t = np.ldexp(1.0, np.maximum(np.frexp(top)[1] - 1, 0))
+    scaled = gens / t[:, None]
+    res = np.linalg.norm(scaled - (scaled @ U.conj().T) @ U, axis=1)
     # U split back into class matrices X_b = u_b / sqrt(m_b)
     cuts = np.cumsum([len(grp.blocks) * grp.m ** 2 for grp in g.groups])[:-1]
     X = [u.reshape(len(U), len(grp.blocks), grp.m, grp.m) / np.sqrt(grp.m)
@@ -409,6 +413,6 @@ def double_commutant(generators) -> BicommutantReport:
         commutant=OperatorBasis(_commutant_matrices(g, pieces, D), D),
         bicommutant=OperatorBasis(_field_matrices(g, X), D),
         span_dim=span_dim,
-        generator_residual=float(np.max(res / np.maximum(1.0, np.linalg.norm(gens, axis=1)))),
+        generator_residual=float(np.max(res / np.maximum(1 / t, np.linalg.norm(scaled, axis=1)))),
         equals_span=len(U) == span_dim,
     )

@@ -25,6 +25,7 @@ from ncgroupoid import (
     commutator_apply,
     convolve,
     deformation_chain,
+    double_commutant,
     expect,
     from_expression,
     homomorphism_defect,
@@ -681,3 +682,23 @@ def test_single_values_are_python_complex_on_real_stacks(g):
     assert a.value_at(x, y) == jet.value == x * (y % 3) + 1
     assert jet.d_src == (y % 3, 0) and jet.d_dst == (0, x)
     assert f.value_at(x) == x ** 2 + x % 3
+
+
+def _diagonal(g):
+    """The same points, glued by the identity relation instead."""
+    return build_groupoid(g.space, Partition.identity(g.space.id_array))
+
+
+@pytest.mark.parametrize("misuse, message", [
+    (lambda g: double_commutant([represent(unit(g)), represent(unit(_diagonal(g)))]),
+     "generators live on different groupoids"),
+    (lambda g: max_diff(unit(g), unit(_diagonal(g))), "elements live on different groupoids"),
+    (lambda g: module_action(
+        BaseFunction.from_expression(DiffSpace(g.space.points, 2, ()), "x1"), unit(g)),
+     "function and element live on different spaces"),
+    (lambda g: unit(g).stack.restrict(build_groupoid(g.space, Partition.total(g.space.id_array))),
+     "levels do not refine"),
+], ids=["_gather", "max_diff", "module_action", "BlockStack.restrict"])
+def test_operands_from_different_groupoids_are_refused(g, misuse, message):
+    with pytest.raises(ValueError, match=message):
+        misuse(g)

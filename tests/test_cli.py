@@ -147,10 +147,11 @@ def test_rep_build_writes_each_class_matrix_once(tmp_path, capsys):
         np.testing.assert_array_equal(fiber, R.fiber(x))
 
 
-@pytest.mark.parametrize("weight", [1e-11, 5e-324])
+@pytest.mark.parametrize("weight", [1e-11, 5e-324, 1e308])
 def test_vn_commutant_counts_a_generator_far_smaller_than_another(tmp_path, capsys, weight):
     # two separated points, weights `weight` and 1: the first point's generator is
-    # `weight` times the second's, and the span still has both
+    # `weight` times the second's, and the span still has both; at 1e308, under
+    # error::RuntimeWarning, no norm may square a class matrix's entries
     config = {"dimension": 1, "generators": [{"name": "f", "expr": "x1"}],
               "points": [{"id": 0, "coords": [0.0], "weight": weight},
                          {"id": 1, "coords": [1.0], "weight": 1.0}]}
@@ -323,6 +324,42 @@ def test_total_weight_past_the_float_range_exits_2(tmp_path, capsys, command, ge
     assert code == 2
     assert capsys.readouterr().err == (
         "error: total weight inf: the weights sum past the float range\n")
+
+
+# weights 1e308 and 1: admitted, but a random element's products overflow
+_HUGE_NEXT_TO_ONE = [{**p, "weight": w} for p, w in zip(_LINE["points"], [1e308, 1.0])]
+_NAN_FAILS = {
+    "algebra check-laws": ["associativity", "involution_antihom"],
+    "rep check": ["representation_homomorphism", "representation_star"],
+    "vn state-check": ["positivity_on_squares"],
+}
+
+
+@pytest.mark.filterwarnings("ignore::RuntimeWarning")  # as a user runs it
+@pytest.mark.parametrize("command", list(_NAN_FAILS))
+@pytest.mark.parametrize("generators", [[], _LINE["generators"]], ids=["glued", "separated"])
+def test_an_overflowing_trial_fails_with_a_nan_defect(tmp_path, capsys, command, generators):
+    # every trial's defect is NaN; a running max(worst, defect) from 0.0 dropped each one
+    path = _write(tmp_path, {**_LINE, "points": _HUGE_NEXT_TO_ONE, "generators": generators})
+    code, _ = run_cli(tmp_path, *command.split(), "--space", path)
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 1
+    names = _NAN_FAILS[command]
+    assert not [line for line in lines if line.startswith("[PASS]") and line.split()[1] in names]
+    if command == "vn state-check" and not generators:
+        return  # the glued pair's uniform density overflows to 0.0, so no trial runs
+    for name in names:
+        assert f"[FAIL] {name}  defect=nan  tol=1e-12" in lines
+
+
+def test_vn_commutant_runs_on_a_glued_pair_at_weight_1e308(tmp_path, capsys):
+    # the glued side of the separated pair at 1e308 above, under error::RuntimeWarning
+    path = _write(tmp_path, {**_LINE, "points": _HUGE_NEXT_TO_ONE, "generators": []})
+    code, _ = run_cli(tmp_path, "vn", "commutant", "--space", path)
+    lines = capsys.readouterr().out.splitlines()
+    assert code == 0
+    assert "ambient dim 4; commutant dim 4, bicommutant dim 4, span dim 4" in lines
+    assert "[PASS] bicommutant_equals_span" in lines
 
 
 def test_internal_value_error_is_not_bad_input(tmp_path, monkeypatch):

@@ -93,18 +93,21 @@ def _math_reference(exprs, syms):
 
 
 def _rounding_spread(reference, row, ulps=4):
-    """How far the ``math`` reference moves when each coordinate moves by ``ulps`` ulp.
+    """How far the ``math`` reference moves when each coordinate x moves by ``ulps``
+    ulp of max(|x|, 1).
 
     Evaluation orders differ between numpy and ``math`` (``x**2`` against
     ``pow``), so the two may round an intermediate differently by an ulp;
     near a root of sin or cos that difference is amplified by the
     expression's conditioning.  Moving the input by a few ulp shows how
-    large that amplification is at this row.
+    large that amplification is at this row.  The polynomials' integer
+    coefficients keep intermediates of size 1 or more even where x is 0,
+    and an ulp of 0.0 (5e-324) would measure nothing of their rounding.
     """
     base = np.array(reference(*row), dtype=float)
     spread = np.zeros_like(base)
     for signs in itertools.product((-ulps, ulps), repeat=len(row)):
-        moved = [x + s * math.ulp(x) for x, s in zip(row, signs)]
+        moved = [x + s * math.ulp(max(abs(x), 1.0)) for x, s in zip(row, signs)]
         spread = np.maximum(spread, np.abs(np.array(reference(*moved), dtype=float) - base))
     return spread
 
@@ -115,6 +118,9 @@ def _rounding_spread(reference, row, ulps=4):
 # log((-3*x1*x3 + 3)^2 + 1): a point alone on numpy scalars squared through pow
 # and differed from the same point in a batch by an ulp in d/dx1
 @example(seed=206337, wrap=4, dim=3, data=_Rows([[-1e-12, 0.0, 0.25]]))
+# d/dx1 of (-3*x1 - 3)/(2 + cos(1 - 3*x1)) at 0: both formulas cancel terms of size 1.2
+# down to 0.0074, so they round an ulp of 1 apart, 2.2e-16, past 1e-14 relative
+@example(seed=427855, wrap=5, dim=1, data=_Rows([[0.0]]))
 @given(
     seed=st.integers(0, 2 ** 32 - 1),
     wrap=st.integers(0, len(WRAPPERS) - 1),
