@@ -37,8 +37,10 @@ another exact one; anything else raises.  Jets are float-only.  Exact
 convolution runs on Python ints: each block becomes integer numerators
 over the lcm of its denominators (the weights by their exact integer
 ratios), the weighted sum is one integer matmul per size group, and every
-result entry is a Fraction in lowest terms, equal to what entry-wise
-Fraction arithmetic gives.  The involution only transposes such a stack.
+result entry is built once, inside ``convolve``, as a reduced Fraction from
+coprime parts (the block's gcd divided out, and past 1 x 1 blocks each
+entry's), equal to what entry-wise Fraction arithmetic gives and reduced
+only once.  The involution only transposes such a stack.
 An element splits its entries into integers at most once: a product
 hands on the integers it built, divided by each block's gcd, and the
 involution the transposed ones, so chained products split no Fraction
@@ -377,8 +379,11 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
                                  a.groupoid.groups):
         if xs is not None and ys is not None:
             num, den = _exact_product(xs, ys, grp)
-            arrays.append(_fraction(num, den))
             integers.append((num, den))
+            if grp.m > 1:  # at m = 1 the block's gcd, divided out already, is the entry's
+                common = np.gcd(num, den)
+                num, den = num // common, den // common
+            arrays.append(_fraction(num, den))
             continue
         if xs is not None or ys is not None:
             raise ValueError("an exact element convolves only with an exact one")
@@ -399,7 +404,17 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
 
 # entries whose products and sums are exact Fractions; bool is an int
 _RATIONAL = (int, Fraction, np.integer)
-_fraction = np.frompyfunc(Fraction, 2, 1)
+
+
+def _coprime_fraction(num: int, den: int) -> Fraction:
+    """Fraction(num, den) for coprime Python ints, den > 0, without a second gcd: its two
+    slots filled directly, as CPython 3.12's ``Fraction._from_coprime_ints`` does."""
+    f = object.__new__(Fraction)
+    f._numerator, f._denominator = num, den
+    return f
+
+
+_fraction = np.frompyfunc(_coprime_fraction, 2, 1)
 
 
 def _rational(arr: np.ndarray) -> bool:

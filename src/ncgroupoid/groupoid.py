@@ -157,16 +157,21 @@ class BlockStack:
             raise ValueError(f"need one {what} array per block: got {len(data)}, "
                              f"the groupoid has {g.n_blocks}")
         blocks = [np.asarray(x) for x in data]
-        groups = [[blocks[b] for b in grp.blocks.tolist()] for grp in g.groups]
-        if [[arr.shape for arr in group] for group in groups] != [
-                [(grp.m, grp.m)] * len(group) for grp, group in zip(g.groups, groups)]:
-            # name the first bad block in block order
-            need = [(m, m) for m in g.partition.sizes.tolist()]
-            b = next(b for b, arr in enumerate(blocks) if arr.shape != need[b])
-            raise ValueError(f"block {b}: {what} shape {blocks[b].shape}, need {need[b]}")
-        # concatenating and reshaping stacks the blocks, with np.stack's dtype rules
-        return cls(g, [promote(np.concatenate(group).reshape(len(group), grp.m, grp.m), exact)
-                       for grp, group in zip(g.groups, groups)])
+        arrays = []
+        for grp in g.groups:
+            group, m = [blocks[b] for b in grp.blocks.tolist()], grp.m
+            k = len(group)
+            try:  # stacks the blocks, with np.stack's dtype rules, if each is (m, m)
+                arr = np.concatenate(group)
+            except ValueError:  # 0-d blocks, or differing ndim or column counts
+                arr = np.empty(0)
+            if arr.shape != (k * m, m) or list(map(len, group)) != [m] * k:
+                # name the first bad block in block order
+                need = [(m, m) for m in g.partition.sizes.tolist()]
+                b = next(b for b, arr in enumerate(blocks) if arr.shape != need[b])
+                raise ValueError(f"block {b}: {what} shape {blocks[b].shape}, need {need[b]}")
+            arrays.append(promote(arr.reshape(k, m, m), exact))
+        return cls(g, arrays)
 
     @classmethod
     def zeros(cls, g: Groupoid, lead=()) -> "BlockStack":
@@ -176,7 +181,9 @@ class BlockStack:
     def per_block(self, view=None) -> tuple[np.ndarray, ...]:
         """One read-only view per block, in block order, of ``view(arrays[s])`` if given."""
         groups = self.arrays if view is None else [view(arr) for arr in self.arrays]
-        return tuple(groups[s][r] for s, r in self.groupoid.slots.tolist())
+        # a group's rows are in block order: the next block of group s is its next row
+        rows = [iter(arr) for arr in groups]
+        return tuple(map(next, [rows[s] for s in self.groupoid.slots[:, 0].tolist()]))
 
     def map(self, fn, *others: "BlockStack") -> "BlockStack":
         """``fn`` applied group by group to this stack's arrays and the others'."""

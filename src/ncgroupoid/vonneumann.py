@@ -75,8 +75,10 @@ class DensityField:
     @classmethod
     def uniform(cls, g: Groupoid) -> "DensityField":
         """Identity on every fiber, scaled to total mass one."""
-        z = sum(grp.m * float(grp.weights.sum()) for grp in g.groups)
-        return cls(g, BlockStack(g, [np.tile(np.eye(grp.m) / z,
+        # z over a power of two t at most the largest weight, exactly, so it stays finite
+        t = np.ldexp(1.0, np.frexp(g.space.weights.max())[1] - 1)
+        z = sum(grp.m * float((grp.weights / t).sum()) for grp in g.groups)
+        return cls(g, BlockStack(g, [np.tile(np.eye(grp.m) / z / t,
                                              (len(grp.blocks), 1, 1, 1)) for grp in g.groups]))
 
     @cached_property

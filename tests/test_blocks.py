@@ -7,6 +7,8 @@ so point positions differ from point ids.
 
 import itertools
 import math
+import pickle
+import re
 from fractions import Fraction
 
 import numpy as np
@@ -40,7 +42,7 @@ from ncgroupoid import (
     restrict,
     unit,
 )
-from ncgroupoid.algebra import _integer_parts
+from ncgroupoid.algebra import _coprime_fraction, _fraction, _integer_parts
 from ncgroupoid.groupoid import BlockStack, promote
 
 from conftest import DYADIC_WEIGHTS
@@ -210,6 +212,47 @@ def test_exact_convolution_matches_per_entry_fractions(g_exact, rng, kind):
                 t = got.values[blk][i, j]
                 assert type(t) is Fraction and type(t.numerator) is int
                 assert (t.numerator, t.denominator) == (want.numerator, want.denominator)
+
+
+# coprime (numerator, denominator) pairs: zero, signs, and parts past 2**64
+COPRIME_PAIRS = [(0, 1), (1, 1), (-1, 1), (3, 7), (-22, 7), (2 ** 64 + 1, 2 ** 64),
+                 (-(3 ** 50), 2 ** 70), (2 ** 100 - 1, 1), (-(2 ** 64), 3 ** 41)]
+
+
+@pytest.mark.parametrize("n, d", COPRIME_PAIRS)
+def test_coprime_fractions_are_the_fractions_of_their_parts(n, d):
+    assert math.gcd(n, d) == 1 and d > 0
+    t, want = _coprime_fraction(n, d), Fraction(n, d)
+    assert type(t) is Fraction and t == want and hash(t) == hash(want)
+    assert (t.numerator, t.denominator) == (n, d)
+    assert type(t.numerator) is int and type(t.denominator) is int
+    third = Fraction(1, 3)
+    for got, ref in ((t + third, want + third), (t * t, want * want), (t - 5, want - 5),
+                     (t / 7, want / 7), (-t, -want), (abs(t), abs(want)), (t ** 2, want ** 2)):
+        assert type(got) is Fraction and got == ref
+        assert (got.numerator, got.denominator) == (ref.numerator, ref.denominator)
+    assert float(t) == float(want) and str(t) == str(want) and (t < third) == (want < third)
+    back = pickle.loads(pickle.dumps(t))
+    assert type(back) is Fraction and back == want and hash(back) == hash(want)
+
+
+def test_coprime_fractions_broadcast_one_denominator_per_block():
+    num = np.array([[[1, -3, 2 ** 65 + 1]], [[5, 7, -1]]], dtype=object)
+    den = np.array([[[2 ** 65]], [[9]]], dtype=object)
+    got = _fraction(num, den)
+    assert got.dtype == object and got.shape == num.shape
+    for t, n, d in zip(got.flat, num.flat, np.broadcast_to(den, num.shape).flat):
+        assert math.gcd(n, d) == 1 and t == Fraction(n, d)
+        assert type(t) is Fraction and (t.numerator, t.denominator) == (n, d)
+
+
+def test_exact_products_are_built_inside_convolve(g_exact, rng, monkeypatch):
+    got = convolve(exact_element(g_exact, rng), exact_element(g_exact, rng))
+    stored = [t for arr in got.stack.arrays for t in arr.flat]
+    assert all(type(t) is Fraction for t in stored)
+    # reading the per-block views builds no Fraction: they hold the stored objects
+    monkeypatch.setattr("ncgroupoid.algebra._fraction", None)
+    assert {id(t) for v in got.values for t in v.flat} == set(map(id, stored))
 
 
 def test_integer_parts_use_one_denominator_per_block(g_exact, rng):
@@ -438,6 +481,46 @@ def test_shape_errors_name_the_first_bad_block_in_block_order(g):
         BlockStack.of(g, shapes({2, 3}))
     with pytest.raises(ValueError, match=r"^block 3: value shape \(4, 4\), need \(1, 1\)$"):
         BlockStack.of(g, shapes({3, 4}))
+
+
+# blocks 1 and 3 make the size-1 group, block 2 the size-2 one and blocks 0 and 4 the
+# size-3 one, which comes last: each case replaces some blocks and names the first one
+@pytest.mark.parametrize("bad, named", [
+    ({0: np.zeros((2, 3)), 4: np.zeros((4, 3))}, 0),  # rows differ but sum to k m
+    ({0: np.zeros((4, 3)), 4: np.zeros((2, 3)), 3: np.zeros(1)}, 0),
+    ({1: np.zeros(1), 3: np.zeros(1)}, 1),  # 1-D blocks
+    ({2: np.zeros(2)}, 2),
+    ({0: np.zeros(9), 4: np.zeros(9)}, 0),
+    ({1: np.float64(0.0)}, 1),  # 0-d blocks
+    ({3: np.array(0.0)}, 3),
+    ({1: np.array(0.0), 3: np.array(0.0)}, 1),
+    ({2: np.zeros((2, 2, 1))}, 2),  # (m, m, 1) blocks
+    ({1: np.zeros((1, 1, 1)), 3: np.zeros((1, 1, 1))}, 1),
+    ({4: np.zeros((3, 3, 1)), 3: np.array(0.0)}, 3),
+    ({4: np.zeros((3, 3, 1)), 2: np.zeros((2, 2, 1)), 0: np.zeros((3, 3, 1))}, 0),
+])
+def test_every_bad_shape_names_the_first_bad_block(g, bad, named):
+    values = [bad.get(b, np.zeros((len(block), len(block)))) for b, block in enumerate(g.blocks)]
+    m = len(g.blocks[named])
+    message = f"block {named}: value shape {np.shape(bad[named])}, need {(m, m)}"
+    with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+        BlockStack.of(g, values)
+
+
+def test_per_block_returns_row_r_of_group_s_when_sizes_interleave(rng):
+    sizes = (2, 1, 2, 1, 3)
+    ids = np.arange(sum(sizes))
+    space = DiffSpace([Point(int(x), (float(x),), 1.0) for x in ids[::-1]], 1, ())
+    g = build_groupoid(space, Partition(np.split(ids, np.cumsum(sizes)[:-1])))
+    stack = random_element(g, rng, with_jets=True).stack
+    for view in (None, lambda arr: arr[:, 0]):
+        got = stack.per_block(view)
+        assert len(got) == g.n_blocks
+        for b, (s, r) in enumerate(g.slots.tolist()):
+            want = (stack.arrays[s] if view is None else view(stack.arrays[s]))[r]
+            # the same view: data pointer, shape, strides and dtype
+            assert got[b].__array_interface__ == want.__array_interface__
+            assert got[b].shape[-1] == sizes[b] and not got[b].flags.writeable
 
 
 @pytest.mark.parametrize("exact", [False, True])

@@ -29,7 +29,7 @@ from ncgroupoid import (
     represent,
     unit,
 )
-from ncgroupoid.vonneumann import MAX_TOTAL_DIM
+from ncgroupoid.vonneumann import MAX_TOTAL_DIM, NORM_TOL
 
 from conftest import grid_space, line_space, random_groupoid, total_pair_space
 
@@ -86,6 +86,14 @@ def test_uniform_state_normalization_by_hand():
     field = DensityField.uniform(g)
     for x in g.space.ids:
         np.testing.assert_allclose(field.matrix(x), np.eye(2) / z)
+
+
+def test_uniform_state_normalizes_on_a_glued_pair_at_weight_1e308():
+    # z = 2 (1e308 + 1) overflows as a plain sum; the density is about 5e-309 per entry
+    g = total_pair_groupoid(weights=(1e308, 1.0))
+    state = make_state(DensityField.uniform(g))
+    assert abs(state.normalization - 1.0) <= NORM_TOL
+    assert state.faithful
 
 
 def test_rank_deficient_density_is_valid_but_not_faithful():
