@@ -38,10 +38,7 @@ from .calculus import (
     lift_vertical,
 )
 from .deform import (
-    ChainLevel,
-    ChainReport,
     DeformationChain,
-    StepNReport,
     deformation_chain,
     homomorphism_defect_chain,
     restrict,
@@ -53,7 +50,6 @@ from .diffspace import (
     GeneratorFunction,
     Partition,
     Point,
-    QuotientResult,
     build_space,
     classes_are_fibers,
     consistent_family,
@@ -74,10 +70,7 @@ from .representation import (
 )
 from .vonneumann import (
     MAX_TOTAL_DIM,
-    BicommutantReport,
     DensityField,
-    OperatorBasis,
-    State,
     big_matrix,
     double_commutant,
     expect,
@@ -87,9 +80,6 @@ from .vonneumann import (
 __all__ = [
     "AlgebraElement",
     "BaseFunction",
-    "BicommutantReport",
-    "ChainLevel",
-    "ChainReport",
     "ConfigError",
     "DeformationChain",
     "DensityField",
@@ -99,13 +89,9 @@ __all__ = [
     "Groupoid",
     "Jet",
     "MAX_TOTAL_DIM",
-    "OperatorBasis",
     "Partition",
     "Point",
-    "QuotientResult",
     "RandomOperator",
-    "State",
-    "StepNReport",
     "arrow_basis",
     "big_matrix",
     "build_groupoid",

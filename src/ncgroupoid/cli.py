@@ -119,10 +119,11 @@ def _cmd_space_analyze(args, space, g, report) -> None:
     report.note(f"quotient: {len(q.space.id_array)} points, dropped={list(q.dropped)}")
     # pulling the pushed-down generators back along the projection must
     # reproduce the originals, up to the comparison mode: their keys agree.
-    # Point ids ascending: the quotient point of each is its class label.
+    # The space's rows and rho's labels both run by ascending id, and the
+    # quotient point of each point is its class label.
     kept = [j for j, gen in enumerate(space.generators) if gen.name not in q.dropped]
     pulled = q.space.generator_keys[rho.labels, :len(kept)]
-    worst = np.abs(pulled - space.generator_keys[space.id_order][:, kept]).max(initial=0.0)
+    worst = np.abs(pulled - space.generator_keys[:, kept]).max(initial=0.0)
     report.add(check("quotient_roundtrip", float(worst), args.tol))
     if args.out:
         write_csv(os.path.join(args.out, "partition.csv"), ["point", "class"],

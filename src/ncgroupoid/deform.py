@@ -81,8 +81,7 @@ class DeformationChain:
         """Per level k < top, the restriction defect of the constant 1 to level k+1, read off
         the labels: max over level-(k+1) classes B' of W(B) - W(B'), W the class weight and
         B the level-k class that holds B' (the product of restrictions sums over B' only)."""
-        space = self.levels[0].space
-        w = space.weights[space.id_order]  # in Partition.members order
+        w = self.levels[0].space.weights
         # each member's class weight per level: the members of B' all lie in B
         mass = [np.bincount(p.labels, weights=w)[p.labels] for p in
                 (level.partition for level in self.levels)]

@@ -165,9 +165,9 @@ class Partition:
 class DiffSpace:
     """A finite measured point set together with its generating functions.
 
-    The points are read-only arrays in point order: ``id_array`` (int64),
-    ``coords`` (a row of n coordinates per point) and ``weights``;
-    ``id_order`` lists the positions by ascending id.  ``ids`` (ints),
+    The points are read-only arrays in ascending id order, whatever order
+    they were listed in: ``id_array`` (int64), ``coords`` (a row of n
+    coordinates per point) and ``weights``.  ``ids`` (ints),
     ``points`` (:class:`Point` views) and the lookups by id (``point``,
     ``index_of``, ``weight``) are made on first use.
 
@@ -220,11 +220,11 @@ class DiffSpace:
             ids = np.array(ids, dtype=np.int64)
         except OverflowError:
             raise ConfigError("point ids must fit in 64 bits") from None
-        coords, weights = np.asarray(coords, dtype=float), np.array(weights, dtype=float)
+        # the one point order: ascending id, whatever order the points were listed in
         order = np.argsort(ids, kind="stable")
-        # a later occurrence of an id, flagged where it stands
-        repeated = np.zeros(len(ids), dtype=bool)
-        repeated[order[1:]] = ids[order[1:]] == ids[order[:-1]]
+        ids, coords = ids[order], np.asarray(coords, dtype=float)[order]
+        weights = np.asarray(weights, dtype=float)[order]
+        repeated = np.r_[False, ids[1:] == ids[:-1]]
         non_finite = ~np.isfinite(coords).all(axis=1)
         bad = repeated | non_finite | ~((weights > 0) & (weights < math.inf))
         if bad.any():
@@ -239,9 +239,9 @@ class DiffSpace:
         with np.errstate(over="ignore"):
             if weights.sum() == math.inf:
                 raise ConfigError("total weight inf: the weights sum past the float range")
-        self.id_array, self.id_order, self.weights = ids, order, weights
+        self.id_array, self.weights = ids, weights
         self.coords, self.dimension = coords, coords.shape[1]
-        for arr in (ids, order, weights, self.coords):
+        for arr in (ids, weights, coords):
             arr.flags.writeable = False
 
     def _measure(self, generators, eps) -> None:
@@ -319,9 +319,9 @@ class DiffSpace:
 
 def _class_order(space: DiffSpace, rho: Partition) -> np.ndarray:
     """Positions of the points class by class (as ``rho.order``); refuses other ids."""
-    if not np.array_equal(rho.members, space.id_array[space.id_order]):
+    if not np.array_equal(rho.members, space.id_array):
         raise ValueError("partition does not cover the space's point ids")
-    return space.id_order[rho.order]
+    return rho.order
 
 
 def hausdorff_relation(space: DiffSpace) -> Partition:
@@ -414,8 +414,8 @@ def quotient(space: DiffSpace, rho: Partition) -> QuotientResult:
     results = consistent_family(space, rho)
     kept = [j for j, r in enumerate(results) if r.consistent]
     # the smallest member of each class, and the class masses summed in id order
-    reps = space.id_order[rho.order[np.cumsum(rho.sizes) - rho.sizes]]
-    masses = np.bincount(rho.labels, weights=space.weights[space.id_order])
+    reps = rho.order[np.cumsum(rho.sizes) - rho.sizes]
+    masses = np.bincount(rho.labels, weights=space.weights)
     new_gens = [GeneratorFunction(space.generators[j].name, f"x{i + 1}", len(kept))
                 for i, j in enumerate(kept)]
     coords = space.generator_values[np.ix_(reps, kept)]

@@ -191,7 +191,7 @@ def expect(state: State, R: RandomOperator) -> complex:
 
 
 def big_matrix(R: RandomOperator) -> np.ndarray:
-    """All fibers of R as one block-diagonal matrix, one block per point.
+    """All fibers of R as one block-diagonal matrix, one block per point in ascending id order.
 
     Points of one class repeat their class matrix; the ambient dimension
     is the sum of all fiber dimensions.
@@ -300,7 +300,7 @@ def _embed(out: np.ndarray, k, P, Q, Y, offsets: np.ndarray) -> None:
 
 
 def _offsets(g: Groupoid) -> np.ndarray:
-    """First ambient row of each point's block, by point index, as in big_matrix."""
+    """First ambient row of each point's block, points in ascending id order, as in big_matrix."""
     m = g.partition.sizes[g.point_pos[:, 0]]
     return np.cumsum(m) - m
 

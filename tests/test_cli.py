@@ -541,6 +541,44 @@ def test_seeded_checks_are_deterministic(tmp_path, capsys):
     assert (out1 / "report.txt").read_bytes() == (out2 / "report.txt").read_bytes()
 
 
+# classes of 1, 2 and 3 points by x1, {5}, {0, 8} and {2, 7, 11}, listed interleaved
+_MIXED = {"dimension": 2, "generators": [{"name": "h", "expr": "x1"}],
+          "points": [{"id": i, "coords": [x, 0.5 * i], "weight": w} for i, x, w in
+                     [(8, 1.0, 1.5), (2, 2.0, 0.5), (5, 0.0, 2.0), (11, 2.0, 0.25),
+                      (0, 1.0, 3.0), (7, 2.0, 1.25)]]}
+
+
+def _outputs(out: Path) -> dict[str, bytes]:
+    """The files a run wrote, the report without its input digest line."""
+    files = {f.name: f.read_bytes() for f in out.iterdir()}
+    files["report.txt"] = b"".join(line for line in files["report.txt"].splitlines(True)
+                                   if not line.startswith(b"input sha256: "))
+    return files
+
+
+@pytest.mark.parametrize("config", [*gallery(), "mixed"])
+def test_outputs_do_not_depend_on_the_listing_order(tmp_path, capsys, config):
+    # the relation, groupoid, algebra and commutants are functions of the point set
+    cfg = _MIXED if config == "mixed" else gallery_config(config)
+    points = cfg["points"]
+    shuffled = [points[i] for i in np.random.default_rng(3).permutation(len(points))]
+    deriv = ",".join(f"x{i} + {i}" for i in range(1, cfg["dimension"] + 1))
+    outputs = {}
+    for listing, pts in {"given": points, "reversed": points[::-1], "shuffled": shuffled}.items():
+        (tmp_path / listing).mkdir()
+        path = _write(tmp_path / listing, {**cfg, "points": pts})
+        for cmd in COMMANDS:
+            suite = [text.format(deriv=deriv, seed=1) for text in cmd.suite]
+            _, out = run_cli(tmp_path / listing / cmd.name, cmd.group, cmd.name, *suite,
+                             "--space", path)
+            outputs[listing, cmd.group, cmd.name] = _outputs(out)
+    assert "commutant_basis.csv" in outputs["given", "vn", "commutant"]
+    for cmd in COMMANDS:
+        given = outputs["given", cmd.group, cmd.name]
+        assert outputs["reversed", cmd.group, cmd.name] == given
+        assert outputs["shuffled", cmd.group, cmd.name] == given
+
+
 # ------------------------------------------------------------ entry point
 
 def test_console_script_runs(tmp_path):

@@ -142,6 +142,22 @@ def test_every_space_refusal_is_a_config_error(field, args, kwargs):
         DiffSpace(*args, **kwargs)
 
 
+@pytest.mark.parametrize("points, generators, message", [
+    ([(4, 1.0, -1.0), (7, 2.0, 1.0), (2, 3.0, -1.0)], [],
+     "point 2: weight must be positive and finite, got -1.0"),
+    ([(4, -2.0, 1.0), (7, 2.0, 1.0), (2, -1.0, 1.0)], [{"name": "f", "expr": "log(x1)"}],
+     "generator 'f': log(x1) is nan at (x1=-1.0)"),
+], ids=["weights", "generator"])
+def test_a_refusal_names_the_smallest_offending_id_in_any_listing_order(
+        points, generators, message):
+    for listing in (points, points[::-1]):
+        config = {"dimension": 1, "generators": generators,
+                  "points": [{"id": i, "coords": [x], "weight": w} for i, x, w in listing]}
+        with pytest.raises(ConfigError) as refusal:
+            build_space(config)
+        assert str(refusal.value) == message
+
+
 def test_one_refusal_type():
     assert issubclass(ExpressionError, ConfigError)
     assert issubclass(ConfigError, ValueError)

@@ -1,9 +1,10 @@
 """The label-array structure layer against set and dict oracles.
 
 Every space here lists its points out of id order, with negative ids and
-gaps between them, so a point's id, its position in the space's arrays
-and its rank among the ids all differ.  Each oracle is written with
-plain sets, dicts and sorted tuples, the way the relation is defined.
+gaps between them, so a point's id, its place in the listing and its
+position in the space's arrays (its rank among the ids) all differ.  Each
+oracle is written with plain sets, dicts and sorted tuples, the way the
+relation is defined.
 """
 
 import numpy as np
@@ -186,4 +187,4 @@ def test_space_keeps_ids_as_ints_made_once(rng):
     space = scrambled_space(rng)
     assert space.ids is space.ids and all(type(x) is int for x in space.ids)
     assert [space.index_of(x) for x in space.ids] == list(range(len(space.ids)))
-    assert space.id_array[space.id_order].tolist() == sorted(space.ids)
+    assert list(space.ids) == sorted(space.ids)
