@@ -310,7 +310,7 @@ class AlgebraElement:
                 header += [f"d_src{k + 1}_re", f"d_src{k + 1}_im"]
             for k in range(n):
                 header += [f"d_dst{k + 1}_re", f"d_dst{k + 1}_im"]
-        write_csv(path, header, self.stack.rows())
+        write_csv(path, header, self.stack.columns())
 
     def __repr__(self) -> str:
         sizes = self.groupoid.partition.sizes.tolist()

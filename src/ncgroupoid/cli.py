@@ -127,12 +127,10 @@ def _cmd_space_analyze(args, space, g, report) -> None:
     report.add(check("quotient_roundtrip", float(worst), args.tol))
     if args.out:
         write_csv(os.path.join(args.out, "partition.csv"), ["point", "class"],
-                  zip(rho.members.tolist(), rho.labels.tolist()))
-        write_csv(
-            os.path.join(args.out, "quotient_points.csv"),
-            ["class", "weight"] + [f"coord{i+1}" for i in range(q.space.dimension)],
-            [(p.id, p.weight) + tuple(p.coords) for p in q.space.points],
-        )
+                  [rho.members, rho.labels])
+        write_csv(os.path.join(args.out, "quotient_points.csv"),
+                  ["class", "weight"] + [f"coord{i+1}" for i in range(q.space.dimension)],
+                  [q.space.id_array, q.space.weights, *q.space.coords.T])
 
 
 # ------------------------------------------------------------- groupoid
@@ -149,7 +147,7 @@ def _cmd_groupoid_build(args, space, g, report) -> None:
     report.note(f"{rho.n_blocks} orbits, {rho.sizes @ rho.sizes} arrows, transitive={rho.is_total}")
     if args.out:
         write_csv(os.path.join(args.out, "arrows.csv"), ["src", "dst"],
-                  sorted((x, y) for block in rho.blocks for x in block for y in block))
+                  build_groupoid(space, rho).arrows()[:2])
 
 
 # -------------------------------------------------------------- algebra
@@ -228,7 +226,7 @@ def _cmd_rep_build(args, space, g, report) -> None:
     if args.out:
         # each class matrix once, keyed by point ids; the fiber over x is its class's rows
         write_csv(os.path.join(args.out, "fibers.csv"), ["row", "col", "re", "im"],
-                  R.stack.rows())
+                  R.stack.columns())
 
 
 def _cmd_rep_check(args, space, g, report) -> None:
@@ -264,12 +262,8 @@ def _cmd_vn_commutant(args, space, g, report) -> None:
     report.add(check_flag("bicommutant_equals_span", result.equals_span))
     if args.out:
         S = result.commutant.stack
-        rows = zip(*(col.ravel().tolist() for col in (*np.indices(S.shape), S.real, S.imag)))
-        write_csv(
-            os.path.join(args.out, "commutant_basis.csv"),
-            ["k", "row", "col", "re", "im"],
-            rows,
-        )
+        write_csv(os.path.join(args.out, "commutant_basis.csv"), ["k", "row", "col", "re", "im"],
+                  [col.ravel() for col in (*np.indices(S.shape), S.real, S.imag)])
 
 
 def _expect_identity(state, g, tol) -> CheckRecord:
@@ -335,15 +329,11 @@ def _cmd_deform_sweep(args, space, g, report) -> None:
         else:
             report.add(skip("top_level_plain_pointwise", "weights are not all 1"))
     if args.out:
-        write_csv(
-            os.path.join(args.out, "levels.csv"),
-            ["level", "blocks", "arrows", "restriction_defect_on_constants"],
-            [
-                (k, rep.block_counts[k], rep.arrow_counts[k],
-                 defects[k] if k < len(defects) else "")
-                for k in range(chain.top + 1)
-            ],
-        )
+        # the last level restricts to none
+        write_csv(os.path.join(args.out, "levels.csv"),
+                  ["level", "blocks", "arrows", "restriction_defect_on_constants"],
+                  [np.arange(chain.top + 1), rep.block_counts, rep.arrow_counts,
+                   [f"{d:.17g}" for d in defects] + [""]])
 
 
 # -------------------------------------------------------------- verify

@@ -103,6 +103,17 @@ class Groupoid:
     def arrow_count(self) -> int:
         return sum(len(grp.blocks) * grp.m ** 2 for grp in self.groups)
 
+    def arrows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """Every arrow's source and destination ids, sorted by (src, dst), and ``order``:
+        sorted arrow i is flat entry ``order[i]`` of the groups' (k, m, m) matrices,
+        one group after another."""
+        ids = [(self.space.id_array[grp.index], grp.m) for grp in self.groups]  # (k, m) each
+        # entry (i, j) of a block: row point i, column point j
+        src = np.concatenate([np.repeat(b, m) for b, m in ids])
+        dst = np.concatenate([np.tile(b, m).ravel() for b, m in ids])
+        order = np.lexsort((dst, src))
+        return src[order], dst[order], order
+
     def block_index(self, x: int) -> int:
         return int(self.point_pos[self.space.index_of(x), 0])
 
@@ -205,29 +216,22 @@ class BlockStack:
         num = complex(c) if np.iscomplexobj(c) else float(c)
         return self.map(lambda arr: arr * (c if arr.dtype == object else num))
 
-    def rows(self) -> list[tuple]:
-        """One row (src, dst, re, im, ...) per matrix entry, sorted by (src, dst).
+    def columns(self) -> list[np.ndarray]:
+        """Columns (src, dst, re, im, ...) of one row per matrix entry, sorted by (src, dst).
 
         ``src`` and ``dst`` are the ids of the entry's row and column points;
         each lead channel adds its real and imaginary part, in channel order.
         A stack with no lead axis is one channel.
         """
-        g = self.groupoid
-        src, dst, channels = [], [], []
-        for grp, arr in zip(g.groups, self.arrays):
-            block_ids = g.space.id_array[grp.index]  # (k, m)
-            shape = block_ids.shape + (grp.m,)
-            src.append(np.broadcast_to(block_ids[:, :, None], shape).ravel())
-            dst.append(np.broadcast_to(block_ids[:, None, :], shape).ravel())
-            # (k, c, m, m) -> one row of c channels per entry
-            arr = arr.reshape((len(arr), -1) + arr.shape[-2:])
-            channels.append(np.moveaxis(arr, 1, -1).reshape(-1, arr.shape[1]).astype(complex))
-        src, dst, channels = (np.concatenate(parts) for parts in (src, dst, channels))
-        order = np.lexsort((dst, src))
-        # re and im interleaved per channel
-        table = channels[order].view(float)
-        return [(x, y, *row) for x, y, row in
-                zip(src[order].tolist(), dst[order].tolist(), table.tolist())]
+        src, dst, order = self.groupoid.arrows()
+        # (k, c, m^2) per group: channel c raveled group by group is what ``order`` indexes
+        flat = [arr.reshape(len(arr), -1, arr.shape[-1] ** 2) for arr in self.arrays]
+        zero = np.zeros(len(order))  # the imaginary part of real data
+        columns = [src, dst]
+        for c in range(flat[0].shape[1]):
+            ch = promote(np.concatenate([f[:, c].ravel() for f in flat])[order])
+            columns += [ch.real, ch.imag if np.iscomplexobj(ch) else zero]
+        return columns
 
     def max_abs(self) -> float:
         # np.max, unlike max, keeps a NaN wherever it is

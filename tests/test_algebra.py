@@ -495,7 +495,7 @@ def test_csv_roundtrip(tmp_path, rng):
             header, *rows = csv.reader(fh)
         assert header[:4] == ["src", "dst", "re", "im"] and len(header) == 4 + 4 * n
         back = [(int(x), int(y), *map(float, rest)) for x, y, *rest in rows]
-        records = element.stack.rows()
+        records = list(zip(*(col.tolist() for col in element.stack.columns())))
         # repr tells -0.0 from 0.0
         assert list(map(repr, back)) == list(map(repr, records))
         # the records are every arrow's value and jets, in (src, dst) order

@@ -1,7 +1,7 @@
 """Pair groupoid structure: arrows, their laws in the algebra, fibers, orbits.
 
 An arrow (x, y) is entry (i, j) of one block; the arrow set is read back
-through the stack's ``rows()`` and the partition's blocks, and composition and
+through the stack's ``columns()`` and the partition's blocks, and composition and
 inversion through the convolution and involution of arrow deltas.
 """
 
@@ -31,7 +31,8 @@ def total_pair_groupoid(weights=(1.0, 1.0)):
 
 def arrows(g):
     """The (src, dst) pairs of the groupoid, as an element's records list them."""
-    return [row[:2] for row in from_expression(g, "1").stack.rows()]
+    src, dst = from_expression(g, "1").stack.columns()[:2]
+    return list(zip(src.tolist(), dst.tolist()))
 
 
 def deltas(g):

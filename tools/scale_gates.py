@@ -30,6 +30,13 @@ def one_class_4000() -> dict:
             "points": [{"id": i, "coords": c} for i, c in enumerate(xy)]}
 
 
+def one_class_1000() -> dict:
+    xy = np.random.default_rng(0).uniform(-1, 1, size=(1000, 2)).tolist()
+    return {"dimension": 2, "generators": [],
+            "points": [{"id": i, "coords": c, "weight": (1.0, 1.5, 2.0)[i % 3]}
+                       for i, c in enumerate(xy)]}
+
+
 def classes_40x100() -> dict:
     x2 = np.random.default_rng(0).uniform(-1, 1, size=4000).tolist()
     return {"dimension": 2, "generators": [],
@@ -65,6 +72,10 @@ GATES = [
      "algebra check-laws, 10^5 separated points, 20 trials", 20, None),
     (separated_1e5, ("rep", "check"), None,
      "rep check, 10^5 separated points, 20 trials", 20, None),
+    # conv.csv holds the product's value and jets on all 10^6 arrows: its columns are
+    # formatted a chunk of rows at a time, with no tuple per arrow
+    (one_class_1000, ("algebra", "conv", "--a", "x1*y1 + sin(x2)", "--b", "x1 + y2"),
+     "conv_1000", "algebra conv --out, one class of 1,000 points", None, 600),
 ]
 
 
