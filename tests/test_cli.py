@@ -51,6 +51,14 @@ def test_space_analyze_writes_partition(tmp_path, capsys):
     assert text.splitlines()[0] == "point,class"
 
 
+def test_groupoid_build_writes_arrows(tmp_path, capsys):
+    code, out = run_cli(tmp_path, "groupoid", "build", "--space", "grid_2x2")
+    assert code == 0
+    # two classes of two points, {0, 1} and {2, 3}: 2 * 2^2 arrows, sorted
+    assert (out / "arrows.csv").read_bytes() == (
+        b"src,dst\r\n0,0\r\n0,1\r\n1,0\r\n1,1\r\n2,2\r\n2,3\r\n3,2\r\n3,3\r\n")
+
+
 @pytest.mark.parametrize("relation, arrows", [
     # two classes of two points, {0, 1} and {2, 3}: 2 * 2^2 arrows
     ("hausdorff", b"0,0\r\n0,1\r\n1,0\r\n1,1\r\n2,2\r\n2,3\r\n3,2\r\n3,3\r\n"),
@@ -58,8 +66,8 @@ def test_space_analyze_writes_partition(tmp_path, capsys):
     ("total", b"".join(b"%d,%d\r\n" % (x, y) for x in range(4) for y in range(4))),
     # four singletons: the units
     ("identity", b"0,0\r\n1,1\r\n2,2\r\n3,3\r\n"),
-])
-def test_groupoid_build_writes_arrows(tmp_path, capsys, relation, arrows):
+], ids=["hausdorff", "total", "identity"])
+def test_groupoid_build_writes_arrows_per_relation(tmp_path, capsys, relation, arrows):
     code, out = run_cli(tmp_path, "groupoid", "build", "--space", "grid_2x2",
                         "--relation", relation)
     assert code == 0
