@@ -36,15 +36,16 @@ or a Fraction, and sums, differences and products pair it only with
 another exact one; anything else raises.  Jets are float-only.  Exact
 convolution runs on Python ints: each block becomes integer numerators
 over the lcm of its denominators (the weights by their exact integer
-ratios), the weighted sum is one integer matmul per size group, and every
-result entry is built once, inside ``convolve``, as a reduced Fraction from
-coprime parts (the block's gcd divided out, and past 1 x 1 blocks each
-entry's), equal to what entry-wise Fraction arithmetic gives and reduced
-only once.  The involution only transposes such a stack.
-An element splits its entries into integers at most once: a product
-hands on the integers it built, divided by each block's gcd, and the
-involution the transposed ones, so chained products split no Fraction
-again.
+ratios), split from the entries at most once, and the weighted sum is one
+integer matmul per size group.  A product stores only these integer
+parts, each block's gcd divided out, and the involution transposes them,
+so ``convolve`` and ``involution`` build no Fraction.  The Fractions are
+built on the first read of anything that needs entries (``stack``,
+``values``, ``value_at``, sums, scaling, ``max_diff``, ``to_csv``, a
+representation or a restriction), once, from coprime parts (past 1 x 1
+blocks each entry's gcd divided out too), equal to what entry-wise
+Fraction arithmetic gives; a second read returns the same objects.
+``has_jets`` and ``values_only`` build nothing.
 """
 
 from __future__ import annotations
@@ -52,7 +53,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 from functools import cached_property
-from operator import attrgetter
 
 import numpy as np
 
@@ -180,10 +180,41 @@ class AlgebraElement:
         a.groupoid, a.stack, a._expr = stack.groupoid, stack, expr
         return a
 
+    @classmethod
+    def _from_parts(cls, g: Groupoid, arrays, integers, expr=None) -> "AlgebraElement":
+        """A product's or an involution's element: ``arrays[s]`` is size group s's array,
+        or None when the group is exact and ``integers[s]`` holds its parts alone."""
+        a = cls.__new__(cls)
+        a.groupoid, a._expr, a._integers, a._pending = g, expr, tuple(integers), tuple(arrays)
+        if all(arr is not None for arr in arrays):
+            a.stack = BlockStack(g, arrays)
+        return a
+
+    @cached_property
+    def stack(self) -> BlockStack:
+        """The channel stack of a product or an involution whose exact groups are held
+        as integer parts: their reduced Fractions are built here, on the first read."""
+        return BlockStack(self.groupoid, [
+            _fractions(*parts) if arr is None else arr
+            for arr, parts in zip(self._pending, self._integers)])
+
+    @property
+    def _stored(self) -> tuple:
+        """Per size group the stack's array, or None for an exact group whose Fractions
+        are not built yet; reading it builds nothing."""
+        stack = self.__dict__.get("stack")
+        return self._pending if stack is None else stack.arrays
+
+    @property
+    def _channels(self) -> int:
+        """The stack's channel count, read without building any Fraction."""
+        arr = self._stored[0]
+        return (self._integers[0][0] if arr is None else arr).shape[1]
+
     @property
     def has_jets(self) -> bool:
         """True when the stack holds the 1 + 2n channels of values and jets."""
-        return self.stack.arrays[0].shape[1] == 1 + 2 * self.groupoid.space.dimension
+        return self._channels == 1 + 2 * self.groupoid.space.dimension
 
     @property
     def expr(self):
@@ -216,18 +247,19 @@ class AlgebraElement:
         """Per size group, the integer parts (see :func:`_integer_parts`) of an object
         stack, else None; made at most once.  Object dtype means rational: any other
         entry is refused, naming the first block, in block order, that holds one."""
-        groups = zip(self.groupoid.groups, self.stack.arrays)
-        bad = [min(b for b, block in zip(grp.blocks.tolist(), arr) if not _rational(block))
-               for grp, arr in groups if arr.dtype == object and not _rational(arr)]
-        if bad:
-            raise ValueError(f"block {min(bad)}: object entries must be rational "
-                             "(int, Fraction or numpy integer)")
-        return tuple(_integer_parts(arr) if arr.dtype == object else None
-                     for arr in self.stack.arrays)
+        try:
+            return tuple(_integer_parts(arr) if arr.dtype == object else None
+                         for arr in self.stack.arrays)
+        except TypeError:
+            bad = min(b for grp, arr in zip(self.groupoid.groups, self.stack.arrays)
+                      if arr.dtype == object
+                      for b, block in zip(grp.blocks.tolist(), arr) if not _rational(block))
+            raise ValueError(f"block {bad}: object entries must be rational "
+                             "(int, Fraction or numpy integer)") from None
 
     def values_only(self) -> "AlgebraElement":
         """This element without its jets, sharing the stored values."""
-        if self.stack.arrays[0].shape[1] == 1:  # values alone; in dimension 0 always
+        if self._channels == 1:  # values alone; in dimension 0 always
             return self
         return AlgebraElement.from_stack(self.stack.map(lambda arr: arr[:, :1]), expr=self._expr)
 
@@ -375,15 +407,11 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
     jets = a.has_jets and b.has_jets
     n = a.groupoid.space.dimension
     arrays, integers = [], []
-    for X, Y, xs, ys, grp in zip(a.stack.arrays, b.stack.arrays, a._integers, b._integers,
+    for X, Y, xs, ys, grp in zip(a._stored, b._stored, a._integers, b._integers,
                                  a.groupoid.groups):
         if xs is not None and ys is not None:
-            num, den = _exact_product(xs, ys, grp)
-            integers.append((num, den))
-            if grp.m > 1:  # at m = 1 the block's gcd, divided out already, is the entry's
-                common = np.gcd(num, den)
-                num, den = num // common, den // common
-            arrays.append(_fraction(num, den))
+            integers.append(_exact_product(xs, ys, grp))
+            arrays.append(None)  # its Fractions are built on the first read of the stack
             continue
         if xs is not None or ys is not None:
             raise ValueError("an exact element convolves only with an exact one")
@@ -397,9 +425,7 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         np.matmul(X[:, :n + 1], WY, out=prod[:, :n + 1])
         np.matmul(X[:, :1] * grp.weights[:, None, None, :], Y[:, n + 1:], out=prod[:, n + 1:])
         arrays.append(prod)
-    out = AlgebraElement.from_stack(BlockStack(a.groupoid, arrays))
-    out._integers = tuple(integers)
-    return out
+    return AlgebraElement._from_parts(a.groupoid, arrays, integers)
 
 
 # entries whose products and sums are exact Fractions; bool is an int
@@ -422,14 +448,40 @@ def _rational(arr: np.ndarray) -> bool:
     return all(issubclass(t, _RATIONAL) for t in set(map(type, arr.flat)))
 
 
+def _fractions(num: np.ndarray, den: np.ndarray) -> np.ndarray:
+    """The reduced Fractions of a product's integer parts (or their transpose), which have
+    their block's gcd divided out already: at m = 1 that gcd is each entry's."""
+    if num.shape[-1] > 1:
+        common = np.gcd(num, den)
+        num, den = num // common, den // common
+    return _fraction(num, den)
+
+
+def _split(t) -> tuple[int, int]:
+    """A rational entry's numerator and denominator as Python ints; TypeError for any
+    other entry.  The parts of a numpy integer, or of a Fraction made of numpy integers,
+    are numpy integers, which would wrap: those are cast."""
+    if type(t) is Fraction:
+        n, d = t.as_integer_ratio()
+        if type(n) is type(d) is int:
+            return n, d
+    elif type(t) is int:
+        return t, 1
+    if isinstance(t, _RATIONAL):
+        return int(t.numerator), int(t.denominator)
+    raise TypeError(f"{t!r} is not rational")
+
+
 def _integer_parts(arr: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
     """A rational (k, c, m, m) stack as Python-int numerators (k, c, m, m) over the lcm of
-    each block's denominators (k, c, 1, 1)."""
-    # int(): the parts of a numpy integer are numpy integers, which would wrap
-    num, den = (np.array(list(map(int, map(attrgetter(part), arr.flat))), dtype=object)
-                .reshape(arr.shape[:-2] + (-1,)) for part in ("numerator", "denominator"))
+    each block's denominators (k, c, 1, 1); TypeError if an entry is not rational."""
+    num, den = (part.reshape(arr.shape[:-2] + (-1,)) for part in _ratio(arr))
     num, common = over_lcm(num, den)
     return num.reshape(arr.shape), common[..., None]
+
+
+# every entry split in one pass, its type checked on the way
+_ratio = np.frompyfunc(_split, 1, 2)
 
 
 def _exact_product(xs, ys, grp: SizeGroup) -> tuple[np.ndarray, np.ndarray]:
@@ -466,10 +518,10 @@ def involution(a: AlgebraElement) -> AlgebraElement:
         swap = {**dict(zip(xs, ys)), **dict(zip(ys, xs))}
         # expressions are real-valued, so conjugation is a no-op here
         expr = Pending(Expr.subs, a._expr, swap)
-    out = AlgebraElement.from_stack(a.stack.map(star), expr)
-    out._integers = tuple(None if p is None else
-                          (p[0][:, order].swapaxes(-1, -2), p[1][:, order]) for p in a._integers)
-    return out
+    return AlgebraElement._from_parts(
+        a.groupoid, [None if arr is None else star(arr) for arr in a._stored],
+        [None if p is None else (p[0][:, order].swapaxes(-1, -2), p[1][:, order])
+         for p in a._integers], expr)
 
 
 def unit(g: Groupoid) -> AlgebraElement:

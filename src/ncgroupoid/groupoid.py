@@ -106,13 +106,21 @@ class Groupoid:
     def arrows(self) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
         """Every arrow's source and destination ids, sorted by (src, dst), and ``order``:
         sorted arrow i is flat entry ``order[i]`` of the groups' (k, m, m) matrices,
-        one group after another."""
-        ids = [(self.space.id_array[grp.index], grp.m) for grp in self.groups]  # (k, m) each
-        # entry (i, j) of a block: row point i, column point j
-        src = np.concatenate([np.repeat(b, m) for b, m in ids])
-        dst = np.concatenate([np.tile(b, m).ravel() for b, m in ids])
-        order = np.lexsort((dst, src))
-        return src[order], dst[order], order
+        one group after another.
+
+        Points are stored in ascending id order and a block lists its members in
+        that order, so the arrows out of each point, in id order, are its row of
+        its block's matrix: no sort is needed.
+        """
+        sizes, (block, i), (s, r) = self.partition.sizes, self.point_pos.T, self.slots.T
+        group_sizes = [len(grp.blocks) * grp.m ** 2 for grp in self.groups]
+        # flat entry (0, 0) of every block's matrix, then of every point's row
+        corner = (np.cumsum(group_sizes) - group_sizes)[s] + r * sizes ** 2
+        m = sizes[block]
+        order = _ranges(corner[block] + i * m, m)
+        members = self.space.id_array[self.partition.order]  # block by block
+        dst = members[_ranges((np.cumsum(sizes) - sizes)[block], m)]
+        return np.repeat(self.space.id_array, m), dst, order
 
     def block_index(self, x: int) -> int:
         return int(self.point_pos[self.space.index_of(x), 0])
@@ -122,6 +130,11 @@ class Groupoid:
 
     def __repr__(self) -> str:
         return f"Groupoid({self.n_blocks} orbits, block sizes {self.partition.sizes.tolist()})"
+
+
+def _ranges(starts: np.ndarray, lengths: np.ndarray) -> np.ndarray:
+    """The ranges starts[p] .. starts[p] + lengths[p] - 1, one after another."""
+    return np.repeat(starts - np.cumsum(lengths) + lengths, lengths) + np.arange(lengths.sum())
 
 
 def build_groupoid(space: DiffSpace, rho: Partition) -> Groupoid:

@@ -5,6 +5,7 @@ the size groups interleave, and its points are listed out of id order,
 so point positions differ from point ids.
 """
 
+import gc
 import itertools
 import math
 import pickle
@@ -31,6 +32,7 @@ from ncgroupoid import (
     expect,
     from_expression,
     homomorphism_defect,
+    homomorphism_defect_chain,
     involution,
     leibniz_defect,
     lift_symmetrized,
@@ -246,13 +248,167 @@ def test_coprime_fractions_broadcast_one_denominator_per_block():
         assert type(t) is Fraction and (t.numerator, t.denominator) == (n, d)
 
 
-def test_exact_products_are_built_inside_convolve(g_exact, rng, monkeypatch):
-    got = convolve(exact_element(g_exact, rng), exact_element(g_exact, rng))
-    stored = [t for arr in got.stack.arrays for t in arr.flat]
-    assert all(type(t) is Fraction for t in stored)
-    # reading the per-block views builds no Fraction: they hold the stored objects
-    monkeypatch.setattr("ncgroupoid.algebra._fraction", None)
-    assert {id(t) for v in got.values for t in v.flat} == set(map(id, stored))
+def live_fractions():
+    return sum(type(o) is Fraction for o in gc.get_objects())
+
+
+def refuse(*args, **kwargs):
+    raise AssertionError("a Fraction was built")
+
+
+def stack_built(el):
+    """Whether the element's Fractions have been built (its stack read)."""
+    return "stack" in vars(el)
+
+
+def test_exact_products_build_their_fractions_on_first_read(g_exact, rng, monkeypatch):
+    x, y, z = (exact_element(g_exact, rng, "mixed") for _ in range(3))
+    before = live_fractions()
+    with monkeypatch.context() as patch:
+        # neither the read-side builder nor Fraction arithmetic may run in the chain
+        patch.setattr("ncgroupoid.algebra._fraction", refuse)
+        patch.setattr(Fraction, "__new__", refuse)
+        xy = convolve(x, y)
+        chain = [xy, involution(xy), convolve(involution(y), involution(x)),
+                 convolve(convolve(xy, z), involution(convolve(y, z))),
+                 involution(involution(xy))]
+        assert [c.has_jets for c in chain] == [False] * len(chain)
+        assert all(c.values_only() is c for c in chain)
+    assert live_fractions() == before
+    assert not any(map(stack_built, chain))
+    # read, every entry is a Fraction, and the laws hold exactly
+    assert all(type(t) is Fraction for c in chain for u in c.values for t in u.flat)
+    for u, v in zip(chain[1].values, chain[2].values):
+        assert np.array_equal(u, v)
+    for u, v in zip(chain[4].values, xy.values):
+        assert np.array_equal(u, v)
+
+
+def test_the_first_read_builds_each_entry_once(g_exact, rng, monkeypatch):
+    built = []
+
+    def counting(n, d):
+        built.append(_coprime_fraction(n, d))
+        return built[-1]
+    monkeypatch.setattr("ncgroupoid.algebra._fraction", np.frompyfunc(counting, 2, 1))
+    c = convolve(exact_element(g_exact, rng), exact_element(g_exact, rng))
+    star = involution(c)
+    assert built == []
+    first = [t for v in c.values for t in v.flat]
+    assert len(built) == g_exact.arrow_count and set(map(id, built)) == set(map(id, first))
+    # later reads, through any accessor, return the same objects and build nothing
+    assert {id(t) for arr in c.stack.arrays for t in arr.flat} == set(map(id, first))
+    for block, v in zip(g_exact.blocks, c.values):
+        for (i, x), (j, y) in itertools.product(enumerate(block), repeat=2):
+            assert c.value_at(x, y) is v[i, j]
+    # the involution of a read product transposes its objects
+    for u, v in zip(involution(c).values, c.values):
+        assert all(p is q for p, q in zip(u.flat, v.T.flat))
+    assert len(built) == g_exact.arrow_count
+    # one taken before the read builds its own, once
+    for u, v in zip(star.values, c.values):
+        assert np.array_equal(u, v.T)
+    assert len(built) == 2 * g_exact.arrow_count
+    star.stack, star.values
+    assert len(built) == 2 * g_exact.arrow_count
+
+
+def awkward_groupoid(sizes):
+    """One-dimensional points in blocks of the given sizes, with weights 0.1 and 1/3
+    among them (denominators 2**55 and 2**54 as floats)."""
+    awkward = (0.1, 1 / 3, 1.0, 2.5, 0.7)
+    ids = np.arange(sum(sizes))
+    pts = [Point(id=int(x), coords=(float(x),), weight=awkward[x % len(awkward)]) for x in ids]
+    return build_groupoid(DiffSpace(pts, 1, ()),
+                          Partition(np.split(ids, np.cumsum(sizes)[:-1])))
+
+
+def fraction_blocks(el):
+    """An element's blocks as lists of Fractions of Python ints, so arithmetic cannot wrap."""
+    return [[[Fraction(int(t.numerator), int(t.denominator)) for t in row] for row in v]
+            for v in el.values]
+
+
+@pytest.mark.parametrize("kind", ["int64", "mixed"])
+def test_a_chain_of_lazy_products_matches_per_entry_fractions(rng, kind):
+    g = awkward_groupoid((3, 1, 4, 2, 1))
+    a, b, c = (exact_element(g, rng, kind) for _ in range(3))
+    got = involution(convolve(convolve(convolve(a, b), involution(c)), a))
+    x, y, z = map(fraction_blocks, (a, b, c))
+    big = 0
+    for blk, block in enumerate(g.blocks):
+        w = [Fraction(g.space.weight(p)) for p in block]
+        m = range(len(block))
+
+        def conv(p, q):
+            return [[sum(p[i][k] * w[k] * q[k][j] for k in m) for j in m] for i in m]
+        want = conv(conv(conv(x[blk], y[blk]), [list(r) for r in zip(*z[blk])]), x[blk])
+        for i, j in itertools.product(m, repeat=2):
+            t = got.values[blk][j, i]  # the outer involution transposes
+            assert type(t) is Fraction and type(t.numerator) is int
+            assert (t.numerator, t.denominator) == (want[i][j].numerator,
+                                                    want[i][j].denominator)
+            big = max(big, abs(t.numerator))
+    if kind == "int64":
+        assert big > 2 ** 63
+
+
+def test_fractions_of_numpy_integers_are_split_into_python_ints():
+    # such a Fraction keeps numpy parts, whose products would wrap
+    g = awkward_groupoid((2, 1))
+    t = [Fraction(np.int64(2 ** 62 - 1 - k), np.int64(3 + k)) for k in range(5)]
+    assert type(t[0].numerator) is np.int64
+    a = AlgebraElement(g, [np.array(t[:4], dtype=object).reshape(2, 2),
+                           np.array([[t[4]]], dtype=object)])
+    got = convolve(a, a)
+    x = fraction_blocks(a)
+    for blk, block in enumerate(g.blocks):
+        w = [Fraction(g.space.weight(p)) for p in block]
+        m = range(len(block))
+        for i, j in itertools.product(m, repeat=2):
+            want = sum(x[blk][i][k] * w[k] * x[blk][k][j] for k in m)
+            u = got.values[blk][i, j]
+            assert type(u.numerator) is int and (u.numerator, u.denominator) == (
+                want.numerator, want.denominator)
+
+
+LAZY_READS = {
+    "add": lambda p, a, chain, path: (p + a).values,
+    "sub": lambda p, a, chain, path: (a - p).values,
+    "neg": lambda p, a, chain, path: (-p).values,
+    "scale": lambda p, a, chain, path: (p * Fraction(2, 3)).values + (3 * p).values,
+    "max_abs": lambda p, a, chain, path: p.max_abs(),
+    "max_diff": lambda p, a, chain, path: (max_diff(p, a), max_diff(a, p)),
+    "represent": lambda p, a, chain, path: represent(p).stack.arrays,
+    "value_at": lambda p, a, chain, path: [p.value_at(x, y) for x, y in zip(
+        *p.groupoid.arrows()[:2])],
+    "to_csv": lambda p, a, chain, path: (p.to_csv(path), path.read_bytes())[1],
+    "restrict": lambda p, a, chain, path: restrict(p, chain, 0).values,
+    "homomorphism_defect_chain": lambda p, a, chain, path: (
+        homomorphism_defect_chain(p, a, chain, 0), homomorphism_defect_chain(a, p, chain, 0)),
+}
+
+
+@pytest.mark.parametrize("read", LAZY_READS)
+def test_a_lazily_held_product_reads_like_a_built_one(rng, tmp_path, read):
+    chain = split_chain()
+    g = chain.level(0).groupoid
+    a, b = exact_element(g, rng, "mixed"), exact_element(g, rng, "mixed")
+    lazy = convolve(a, involution(b))
+    built = AlgebraElement(g, convolve(a, involution(b)).values)
+    assert not stack_built(lazy)
+    got = LAZY_READS[read](lazy, a, chain, tmp_path / "lazy.csv")
+    want = LAZY_READS[read](built, a, chain, tmp_path / "built.csv")
+    assert stack_built(lazy)
+    if not isinstance(got, (list, tuple)):
+        got, want = [got], [want]
+    assert len(got) == len(want) > 0
+    for u, v in zip(got, want):
+        if isinstance(u, np.ndarray):
+            assert u.dtype == v.dtype and np.array_equal(u, v)
+            assert [type(t) for t in u.flat] == [type(t) for t in v.flat]
+        else:
+            assert type(u) is type(v) and u == v
 
 
 def test_integer_parts_use_one_denominator_per_block(g_exact, rng):

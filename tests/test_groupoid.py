@@ -7,10 +7,13 @@ inversion through the convolution and involution of arrow deltas.
 
 import itertools
 
+import numpy as np
 import pytest
 
 from ncgroupoid import (
+    DiffSpace,
     Partition,
+    Point,
     arrow_basis,
     build_groupoid,
     convolve,
@@ -157,3 +160,29 @@ def test_partition_space_mismatch_raises():
         build_groupoid(space, Partition([(0, 1)]))
     with pytest.raises(ValueError, match="does not cover the space's point ids"):
         build_groupoid(space, Partition([(0, 1, 2), (3, 4, 9)]))
+
+
+def lexsorted_arrows(g):
+    """The arrows as (src, dst) keys of the groupoids' flat (k, m, m) entries, one size
+    group after another, sorted by ``np.lexsort``."""
+    ids = [(g.space.id_array[grp.index], grp.m) for grp in g.groups]
+    src = np.concatenate([np.repeat(b, m) for b, m in ids])
+    dst = np.concatenate([np.tile(b, m).ravel() for b, m in ids])
+    order = np.lexsort((dst, src))
+    return src[order], dst[order], order
+
+
+@pytest.mark.parametrize("sizes", [
+    [1], [4], [1] * 7, [3, 1, 2, 1, 3], [5, 1, 1, 2, 5, 3, 2, 1, 4], [2] * 6 + [1] * 5 + [7],
+])
+def test_arrows_match_the_lexsort_of_every_entry(sizes, rng):
+    # ids of both signs, listed in a shuffled order, blocks of mixed sizes interleaved
+    n = sum(sizes)
+    ids = rng.choice(np.arange(-3 * n, 3 * n), size=n, replace=False)
+    labels = rng.permutation(np.repeat(np.arange(len(sizes)), sizes))
+    space = DiffSpace([Point(id=int(x), coords=(float(k),), weight=1.0)
+                       for k, x in enumerate(ids)], 1, ())
+    g = build_groupoid(space, Partition([ids[labels == b] for b in range(len(sizes))]))
+    got, want = g.arrows(), lexsorted_arrows(g)
+    for a, b in zip(got, want):
+        assert a.dtype == b.dtype and np.array_equal(a, b)

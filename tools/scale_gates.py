@@ -4,12 +4,12 @@ Usage::
 
     python tools/scale_gates.py [WORKDIR]
 
-Writes each input config into WORKDIR (a temporary directory when none is
-given), runs each gated command in a fresh ``python -m ncgroupoid.cli``
-process, prints one summary line per command, and exits non-zero naming
-every gate whose bound was exceeded.  A command's peak is its own
-process's ``ru_maxrss``, read when that process is reaped.  The inputs
-come from ``numpy.random.default_rng(0)``.
+Writes each input config into WORKDIR (created when missing; a temporary
+directory when none is given), runs each gated command in a fresh
+``python -m ncgroupoid.cli`` process, prints one summary line per command,
+and exits non-zero naming every gate whose bound was exceeded.  A
+command's peak is its own process's ``ru_maxrss``, read when that process
+is reaped.  The inputs come from ``numpy.random.default_rng(0)``.
 """
 
 from __future__ import annotations
@@ -92,6 +92,7 @@ def run(argv: list[str]) -> tuple[float, float]:
 
 
 def main(workdir: str) -> int:
+    os.makedirs(workdir, exist_ok=True)
     paths, over = {}, []
     for make, command, out, label, max_wall, max_mb in GATES:
         if make not in paths:
