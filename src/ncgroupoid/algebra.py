@@ -28,24 +28,25 @@ expressions, never the operands themselves.
 
 Real input is stored as float64 and complex input as complex128; numpy's
 promotion carries the dtype through, so a result is complex only when an
-operand was.  Single values read out are Python complex numbers.
+operand was.  Single values read out are Python complex numbers, except
+that ``value_at`` of an exact element returns a Fraction.
 Object dtype means exact: every entry of an object block is rational (an
-int, a Fraction or a numpy integer).  The constructor refuses any other
-object entry, naming its block.  An exact element scales only by an int
-or a Fraction, and sums, differences and products pair it only with
-another exact one; anything else raises.  Jets are float-only.  Exact
-convolution runs on Python ints: each block becomes integer numerators
-over the lcm of its denominators (the weights by their exact integer
-ratios), split from the entries at most once, and the weighted sum is one
-integer matmul per size group.  A product stores only these integer
-parts, each block's gcd divided out, and the involution transposes them,
-so ``convolve`` and ``involution`` build no Fraction.  The Fractions are
-built on the first read of anything that needs entries (``stack``,
-``values``, ``value_at``, sums, scaling, ``max_diff``, ``to_csv``, a
-representation or a restriction), once, from coprime parts (past 1 x 1
-blocks each entry's gcd divided out too), equal to what entry-wise
-Fraction arithmetic gives; a second read returns the same objects.
-``has_jets`` and ``values_only`` build nothing.
+int, a Fraction or a numpy integer).  The constructor and ``from_stack``
+refuse any other object entry, naming its block.  An exact element scales
+only by an int or a Fraction, and sums, differences and products pair it
+only with another exact one; anything else raises.  Jets are float-only.
+An exact element stores integer parts alone: each block as Python-int
+numerators over the lcm of its denominators, split from the entries when
+the element is made.  Exact convolution runs on them (the weights by their
+exact integer ratios) as one integer matmul per size group, and a product
+stores its own parts, each block's gcd divided out; the involution
+transposes them, so ``convolve`` and ``involution`` build no Fraction.
+The Fractions are built on the first read of anything that needs entries
+(``stack``, ``values``, ``value_at``, sums, scaling, ``max_diff``,
+``to_csv``, a representation or a restriction), once, by the Fraction
+constructor, equal to what entry-wise Fraction arithmetic gives; a second
+read returns the same objects.  So an int or numpy-integer entry reads
+back as an equal Fraction.  ``has_jets`` and ``values_only`` build nothing.
 """
 
 from __future__ import annotations
@@ -166,50 +167,50 @@ class AlgebraElement:
     """
 
     def __init__(self, groupoid: Groupoid, values):
-        self.groupoid = groupoid
-        self.stack = BlockStack(groupoid, [
+        self._store(groupoid, [
             v[:, None] for v in BlockStack.of(groupoid, values, exact=True).arrays])
-        self._expr = None
-        self._integers  # split object entries now, refusing any that are not rational
 
     @classmethod
     def from_stack(cls, stack: BlockStack, expr=None) -> "AlgebraElement":
         """The element whose channel stack is ``stack`` (see the class docstring);
         ``expr`` may be an expression, a :class:`Pending` one or None."""
-        a = cls.__new__(cls)
-        a.groupoid, a.stack, a._expr = stack.groupoid, stack, expr
-        return a
+        return cls.__new__(cls)._store(stack.groupoid, stack.arrays, expr)
 
-    @classmethod
-    def _from_parts(cls, g: Groupoid, arrays, integers, expr=None) -> "AlgebraElement":
-        """A product's or an involution's element: ``arrays[s]`` is size group s's array,
-        or None when the group is exact and ``integers[s]`` holds its parts alone."""
-        a = cls.__new__(cls)
-        a.groupoid, a._expr, a._integers, a._pending = g, expr, tuple(integers), tuple(arrays)
-        if all(arr is not None for arr in arrays):
-            a.stack = BlockStack(g, arrays)
-        return a
+    def _store(self, g: Groupoid, groups, expr=None) -> "AlgebraElement":
+        """Hold size group s as ``groups[s]``, a numeric (k, c, m, m) array or an exact
+        group's integer parts (see :func:`_integer_parts`), and return the element; every
+        way of making one ends here.  An object array is split into its parts: object dtype
+        means rational, and any other entry is refused, naming the first block, in block
+        order, that holds one.  An element with no exact group keeps its stack."""
+        try:
+            groups = [x if type(x) is tuple or x.dtype != object else _integer_parts(x)
+                      for x in groups]
+        except TypeError:
+            bad = min(b for grp, arr in zip(g.groups, groups)
+                      if type(arr) is not tuple and arr.dtype == object
+                      for b, block in zip(grp.blocks.tolist(), arr) if not _rational(block))
+            raise ValueError(f"block {bad}: object entries must be rational "
+                             "(int, Fraction or numpy integer)") from None
+        self.groupoid, self._expr = g, expr
+        # per size group one of the two is None
+        self._numeric = tuple(None if type(x) is tuple else x for x in groups)
+        self._integers = tuple(x if type(x) is tuple else None for x in groups)
+        if not any(self._integers):
+            self.stack = BlockStack(g, self._numeric)
+        return self
 
     @cached_property
     def stack(self) -> BlockStack:
-        """The channel stack of a product or an involution whose exact groups are held
-        as integer parts: their reduced Fractions are built here, on the first read."""
+        """The channel stack; an exact group's Fractions are built here, on the first read."""
         return BlockStack(self.groupoid, [
-            _fractions(*parts) if arr is None else arr
-            for arr, parts in zip(self._pending, self._integers)])
-
-    @property
-    def _stored(self) -> tuple:
-        """Per size group the stack's array, or None for an exact group whose Fractions
-        are not built yet; reading it builds nothing."""
-        stack = self.__dict__.get("stack")
-        return self._pending if stack is None else stack.arrays
+            arr if parts is None else _fractions(*parts)
+            for arr, parts in zip(self._numeric, self._integers)])
 
     @property
     def _channels(self) -> int:
         """The stack's channel count, read without building any Fraction."""
-        arr = self._stored[0]
-        return (self._integers[0][0] if arr is None else arr).shape[1]
+        parts = self._integers[0]
+        return (self._numeric[0] if parts is None else parts[0]).shape[1]
 
     @property
     def has_jets(self) -> bool:
@@ -241,21 +242,6 @@ class AlgebraElement:
     @cached_property
     def d_dst(self) -> tuple[np.ndarray, ...] | None:
         return self._jet_blocks(slice(self.groupoid.space.dimension + 1, None))
-
-    @cached_property
-    def _integers(self) -> tuple:
-        """Per size group, the integer parts (see :func:`_integer_parts`) of an object
-        stack, else None; made at most once.  Object dtype means rational: any other
-        entry is refused, naming the first block, in block order, that holds one."""
-        try:
-            return tuple(_integer_parts(arr) if arr.dtype == object else None
-                         for arr in self.stack.arrays)
-        except TypeError:
-            bad = min(b for grp, arr in zip(self.groupoid.groups, self.stack.arrays)
-                      if arr.dtype == object
-                      for b, block in zip(grp.blocks.tolist(), arr) if not _rational(block))
-            raise ValueError(f"block {bad}: object entries must be rational "
-                             "(int, Fraction or numpy integer)") from None
 
     def values_only(self) -> "AlgebraElement":
         """This element without its jets, sharing the stored values."""
@@ -326,8 +312,7 @@ class AlgebraElement:
     def __mul__(self, scalar):
         if isinstance(scalar, AlgebraElement):
             raise TypeError("use convolve(a, b) for the algebra product")
-        if not isinstance(scalar, _RATIONAL) and any(arr.dtype == object
-                                                     for arr in self.stack.arrays):
+        if not isinstance(scalar, _RATIONAL) and any(self._integers):
             raise ValueError("an exact element scales only by an int or a Fraction, "
                              f"not {scalar!r}")
         return AlgebraElement.from_stack(self.stack.scale(scalar))
@@ -406,55 +391,37 @@ def convolve(a: AlgebraElement, b: AlgebraElement) -> AlgebraElement:
         raise ValueError("elements live on different groupoids")
     jets = a.has_jets and b.has_jets
     n = a.groupoid.space.dimension
-    arrays, integers = [], []
-    for X, Y, xs, ys, grp in zip(a._stored, b._stored, a._integers, b._integers,
+    groups = []
+    for X, Y, xs, ys, grp in zip(a._numeric, b._numeric, a._integers, b._integers,
                                  a.groupoid.groups):
         if xs is not None and ys is not None:
-            integers.append(_exact_product(xs, ys, grp))
-            arrays.append(None)  # its Fractions are built on the first read of the stack
+            groups.append(_exact_product(xs, ys, grp))
             continue
         if xs is not None or ys is not None:
             raise ValueError("an exact element convolves only with an exact one")
-        integers.append(None)
         # weight the summed-over point z: rows of the right factor, columns of the left
         WY = Y[:, :1] * grp.weights[:, None, :, None]
         if not jets:
-            arrays.append(X[:, :1] @ WY)
+            groups.append(X[:, :1] @ WY)
             continue
         prod = np.empty(X.shape, dtype=np.result_type(X, WY))
         np.matmul(X[:, :n + 1], WY, out=prod[:, :n + 1])
         np.matmul(X[:, :1] * grp.weights[:, None, None, :], Y[:, n + 1:], out=prod[:, n + 1:])
-        arrays.append(prod)
-    return AlgebraElement._from_parts(a.groupoid, arrays, integers)
+        groups.append(prod)
+    return AlgebraElement.__new__(AlgebraElement)._store(a.groupoid, groups)
 
 
 # entries whose products and sums are exact Fractions; bool is an int
 _RATIONAL = (int, Fraction, np.integer)
 
 
-def _coprime_fraction(num: int, den: int) -> Fraction:
-    """Fraction(num, den) for coprime Python ints, den > 0, without a second gcd: its two
-    slots filled directly, as CPython 3.12's ``Fraction._from_coprime_ints`` does."""
-    f = object.__new__(Fraction)
-    f._numerator, f._denominator = num, den
-    return f
-
-
-_fraction = np.frompyfunc(_coprime_fraction, 2, 1)
+# an exact group's entries from its integer parts, each reduced by the constructor
+_fractions = np.frompyfunc(Fraction, 2, 1)
 
 
 def _rational(arr: np.ndarray) -> bool:
     """True when every entry of the object array is an int, a Fraction or a numpy integer."""
     return all(issubclass(t, _RATIONAL) for t in set(map(type, arr.flat)))
-
-
-def _fractions(num: np.ndarray, den: np.ndarray) -> np.ndarray:
-    """The reduced Fractions of a product's integer parts (or their transpose), which have
-    their block's gcd divided out already: at m = 1 that gcd is each entry's."""
-    if num.shape[-1] > 1:
-        common = np.gcd(num, den)
-        num, den = num // common, den // common
-    return _fraction(num, den)
 
 
 def _split(t) -> tuple[int, int]:
@@ -518,10 +485,9 @@ def involution(a: AlgebraElement) -> AlgebraElement:
         swap = {**dict(zip(xs, ys)), **dict(zip(ys, xs))}
         # expressions are real-valued, so conjugation is a no-op here
         expr = Pending(Expr.subs, a._expr, swap)
-    return AlgebraElement._from_parts(
-        a.groupoid, [None if arr is None else star(arr) for arr in a._stored],
-        [None if p is None else (p[0][:, order].swapaxes(-1, -2), p[1][:, order])
-         for p in a._integers], expr)
+    return AlgebraElement.__new__(AlgebraElement)._store(a.groupoid, [
+        star(arr) if p is None else (p[0][:, order].swapaxes(-1, -2), p[1][:, order])
+        for arr, p in zip(a._numeric, a._integers)], expr)
 
 
 def unit(g: Groupoid) -> AlgebraElement:

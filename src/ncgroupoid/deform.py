@@ -20,11 +20,10 @@ the weighted pointwise product.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
 import numpy as np
 
-from .algebra import AlgebraElement, convolve, max_diff
+from .algebra import AlgebraElement, _fractions, convolve, max_diff
 from .diffspace import (
     DiffSpace,
     GeneratorFunction,
@@ -151,10 +150,6 @@ def homomorphism_defect_chain(
     return max_diff(AlgebraElement.from_stack(lhs), rhs)
 
 
-# a float array as the Fractions it holds exactly
-_exact = np.frompyfunc(Fraction, 1, 1)
-
-
 def _restricted_product(a: BlockStack, b: BlockStack, finer: Groupoid) -> BlockStack:
     """The values of a * b on the blocks of ``finer``, which refines the stacks' groupoid.
 
@@ -164,7 +159,7 @@ def _restricted_product(a: BlockStack, b: BlockStack, finer: Groupoid) -> BlockS
     finer output does (or one block's).  A single point x reads the
     diagonal entry sum over z in B of A[x, z] w(z) B[z, x], a
     row-times-column sum taken for every point of B at once, with nothing
-    gathered.  Exact stacks take their weights as Fractions.
+    gathered.  Exact stacks take their weights as Fractions of their integer parts.
     """
     g = a.groupoid
     arrays = []
@@ -178,7 +173,7 @@ def _restricted_product(a: BlockStack, b: BlockStack, finer: Groupoid) -> BlockS
             if not sel.any():
                 continue
             A, B = A[:, 0], B[:, 0]  # (k, M, M)
-            w = coarse.weights if A.dtype != object else _exact(coarse.weights)
+            w = coarse.weights if A.dtype != object else _fractions(*coarse.integer_weights)
             r, i = row[sel], at[sel]
             if grp.m == 1:
                 out[sel, 0, 0, 0] = np.einsum("kxz,kz,kzx->kx", A, w, B)[r, i[:, 0]]
