@@ -174,7 +174,9 @@ class AlgebraElement:
     def from_stack(cls, stack: BlockStack, expr=None) -> "AlgebraElement":
         """The element whose channel stack is ``stack`` (see the class docstring);
         ``expr`` may be an expression, a :class:`Pending` one or None."""
-        return cls.__new__(cls)._store(stack.groupoid, stack.arrays, expr)
+        g, n = stack.groupoid, stack.groupoid.space.dimension
+        stack.laid_out(g, "(k, c, m, m) channels (c = 1 or 1 + 2n)", lambda m: [(1,), (1 + 2 * n,)])
+        return cls.__new__(cls)._store(g, stack.arrays, expr)
 
     def _store(self, g: Groupoid, groups, expr=None) -> "AlgebraElement":
         """Hold size group s as ``groups[s]``, a numeric (k, c, m, m) array or an exact
@@ -530,15 +532,14 @@ def module_action(f: BaseFunction, a: AlgebraElement) -> AlgebraElement:
 
 def arrow_basis(g: Groupoid) -> list[AlgebraElement]:
     """Delta elements, one per arrow, in the groupoid's arrow order."""
-    zeros = BlockStack.zeros(g, (1,)).arrays
+    zeros = [np.zeros((len(grp.blocks), 1, grp.m, grp.m)) for grp in g.groups]
     out = []
     for (s, r), m in zip(g.slots.tolist(), g.partition.sizes.tolist()):
-        for i in range(m):
-            for j in range(m):
-                arrays = list(zeros)
-                arrays[s] = zeros[s].copy()
-                arrays[s][r, 0, i, j] = 1.0
-                out.append(AlgebraElement.from_stack(BlockStack(g, arrays)))
+        for i, j in np.ndindex(m, m):
+            arrays = list(zeros)
+            arrays[s] = zeros[s].copy()
+            arrays[s][r, 0, i, j] = 1.0
+            out.append(AlgebraElement.from_stack(BlockStack(g, arrays)))
     return out
 
 

@@ -9,7 +9,9 @@ Array-valued layers (algebra elements, operator fields, densities) store
 m x m matrices per block.  :class:`BlockStack` is the one place that
 knows how: blocks of equal size m are stacked into a (k, *lead, m, m)
 array per size group, matrices last, so every blockwise operation is one
-array operation per distinct block size.
+array operation per distinct block size.  :meth:`BlockStack.of` is the way
+into a stack from one array per block, and :meth:`BlockStack.map` the way
+to combine stacks.
 """
 
 from __future__ import annotations
@@ -169,38 +171,40 @@ class BlockStack:
 
     @classmethod
     def of(cls, g: Groupoid, data, what="value", exact=False) -> "BlockStack":
-        """A stack from one (m, m) array per block (a stack passes through unchanged).
+        """A stack from one (m, m) array per block, in block order; a stack is refused.
 
         Real entries become float64, complex ones complex128, and with
         ``exact`` an object-dtype group (Fraction entries, say) stays object
         (see :func:`promote`).  The input is copied, never referenced.
         """
-        if isinstance(data, BlockStack):
-            return data
-        if len(data) != g.n_blocks:
-            raise ValueError(f"need one {what} array per block: got {len(data)}, "
+        got = "a stack" if isinstance(data, BlockStack) else len(data)
+        if got != g.n_blocks:
+            raise ValueError(f"need one {what} array per block: got {got}, "
                              f"the groupoid has {g.n_blocks}")
-        blocks = [np.asarray(x) for x in data]
         arrays = []
         for grp in g.groups:
-            group, m = [blocks[b] for b in grp.blocks.tolist()], grp.m
-            k = len(group)
+            group, m, k = [data[b] for b in grp.blocks.tolist()], grp.m, len(grp.blocks)
             try:  # stacks the blocks, with np.stack's dtype rules, if each is (m, m)
                 arr = np.concatenate(group)
             except ValueError:  # 0-d blocks, or differing ndim or column counts
                 arr = np.empty(0)
             if arr.shape != (k * m, m) or list(map(len, group)) != [m] * k:
                 # name the first bad block in block order
-                need = [(m, m) for m in g.partition.sizes.tolist()]
-                b = next(b for b, arr in enumerate(blocks) if arr.shape != need[b])
-                raise ValueError(f"block {b}: {what} shape {blocks[b].shape}, need {need[b]}")
+                shapes, need = map(np.shape, data), [(m, m) for m in g.partition.sizes.tolist()]
+                b, shape = next((b, s) for b, s in enumerate(shapes) if s != need[b])
+                raise ValueError(f"block {b}: {what} shape {shape}, need {need[b]}")
             arrays.append(promote(arr.reshape(k, m, m), exact))
         return cls(g, arrays)
 
-    @classmethod
-    def zeros(cls, g: Groupoid, lead=()) -> "BlockStack":
-        return cls(g, [np.zeros((len(grp.blocks),) + tuple(lead) + (grp.m, grp.m))
-                       for grp in g.groups])
+    def laid_out(self, g: Groupoid, layout: str, leads) -> "BlockStack":
+        """This stack, if it lives on g's structure and size group s is one (k, *lead, m, m)
+        array, lead in ``leads(m)``; else a ValueError naming ``layout``.  Reads shapes only."""
+        shapes = [arr.shape for arr in self.arrays]
+        if not (g.same_structure(self.groupoid) and len(shapes) == len(g.groups) and all(
+                shape in [(len(grp.blocks), *lead, grp.m, grp.m) for lead in leads(grp.m)]
+                for grp, shape in zip(g.groups, shapes))):
+            raise ValueError(f"need a stack of {layout} on the groupoid, got shapes {shapes}")
+        return self
 
     def per_block(self, view=None) -> tuple[np.ndarray, ...]:
         """One read-only view per block, in block order, of ``view(arrays[s])`` if given."""
@@ -216,12 +220,6 @@ class BlockStack:
                 raise ValueError("operands live on different groupoids")
         rest = [other.arrays for other in others]
         return BlockStack(self.groupoid, [fn(*arrs) for arrs in zip(self.arrays, *rest)])
-
-    def __add__(self, other: "BlockStack") -> "BlockStack":
-        return self.map(np.add, other)
-
-    def __sub__(self, other: "BlockStack") -> "BlockStack":
-        return self.map(np.subtract, other)
 
     def scale(self, c) -> "BlockStack":
         """Every entry times the number c: as it is for object groups (a Fraction stays

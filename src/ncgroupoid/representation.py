@@ -24,7 +24,7 @@ fiber is negligible).
 
 from __future__ import annotations
 
-from functools import cached_property
+from functools import cached_property, partialmethod
 
 import numpy as np
 
@@ -37,11 +37,14 @@ class RandomOperator:
 
     ``fiber(x)`` returns the matrix acting on the Hilbert space over x;
     points of one class return the very same array object.
+    ``class_matrices`` may be one matrix per class or a stack of (k, m, m) arrays.
     """
 
     def __init__(self, groupoid: Groupoid, class_matrices):
-        self.groupoid = groupoid
-        self.stack = BlockStack.of(groupoid, class_matrices, what="matrix")
+        self.groupoid, self.stack = groupoid, (
+            class_matrices.laid_out(groupoid, "(k, m, m) class matrices", lambda m: [()])
+            if isinstance(class_matrices, BlockStack)
+            else BlockStack.of(groupoid, class_matrices, what="matrix"))
 
     @cached_property
     def class_matrices(self) -> tuple[np.ndarray, ...]:
@@ -55,20 +58,15 @@ class RandomOperator:
     def fiber(self, x: int) -> np.ndarray:
         return self.class_matrices[self.groupoid.block_index(x)]
 
-    def __add__(self, other):
+    def _groupwise(self, op, other):
+        """``op`` on both operators' class matrices, size group by size group."""
         if not isinstance(other, RandomOperator):
             return NotImplemented
-        return RandomOperator(self.groupoid, self.stack + other.stack)
+        return RandomOperator(self.groupoid, self.stack.map(op, other.stack))
 
-    def __sub__(self, other):
-        if not isinstance(other, RandomOperator):
-            return NotImplemented
-        return RandomOperator(self.groupoid, self.stack - other.stack)
-
-    def __matmul__(self, other):
-        if not isinstance(other, RandomOperator):
-            return NotImplemented
-        return RandomOperator(self.groupoid, self.stack.map(np.matmul, other.stack))
+    __add__ = partialmethod(_groupwise, np.add)
+    __sub__ = partialmethod(_groupwise, np.subtract)
+    __matmul__ = partialmethod(_groupwise, np.matmul)
 
     def __mul__(self, scalar):
         return RandomOperator(self.groupoid, self.stack.scale(scalar))

@@ -57,7 +57,9 @@ class DensityField:
 
     def __init__(self, groupoid: Groupoid, matrices):
         g = groupoid
-        if not isinstance(matrices, BlockStack):
+        if isinstance(matrices, BlockStack):
+            matrices.laid_out(g, "(k, c, m, m) densities (c = 1 or m)", lambda m: [(1,), (m,)])
+        else:
             mats = [promote(np.asarray(mat)) for mat in matrices]
             if len(mats) != len(g.space.id_array):
                 raise ValueError(f"need one density per point, got {len(mats)}")

@@ -485,7 +485,7 @@ def test_object_entries_that_are_not_rational_are_refused(g, rng):
     a = exact_element(g, rng)
     # a stack scaled by a float or given a float summand holds float entries in its
     # object groups (an element refuses both operations, see the test below)
-    for bad in (a.stack.scale(0.5), a.stack + unit(g).stack):
+    for bad in (a.stack.scale(0.5), a.stack.map(np.add, unit(g).stack)):
         with pytest.raises(ValueError, match=RATIONAL_ONLY):
             AlgebraElement.from_stack(bad)
     # the unit of floats is not exact: the exact unit holds 1/w as Fractions
@@ -691,6 +691,13 @@ def test_shape_errors_name_the_first_bad_block_in_block_order(g):
     ({1: np.zeros((1, 1, 1)), 3: np.zeros((1, 1, 1))}, 1),
     ({4: np.zeros((3, 3, 1)), 3: np.array(0.0)}, 3),
     ({4: np.zeros((3, 3, 1)), 2: np.zeros((2, 2, 1)), 0: np.zeros((3, 3, 1))}, 0),
+    # nested lists: their shapes are read from the lists themselves
+    ({2: [[0.0, 0.0]]}, 2),
+    ({1: [[0.0], [0.0]], 3: [0.0]}, 1),
+    ({3: [[0.0, 0.0]], 4: [[0.0] * 3] * 2}, 3),
+    ({0: [[0.0] * 3] * 2, 4: [[0.0] * 3] * 4}, 0),  # rows differ but sum to k m
+    ({4: [[[0.0]] * 3] * 3}, 4),
+    ({1: [], 2: [[]]}, 1),
 ])
 def test_every_bad_shape_names_the_first_bad_block(g, bad, named):
     values = [bad.get(b, np.zeros((len(block), len(block)))) for b, block in enumerate(g.blocks)]
@@ -698,6 +705,50 @@ def test_every_bad_shape_names_the_first_bad_block(g, bad, named):
     message = f"block {named}: value shape {np.shape(bad[named])}, need {(m, m)}"
     with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
         BlockStack.of(g, values)
+
+
+def test_a_stack_goes_in_only_where_its_layout_is_checked(g, rng):
+    a = random_element(g, rng, with_jets=True)
+    # a stack is not one array per block: neither the constructor nor `of` takes one
+    for make in (lambda: AlgebraElement(g, a.stack), lambda: BlockStack.of(g, a.stack)):
+        with pytest.raises(ValueError, match="^need one value array per block: "
+                                             "got a stack, the groupoid has 5$"):
+            make()
+    R, S, rho = represent(a), represent(random_element(g, rng)), DensityField.uniform(g)
+    assert RandomOperator(g, R.stack).stack is R.stack
+    assert DensityField(g, rho.stack).stack is rho.stack
+    for got, op in ((R + S, np.add), (R - S, np.subtract), (R @ S, np.matmul)):
+        for b in range(g.n_blocks):
+            want = op(R.class_matrices[b], S.class_matrices[b])
+            assert got.class_matrices[b].tobytes() == want.tobytes()
+
+
+def _twin(g):
+    """The same partition on a copy of the space: equal shapes, another groupoid."""
+    return build_groupoid(DiffSpace(g.space.points, 2, ()), g.partition)
+
+
+OPERATOR, DENSITY = "(k, m, m) class matrices", "(k, c, m, m) densities (c = 1 or m)"
+CHANNELS = "(k, c, m, m) channels (c = 1 or 1 + 2n)"
+
+
+# the fixture's blocks have sizes 1, 2 and 3 in dimension 2, so an element with jets
+# has 5 channels
+@pytest.mark.parametrize("make, layout", [
+    (lambda g, a: RandomOperator(g, a.values_only().stack), OPERATOR),
+    (lambda g, a: RandomOperator(g, a.stack), OPERATOR),
+    (lambda g, a: RandomOperator(_twin(g), represent(a).stack), OPERATOR),
+    (lambda g, a: AlgebraElement.from_stack(represent(a).stack), CHANNELS),
+    (lambda g, a: AlgebraElement.from_stack(a.stack.map(lambda arr: arr[:, :2])), CHANNELS),
+    (lambda g, a: DensityField(g, represent(a).stack), DENSITY),
+    (lambda g, a: DensityField(g, a.stack), DENSITY),
+    (lambda g, a: DensityField(_twin(g), DensityField.uniform(g).stack), DENSITY),
+], ids=["operator-of-values", "operator-of-jets", "operator-elsewhere", "element-of-matrices",
+        "element-of-2-channels", "density-of-matrices", "density-of-jets", "density-elsewhere"])
+def test_a_stack_of_the_wrong_layout_is_refused(g, rng, make, layout):
+    a = random_element(g, rng, with_jets=True)
+    with pytest.raises(ValueError, match=f"^need a stack of {re.escape(layout)} on the groupoid"):
+        make(g, a)
 
 
 def test_per_block_returns_row_r_of_group_s_when_sizes_interleave(rng):
